@@ -1,8 +1,13 @@
 """Radial scans, superlevel-set measures and weak-(1,1) ratio estimation.
 
-The distribution function mu(t) = |{ operator value > t }| is computed by
-scanning the operator along a radial grid, bisecting every threshold
-crossing, and summing the measures of the resulting radial shells.  The
+On a radial nonincreasing profile the operator is radially nonincreasing:
+scaling a ball admissible at s*x (s > 1) by 1/s about the origin gives a
+ball admissible at x with no smaller average.  So the superlevel set
+{ operator value > t } is a centered ball of radius R_t and the distribution
+function is mu(t) = omega_d R_t^d.  R_t is found by monotone inversion: each
+crossing is bracketed before any search (just inside the largest breakpoint
+whose level exceeds t, and the mass-bound radius), and all brackets are
+narrowed together by Illinois regula falsi in (log R, log m).  The
 weak-type ratio t * mu(t) / ||g||_1 is then maximized over a threshold grid;
 for radial nonincreasing profiles its supremum over all t is (1 + lam)^d,
 which the sharpness experiment approaches with normalized ball indicators.
@@ -51,9 +56,12 @@ __all__ = [
 
 _CROSSING_REL_WIDTH = 1e-6
 _CROSSING_MAX_STEPS = 80
-_DOMAIN_MARGIN = 1.1
-_INNER_SCAN_POINTS = 16
-_OUTER_SCAN_POINTS = 48
+# Least distance, in log R, of a regula falsi point from either bracket end:
+# once one end sits at the root, the next point lands across it and closes
+# the bracket below _CROSSING_REL_WIDTH.
+_MIN_LOG_STEP = 0.3 * _CROSSING_REL_WIDTH
+_INSIDE = 1.0 - 1e-9  # lower bracket end as a fraction of its breakpoint
+_TINY = 1e-300  # floor under operator values before taking the log
 _MU_MONOTONE_SLACK = 1e-5
 
 
@@ -150,122 +158,83 @@ def radial_scan(
     return RadialScan(entries, cfg, region, opt, warnings=warns)
 
 
-def _scan_grid(g: StepProfile, hi: float) -> np.ndarray:
-    """Radius grid for level-set scans: breakpoints and their midpoints, a
-    geometric fill of the support, and a geometric tail out to hi."""
-    radii = np.array(g.radii)
-    r1, rK = radii[0], radii[-1]
-    pieces = [radii]
-    mids = 0.5 * (np.concatenate([[0.0], radii[:-1]]) + radii)
-    pieces.append(mids)
-    pieces.append(np.geomspace(r1 * 0.02, rK, _INNER_SCAN_POINTS))
-    if hi > rK * (1.0 + 1e-12):
-        pieces.append(np.geomspace(rK, hi, _OUTER_SCAN_POINTS))
-    else:
-        hi = rK
-    grid = np.unique(np.concatenate(pieces))
-    grid = grid[(grid > 0.0) & (grid <= hi)]
-    if grid[-1] < hi:
-        grid = np.append(grid, hi)
-    return grid
+def _level_set_radii(g, cfg, ts, opt):
+    """Radius R_t of the ball { operator value > t } for each threshold
+    t < top level, all thresholds solved together.
 
-
-def _refine_crossings(mval, lo, hi, thr, lo_above):
-    """Bisect m(R) - thr sign changes; each bracket keeps the state of its
-    left edge.  Returns crossing radii at relative width 1e-6."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    thr = np.array(thr, dtype=float)
-    lo_above = np.array(lo_above, dtype=bool)
-    for _ in range(_CROSSING_MAX_STEPS):
-        if np.all(hi - lo <= _CROSSING_REL_WIDTH * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        above = mval(mid) > thr
-        take_lo = above == lo_above
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _measure_for_thresholds(g, cfg, ts, opt, scan):
-    """mu(t) for each threshold from one shared scan; crossings for all
-    thresholds are bisected in a single batch."""
-    v1 = g.top_level
-    omega = unit_ball_volume(cfg.d)
+    The bracket is known before any search: just inside the largest
+    breakpoint whose level exceeds t the shrinking-ball candidate keeps the
+    value above t, and at the mass-bound radius the value is at most t.
+    Illinois regula falsi on log m - log t against log R then narrows every
+    bracket to relative width 1e-6, one batched operator call per step.
+    """
+    ts = np.asarray(ts, dtype=float)
+    n = ts.size
+    levels = np.array(g.levels)
     norm = l1_norm(g, cfg.d)
-    Rs = np.concatenate([[0.0], [e[0] for e in scan.entries]])
-    ms = np.concatenate([[v1], [e[1] for e in scan.entries]])
+    lo = np.array(g.radii)[np.sum(levels[None, :] > ts[:, None], axis=1) - 1] * _INSIDE
+    hi = np.array([level_set_radius_bound(cfg, norm, t) for t in ts])
+    log_t = np.log(ts)
 
     def mval(R):
-        return maximal_value_batch(g, cfg, R, RegionKind.FULL, opt)
+        m = maximal_value_batch(g, cfg, R, RegionKind.FULL, opt)
+        return m, np.log(np.maximum(m, _TINY))
 
-    # Collect every bracket (threshold, left grid point, right grid point).
-    brackets = []  # (t_index, lo, hi, lo_above)
-    per_t_layout = []  # per threshold: list of ("edge0"|"cross"|"end",...)
-    warn_list = []
-    for ti, t in enumerate(ts):
-        if t >= v1:
-            per_t_layout.append(None)
-            continue
-        above = ms > t
-        r_out = level_set_radius_bound(cfg, norm, t)
-        beyond = above & (Rs > _DOMAIN_MARGIN * r_out)
-        if np.any(beyond):
-            warn_list.append(
-                f"t={t:g}: operator exceeds the threshold beyond {_DOMAIN_MARGIN:g} x "
-                f"the mass-bound radius {r_out:g}; level set measured from the full scan"
-            )
-        layout = []
-        for i in range(len(Rs) - 1):
-            if above[i] != above[i + 1]:
-                layout.append(len(brackets))
-                brackets.append((Rs[i], Rs[i + 1], bool(above[i])))
-        if above[-1]:
-            warn_list.append(
-                f"t={t:g}: level set reaches the scan boundary R={Rs[-1]:g}; "
-                "measure truncated there"
-            )
-        per_t_layout.append((above, layout, bool(above[-1])))
+    ends, inv = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    m, log_m = mval(ends)
+    f_lo, f_hi = log_m[inv[:n]] - log_t, log_m[inv[n:]] - log_t
+    m_hi = m[inv[n:]]
+    breach = m_hi > ts
+    for i in np.flatnonzero(breach):
+        _warnings.warn(
+            f"t={ts[i]:g}: operator value {m_hi[i]:g} exceeds the threshold at the "
+            f"mass-bound radius {hi[i]:g}; level set measured to that radius",
+            AnalysisWarning,
+            stacklevel=4,
+        )
+    side = np.zeros(n, dtype=int)  # end replaced by the last step: -1 lo, +1 hi
 
-    if brackets:
-        lo = np.array([b[0] for b in brackets])
-        hi = np.array([b[1] for b in brackets])
-        la = np.array([b[2] for b in brackets])
-        thr = np.empty(len(brackets))
-        pos = 0
-        for ti, t in enumerate(ts):
-            if per_t_layout[ti] is None:
-                continue
-            k = len(per_t_layout[ti][1])
-            thr[pos : pos + k] = t
-            pos += k
-        crossings = _refine_crossings(mval, lo, hi, thr, la)
-    else:
-        crossings = np.zeros(0)
+    def live():
+        return np.flatnonzero(~breach & (hi - lo > _CROSSING_REL_WIDTH * hi))
 
-    mus = []
-    for ti, t in enumerate(ts):
-        if per_t_layout[ti] is None:
-            mus.append(0.0)
-            continue
-        above, layout, open_end = per_t_layout[ti]
-        edges = []
-        left = 0.0 if above[0] else None
-        for bracket_idx in layout:
-            x = float(crossings[bracket_idx])
-            if left is None:
-                left = x
-            else:
-                edges.append((left, x))
-                left = None
-        if left is not None:
-            edges.append((left, float(Rs[-1])))
-        mu = omega * sum(b ** cfg.d - a ** cfg.d for a, b in edges)
-        mus.append(mu)
-    for w in warn_list:
-        _warnings.warn(w, AnalysisWarning, stacklevel=3)
-    return mus
+    for _ in range(_CROSSING_MAX_STEPS):
+        idx = live()
+        if idx.size == 0:
+            break
+        xl, xh = np.log(lo[idx]), np.log(hi[idx])
+        fl, fh = f_lo[idx], f_hi[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (xl * fh - xh * fl) / (fh - fl)
+        x = np.where(np.isfinite(x), x, 0.5 * (xl + xh))
+        R = np.exp(np.clip(x, xl + _MIN_LOG_STEP, xh - _MIN_LOG_STEP))
+        m, log_m = mval(R)
+        up = m > ts[idx]
+        f = log_m - log_t[idx]
+        a, b = idx[up], idx[~up]
+        # Illinois: an end kept twice running has its value halved
+        f_hi[a[side[a] < 0]] *= 0.5
+        f_lo[b[side[b] > 0]] *= 0.5
+        lo[a], f_lo[a], side[a] = R[up], f[up], -1
+        hi[b], f_hi[b], side[b] = R[~up], f[~up], 1
+    for i in live():
+        _warnings.warn(
+            f"t={ts[i]:g}: level-set radius not resolved to relative width "
+            f"{_CROSSING_REL_WIDTH:g} in {_CROSSING_MAX_STEPS} steps (bracket "
+            f"[{lo[i]:.9g}, {hi[i]:.9g}]); midpoint reported",
+            AnalysisWarning,
+            stacklevel=4,
+        )
+    return np.where(breach, hi, 0.5 * (lo + hi))
+
+
+def _measure_for_thresholds(g, cfg, ts, opt):
+    """mu(t) = omega_d R_t^d for each threshold; 0 at or above the top level."""
+    ts = np.asarray(ts, dtype=float)
+    mus = np.zeros(ts.size)
+    live = ts < g.top_level
+    if live.any():
+        mus[live] = unit_ball_volume(cfg.d) * _level_set_radii(g, cfg, ts[live], opt) ** cfg.d
+    return mus.tolist()
 
 
 def superlevel_measure(
@@ -273,29 +242,20 @@ def superlevel_measure(
     cfg: OperatorConfig,
     t: float,
     opt: OptimizerSettings | None = None,
-    *,
-    scan: RadialScan | None = None,
 ) -> float:
     """Lebesgue measure of the superlevel set { operator value > t }.
 
-    The search domain is the mass-bound radius for t plus a 10% margin
-    (values beyond it are warned about, never silently dropped).  A
-    precomputed scan covering the domain may be supplied to share work
-    across thresholds.
+    The operator is radially nonincreasing on radial nonincreasing profiles,
+    so the set is a centered ball and its measure is omega_d R_t^d.  R_t is
+    bracketed between the largest breakpoint whose level exceeds t and the
+    mass-bound radius, and found by regula falsi to relative width 1e-6.  A
+    value above t at the mass-bound radius is warned about and the measure
+    taken to that radius.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise UsageError(f"threshold must be positive, got {t}")
     opt = opt or OptimizerSettings()
-    if t >= g.top_level:
-        return 0.0
-    if scan is None:
-        norm = l1_norm(g, cfg.d)
-        hi = max(
-            _DOMAIN_MARGIN * level_set_radius_bound(cfg, norm, t),
-            2.5 * g.support_radius,
-        )
-        scan = radial_scan(g, cfg, _scan_grid(g, hi), RegionKind.FULL, opt)
-    return _measure_for_thresholds(g, cfg, [t], opt, scan)[0]
+    return _measure_for_thresholds(g, cfg, [t], opt)[0]
 
 
 def weak_constant_estimate(
@@ -310,16 +270,7 @@ def weak_constant_estimate(
     if not ts or any(t <= 0.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("t_grid must be positive and strictly increasing")
     norm = l1_norm(g, cfg.d)
-    live = [t for t in ts if t < g.top_level]
-    if live:
-        hi = max(
-            _DOMAIN_MARGIN * level_set_radius_bound(cfg, norm, min(live)),
-            2.5 * g.support_radius,
-        )
-        scan = radial_scan(g, cfg, _scan_grid(g, hi), RegionKind.FULL, opt)
-        mus = _measure_for_thresholds(g, cfg, ts, opt, scan)
-    else:
-        mus = [0.0 for _ in ts]
+    mus = _measure_for_thresholds(g, cfg, ts, opt)
     per_t = tuple((t, mu, t * mu / norm) for t, mu in zip(ts, mus))
     best = max(per_t, key=lambda row: row[2])
     return ConstantEstimate(
@@ -364,8 +315,10 @@ def sweep(
     """Weak-constant estimates for every (d, lambda, profile) cell.
 
     suite is either an iterable of StepProfile (reused across dimensions) or
-    a callable d -> iterable of StepProfile.  Cell failures are reported in
-    the warnings, never aborting the sweep.
+    a callable d -> iterable of StepProfile.  A failing cell never aborts the
+    sweep: it keeps its cell and threshold rows, with ratio_sup, mu, ratio
+    and margin NaN and the exception text in the cell's "error" field (None
+    for cells that succeed), and its message is added to the warnings.
     """
     opt = opt or OptimizerSettings()
     d_list = [int(d) for d in d_set]
@@ -373,6 +326,7 @@ def sweep(
     cells = []
     rows = []
     warn_list = []
+    nan = float("nan")
     for d in d_list:
         profiles = list(suite(d)) if callable(suite) else list(suite)
         for lam in lam_list:
@@ -380,22 +334,26 @@ def sweep(
             bound = (1.0 + lam) ** d
             for g in profiles:
                 digest = profile_digest(g)
+                ts = default_t_grid(g, t_points)
                 try:
-                    est = weak_constant_estimate(g, cfg, default_t_grid(g, t_points), opt)
+                    est = weak_constant_estimate(g, cfg, ts, opt)
+                    ratio_sup, per_t, error = est.ratio_sup, est.per_t, None
                 except Exception as exc:  # cell-level isolation
-                    warn_list.append(f"cell d={d} lambda={lam:g} profile={digest}: {exc}")
-                    continue
+                    error = f"{type(exc).__name__}: {exc}"
+                    warn_list.append(f"cell d={d} lambda={lam:g} profile={digest}: {error}")
+                    ratio_sup, per_t = nan, tuple((t, nan, nan) for t in ts)
                 cells.append(
                     {
                         "d": d,
                         "lambda": lam,
                         "profile_digest": digest,
-                        "ratio_sup": est.ratio_sup,
+                        "ratio_sup": ratio_sup,
                         "bound": bound,
-                        "margin": bound - est.ratio_sup,
+                        "margin": bound - ratio_sup,
+                        "error": error,
                     }
                 )
-                for t, mu, ratio in est.per_t:
+                for t, mu, ratio in per_t:
                     rows.append(
                         {
                             "d": d,

@@ -1,10 +1,10 @@
 """Command-line front end: profile I/O, experiment orchestration, CSV/JSON
 emission, deterministic seeding, exit codes.
 
-Exit status: 0 on success, 1 when a verification check fails or a weak-type
-bound is violated (mathematical content only), 2 for usage and validation
-problems.  Warnings go to stderr; identical configuration and seed produce
-byte-identical output files.
+Exit status: 0 on success, 1 when a verification check fails, a weak-type
+bound is violated or a sweep cell fails (mathematical content only), 2 for
+usage and validation problems.  Warnings go to stderr; identical
+configuration and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -323,17 +323,21 @@ def _cmd_sweep(ns, opt) -> int:
     emit(list(result.rows), ns.fmt, ns.out)
     bad = 0
     for cell in result.cells:
-        if cell["ratio_sup"] > cell["bound"] + _BOUND_SLACK:
+        where = f"d={cell['d']} lambda={cell['lambda']:g} profile={cell['profile_digest']}"
+        if cell["error"] is not None:
+            bad += 1
+            print(f"CELL FAILED: {where}: {cell['error']}", file=sys.stderr)
+        elif cell["ratio_sup"] > cell["bound"] + _BOUND_SLACK:
             bad += 1
             print(
-                f"BOUND VIOLATED: d={cell['d']} lambda={cell['lambda']:g} "
-                f"profile={cell['profile_digest']} ratio_sup={cell['ratio_sup']:.9g} "
+                f"BOUND VIOLATED: {where} ratio_sup={cell['ratio_sup']:.9g} "
                 f"> bound={cell['bound']:.9g}",
                 file=sys.stderr,
             )
+    done = [c["margin"] for c in result.cells if c["error"] is None]
     print(
-        f"{len(result.cells)} cells; worst margin "
-        f"{min((c['margin'] for c in result.cells), default=float('nan')):.6g}",
+        f"{len(result.cells)} cells ({len(result.cells) - len(done)} failed); worst margin "
+        f"{min(done, default=float('nan')):.6g}",
         file=sys.stderr,
     )
     return 1 if bad else 0
@@ -341,6 +345,8 @@ def _cmd_sweep(ns, opt) -> int:
 
 def _verify_reports(ns, opt) -> list[verify.CheckReport]:
     name = ns.check
+    if ns.R is not None and not ns.R > 0.0:
+        raise CliError(f"--R must be positive, got {ns.R:g}")
     mc = verify.McConfig(ns.seed, ns.n_samples)
     d_list = [int(x) for x in parse_grid(ns.d_set)] if ns.d_set else [ns.d or 2]
     g = _load_profile(ns.profile) if ns.profile else StepProfile(((1.0, 1.0),))
@@ -382,7 +388,7 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
             reports.append(verify.check_band_regions(g, OperatorConfig(d, lam), R_set, opt))
     if want("domination"):
         lam = ns.lam if ns.lam is not None else 1.0
-        R_set = parse_grid(ns.R_set) if ns.R_set else ([ns.R] if ns.R else [2.0])
+        R_set = parse_grid(ns.R_set) if ns.R_set else ([ns.R] if ns.R is not None else [2.0])
         for d in d_list:
             for R in R_set:
                 reports.append(

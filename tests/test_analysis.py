@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ballmax import analysis
 from ballmax.analysis import (
     AnalysisWarning,
     ConstantEstimate,
@@ -14,10 +16,14 @@ from ballmax.analysis import (
     sweep,
     weak_constant_estimate,
 )
-from ballmax.maximal import OptimizerSettings, RegionKind, UsageError
-from ballmax.profiles import OperatorConfig, StepProfile, profile_digest, random_profile
+from ballmax.geometry import unit_ball_volume
+from ballmax.maximal import OptimizerSettings, RegionKind, UsageError, maximal_value_batch
+from ballmax.profiles import OperatorConfig, StepProfile, l1_norm, profile_digest, random_profile
 
 UNIT_BALL = StepProfile(((1.0, 1.0),))
+BASE_SEED = 20240817
+# criterion-01 settings
+SUITE_OPT = OptimizerSettings(alpha_grid=8, beta_grid=12, refine_rounds=6, rel_tol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +89,74 @@ def test_superlevel_rejects_bad_threshold():
         superlevel_measure(UNIT_BALL, OperatorConfig(1, 1.0), 0.0)
     with pytest.raises(UsageError):
         superlevel_measure(UNIT_BALL, OperatorConfig(1, 1.0), -1.0)
+
+
+def _oracle_measure(g, cfg, t, opt):
+    """mu(t) from a dense geometric scan up to the mass-bound radius, then
+    bisection of the first crossing to relative width 1e-9."""
+    hi = level_set_radius_bound(cfg, l1_norm(g, cfg.d), t)
+    grid = np.geomspace(0.5 * g.radii[0], hi, 400)
+    above = maximal_value_batch(g, cfg, grid, RegionKind.FULL, opt) > t
+    i = int(np.argmin(above))  # first grid radius with value <= t
+    assert i > 0 and not above[i]
+    lo, hi = grid[i - 1], grid[i]
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if maximal_value_batch(g, cfg, [mid], RegionKind.FULL, opt)[0] > t:
+            lo = mid
+        else:
+            hi = mid
+    return unit_ball_volume(cfg.d) * (0.5 * (lo + hi)) ** cfg.d
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_superlevel_matches_scan_and_bisection_oracle(lam):
+    opt = OptimizerSettings()
+    for d, seed in ((2, BASE_SEED), (3, BASE_SEED + 1)):
+        g = random_profile(seed, 6, d)
+        cfg = OperatorConfig(d, lam)
+        for t in default_t_grid(g, 4):
+            want = _oracle_measure(g, cfg, t, opt)
+            assert superlevel_measure(g, cfg, t, opt) == pytest.approx(want, rel=1e-5), (d, t)
+
+
+def test_weak_constant_radius_budget(monkeypatch):
+    counts = []
+
+    def counting(g, cfg, R, *args, **kwargs):
+        counts[-1] += np.size(R)
+        return maximal_value_batch(g, cfg, R, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "maximal_value_batch", counting)
+    for d in (2, 3):
+        for i in range(4):
+            g = random_profile(BASE_SEED + i, 6, d)
+            for lam in (0.0, 0.5, 1.0):
+                counts.append(0)
+                weak_constant_estimate(g, OperatorConfig(d, lam), default_t_grid(g, 8), SUITE_OPT)
+                assert counts[-1] <= 80, (d, i, lam, counts[-1])
+
+
+def test_superlevel_warns_on_mass_bound_breach(monkeypatch):
+    # with the upper bracket end forced inside the level set (R_t = 9), the
+    # measure stops there, with a warning
+    monkeypatch.setattr(analysis, "level_set_radius_bound", lambda cfg, norm, t: 1.5)
+    with pytest.warns(AnalysisWarning, match="exceeds the threshold at the mass-bound radius"):
+        mu = superlevel_measure(UNIT_BALL, OperatorConfig(1, 1.0), 0.2)
+    assert mu == pytest.approx(3.0, rel=1e-12)
+
+
+def test_superlevel_warns_when_steps_run_out(monkeypatch):
+    monkeypatch.setattr(analysis, "_CROSSING_MAX_STEPS", 1)
+    with pytest.warns(AnalysisWarning, match="not resolved to relative width"):
+        superlevel_measure(UNIT_BALL, OperatorConfig(1, 1.0), 0.2)
+
+
+def test_superlevel_resolves_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AnalysisWarning)
+        g = random_profile(BASE_SEED, 6, 2)
+        weak_constant_estimate(g, OperatorConfig(2, 0.5), default_t_grid(g, 8), SUITE_OPT)
 
 
 def test_level_set_radius_bound_value():
@@ -188,6 +262,25 @@ def test_sweep_empty_suite():
 def test_sweep_bound_arithmetic():
     result = sweep([2], [0.5], [UNIT_BALL], t_points=4)
     assert result.cells[0]["bound"] == pytest.approx(2.25)
+
+
+def test_sweep_keeps_failed_cell(monkeypatch):
+    real = analysis.weak_constant_estimate
+
+    def failing(g, cfg, t_grid, opt=None):
+        if cfg.lam == 1.0:
+            raise ArithmeticError("boom")
+        return real(g, cfg, t_grid, opt)
+
+    monkeypatch.setattr(analysis, "weak_constant_estimate", failing)
+    result = sweep([1], [0.0, 1.0], [UNIT_BALL], t_points=4)
+    ok, bad = result.cells
+    assert ok["error"] is None and ok["ratio_sup"] <= 1.0 + 1e-9
+    assert bad["lambda"] == 1.0 and bad["error"] == "ArithmeticError: boom"
+    assert math.isnan(bad["ratio_sup"]) and math.isnan(bad["margin"])
+    failed_rows = [row for row in result.rows if row["lambda"] == 1.0]
+    assert len(failed_rows) == 4 and all(math.isnan(row["ratio"]) for row in failed_rows)
+    assert len(result.warnings) == 1 and "boom" in result.warnings[0]
 
 
 def test_sweep_callable_suite():

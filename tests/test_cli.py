@@ -183,6 +183,37 @@ def test_sweep_random_suite(tmp_path):
     assert len(rows) == 2 * 2 * 4
 
 
+def test_sweep_failed_cell_exits_one(tmp_path, unitball, capsys, monkeypatch):
+    from ballmax import analysis
+
+    real = analysis.weak_constant_estimate
+
+    def failing(g, cfg, t_grid, opt=None):
+        if cfg.lam == 1.0:
+            raise ArithmeticError("boom")
+        return real(g, cfg, t_grid, opt)
+
+    monkeypatch.setattr(analysis, "weak_constant_estimate", failing)
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["sweep", "--d-set", "1", "--lambda-set", "0,1", "--profiles", unitball,
+         "--t-points", "4", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "CELL FAILED: d=1 lambda=1 " in err and "ArithmeticError: boom" in err
+    lines = out.read_bytes().decode().strip().split("\r\n")
+    assert len(lines) == 1 + 2 * 4
+    assert all(",nan," in line for line in lines[5:])
+
+
+@pytest.mark.parametrize("R", ["0", "-1"])
+def test_verify_nonpositive_R_is_usage_error(capsys, R):
+    code = main(["verify", "domination", "--d", "1", "--R", R, "--n-samples", "100"])
+    assert code == 2
+    assert "--R must be positive" in capsys.readouterr().err
+
+
 def test_missing_profile_is_usage_error(tmp_path):
     code = main(
         ["eval", "--d", "1", "--lambda", "1", "--profile",
