@@ -15,7 +15,6 @@ import io
 import json
 import sys
 import warnings as _warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,23 +47,6 @@ _CHECK_NAMES = (
 
 class CliError(ValueError):
     """Bad command-line value (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command plus everything needed to run it."""
-
-    command: str
-    d: int | None = None
-    lam: float | None = None
-    profile_path: str | None = None
-    seed: int = DEFAULT_SEED
-    fmt: str = "csv"
-    out: str | None = None
-    region: str = "full"
-    grids: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
 
 def parse_grid(text: str) -> list[float]:
@@ -151,7 +133,7 @@ def _load_profile(path: str) -> StepProfile:
 
 def _optimizer_from(ns) -> OptimizerSettings:
     kwargs = {}
-    for name in ("alpha_grid", "beta_grid", "refine_rounds", "rel_tol", "beta_floor"):
+    for name in ("beta_grid", "refine_rounds", "rel_tol", "beta_floor"):
         val = getattr(ns, name, None)
         if val is not None:
             kwargs[name] = val
@@ -162,7 +144,6 @@ def _add_common(p):
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--alpha-grid", dest="alpha_grid", type=int, default=None)
     p.add_argument("--beta-grid", dest="beta_grid", type=int, default=None)
     p.add_argument("--refine-rounds", dest="refine_rounds", type=int, default=None)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
@@ -416,23 +397,14 @@ def _cmd_verify(ns, opt) -> int:
     return 1 if failed else 0
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit status."""
-    ns = cfg.options["namespace"]
-    opt = cfg.optimizer
-    if cfg.command == "eval":
-        return _cmd_eval(ns, opt)
-    if cfg.command == "scan":
-        return _cmd_scan(ns, opt)
-    if cfg.command == "constant":
-        return _cmd_constant(ns, opt)
-    if cfg.command == "sharpness":
-        return _cmd_sharpness(ns, opt)
-    if cfg.command == "sweep":
-        return _cmd_sweep(ns, opt)
-    if cfg.command == "verify":
-        return _cmd_verify(ns, opt)
-    raise CliError(f"unknown command '{cfg.command}'")
+_COMMANDS = {
+    "eval": _cmd_eval,
+    "scan": _cmd_scan,
+    "constant": _cmd_constant,
+    "sharpness": _cmd_sharpness,
+    "sweep": _cmd_sweep,
+    "verify": _cmd_verify,
+}
 
 
 def main(argv=None) -> int:
@@ -442,21 +414,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        cfg = RunConfig(
-            command=ns.command,
-            d=getattr(ns, "d", None),
-            lam=getattr(ns, "lam", None),
-            profile_path=getattr(ns, "profile", None),
-            seed=getattr(ns, "seed", DEFAULT_SEED),
-            fmt=getattr(ns, "fmt", "csv"),
-            out=getattr(ns, "out", None),
-            region=getattr(ns, "region", "full"),
-            options={"namespace": ns},
-            optimizer=_optimizer_from(ns),
-        )
+        opt = _optimizer_from(ns)
         with _warnings.catch_warnings():
             _warnings.simplefilter("always", analysis.AnalysisWarning)
-            return run(cfg)
+            return _COMMANDS[ns.command](ns, opt)
     except (CliError, ProfileError, UsageError, GeometryDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,12 @@ admissible ball can be rotated until its center lies on the ray through x:
 the supremum runs over two scalars, the center offset alpha*R and the radius
 beta*R, restricted to a feasible region in the (alpha, beta) plane.
 
+For radial nonincreasing g the ball average does not increase as the center
+moves away from the origin (Riesz rearrangement: the convolution of two
+symmetric-decreasing functions is symmetric-decreasing).  So for each beta
+the supremum sits at the least feasible offset, and the search runs over
+beta alone, on that boundary curve.
+
 The ground-truth region is RegionKind.FULL (alpha in [0, 1],
 lam*beta + alpha >= 1, which is exactly the rotated form of "x in lam*B"
 with the center folded onto the nonnegative ray).  Three restricted variants
@@ -85,7 +91,12 @@ class BallParams:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Grid sizes and stopping tolerances for the supremum search."""
+    """Grid sizes and stopping tolerances for the supremum search.
+
+    alpha_grid has no effect: the search evaluates one ball per beta, at the
+    least feasible offset.  The field is still accepted and validated
+    (>= 8) so that existing settings keep working.
+    """
 
     alpha_grid: int = 12
     beta_grid: int = 24
@@ -138,15 +149,15 @@ def feasible(region: RegionKind, lam: float, p: BallParams) -> bool:
     raise UsageError(f"unknown region {region!r}")
 
 
-def _alpha_bounds(region: RegionKind, lam: float, beta: np.ndarray):
-    """Feasible alpha interval per beta (arrays); hi < lo marks empty."""
+def _least_offset(region: RegionKind, lam: float, beta: np.ndarray) -> np.ndarray:
+    """Smallest feasible alpha per beta (array).  Where rounding empties the
+    interval (hi < lo by an ulp at a region edge) the upper bound is used, so
+    the ball stays inside the region."""
     if region is RegionKind.FULL:
-        lo = np.maximum(0.0, 1.0 - lam * beta)
-        hi = np.ones_like(beta)
-    elif region is RegionKind.CENTERED_SHELL:
-        lo = np.ones_like(beta)
-        hi = np.ones_like(beta)
-    elif region is RegionKind.UPPER_BAND:
+        return np.maximum(0.0, 1.0 - lam * beta)
+    if region is RegionKind.CENTERED_SHELL:
+        return np.ones_like(beta)
+    if region is RegionKind.UPPER_BAND:
         lo = np.maximum(beta, 1.0 - lam * beta)
         hi = np.minimum(1.0, beta + 1.0)
     elif region is RegionKind.LOWER_BAND:
@@ -154,7 +165,7 @@ def _alpha_bounds(region: RegionKind, lam: float, beta: np.ndarray):
         hi = np.minimum(beta, 1.0)
     else:  # pragma: no cover
         raise UsageError(f"unknown region {region!r}")
-    return lo, hi
+    return np.minimum(lo, hi)
 
 
 def _beta_range(region: RegionKind, lam: float):
@@ -208,9 +219,9 @@ def pointwise_reference(cfg: OperatorConfig, R: float, norm: float) -> float:
 
 _REFINE_SHRINK = 0.33
 _REFINE_BETA_POINTS = 9
-_REFINE_ALPHA_POINTS = 3
 _EXTRA_ROUNDS = 48
 _TINY = 1e-300
+_UNCONVERGED = "refinement did not reach rel_tol within the round budget"
 
 
 def _candidate_betas(region: RegionKind, lam: float, R: np.ndarray, radii_k: np.ndarray):
@@ -263,28 +274,25 @@ def _supremum_batch(g, cfg, R, region, opt):
     n = R.size
     r_col = R[:, None]
 
-    def avg(alpha, beta, rr):
-        centers = alpha * rr
-        rad = beta * rr
-        lens = lens_volume_array(d, centers[..., None], radii_k, rad[..., None])
-        return (lens @ coeff_k) / (omega * rad ** d)
-
     best_val = np.full(n, -np.inf)
     best_a = np.full(n, np.nan)
     best_b = np.full(n, np.nan)
+    rows = np.arange(n)
 
     def consider(vals, alphas, betas):
-        shape = vals.shape
-        alphas = np.broadcast_to(alphas, shape).reshape(n, -1)
-        betas = np.broadcast_to(betas, shape).reshape(n, -1)
-        vals = vals.reshape(n, -1)
         idx = np.argmax(vals, axis=1)
-        rows = np.arange(n)
         v = vals[rows, idx]
         better = v > best_val
         best_val[better] = v[better]
         best_a[better] = alphas[rows, idx][better]
         best_b[better] = betas[rows, idx][better]
+
+    def consider_boundary(betas):
+        # one ball per beta, at the least feasible offset
+        alphas = _least_offset(region, lam, betas)
+        rad = betas * r_col
+        lens = lens_volume_array(d, (alphas * r_col)[..., None], radii_k, rad[..., None])
+        consider((lens @ coeff_k) / (omega * rad ** d), alphas, betas)
 
     # Shrinking-ball limit: alpha = 1, beta -> 0 stays feasible for the full
     # region (lam*beta + 1 >= 1) and for the upper band (alpha = 1 >= beta for
@@ -296,12 +304,9 @@ def _supremum_batch(g, cfg, R, region, opt):
     blo_region, bhi_region = _beta_range(region, lam)
     blo = max(blo_region, opt.beta_floor)
 
-    # Explicit candidates on the least-offset boundary (includes the minimal
-    # ball and the ball just covering the whole support).
-    bc = np.clip(_candidate_betas(region, lam, R, radii_k), blo, bhi_region)
-    lo_c, hi_c = _alpha_bounds(region, lam, bc)
-    lo_c = np.minimum(lo_c, hi_c)
-    consider(avg(lo_c, bc, r_col), lo_c, bc)
+    # Explicit candidates (includes the minimal ball and the ball just
+    # covering the whole support).
+    consider_boundary(np.clip(_candidate_betas(region, lam, R, radii_k), blo, bhi_region))
 
     # Truncate the beta range using the mass bound; the incumbent is positive
     # by now (the minimal ball always meets the support).
@@ -314,41 +319,25 @@ def _supremum_batch(g, cfg, R, region, opt):
     log_lo = math.log(blo)
     log_hi = np.log(bhi)
 
-    # Coarse grid: geometric in beta, linear in alpha over the feasible
-    # interval (endpoints included, so the boundary curve is always sampled).
-    tb = np.linspace(0.0, 1.0, opt.beta_grid)
-    betas = np.exp(log_lo + (log_hi - log_lo)[:, None] * tb[None, :])
-    lo_b, hi_b = _alpha_bounds(region, lam, betas)
-    hi_b = np.maximum(hi_b, lo_b)
-    ua = np.linspace(0.0, 1.0, opt.alpha_grid)
-    alphas = lo_b[:, :, None] + (hi_b - lo_b)[:, :, None] * ua
-    vals = avg(alphas, betas[:, :, None], R[:, None, None])
-    consider(vals, alphas, betas[:, :, None])
+    # Coarse and dense geometric sweeps in beta, in one kernel call.
+    def geometric(count):
+        t = np.linspace(0.0, 1.0, count)
+        return np.exp(log_lo + (log_hi - log_lo)[:, None] * t[None, :])
 
-    # Dense sweep along the least-offset boundary curve, where the optimum of
-    # a radial nonincreasing profile always lies (ball averages do not
-    # increase when the center moves away from the origin).
-    b2 = np.exp(log_lo + (log_hi - log_lo)[:, None] * np.linspace(0.0, 1.0, 4 * opt.beta_grid)[None, :])
-    lo2, hi2 = _alpha_bounds(region, lam, b2)
-    lo2 = np.minimum(lo2, hi2)
-    consider(avg(lo2, b2, r_col), lo2, b2)
+    consider_boundary(
+        np.concatenate([geometric(opt.beta_grid), geometric(4 * opt.beta_grid)], axis=1)
+    )
 
     # Local refinement around the incumbent; at least refine_rounds rounds,
     # then continue until one further round improves by <= rel_tol relative.
     log_w = (log_hi - log_lo) / (opt.beta_grid - 1) * 2.0
     wb = np.linspace(-1.0, 1.0, _REFINE_BETA_POINTS)
-    ur = np.linspace(0.0, 1.0, _REFINE_ALPHA_POINTS)
     unconverged = False
     for rnd in range(opt.refine_rounds + _EXTRA_ROUNDS):
         prev = best_val.copy()
         center_b = np.clip(np.nan_to_num(best_b, nan=blo), blo, bhi)
         bref = center_b[:, None] * np.exp(log_w[:, None] * wb[None, :])
-        bref = np.clip(bref, blo, bhi[:, None])
-        lo_r, hi_r = _alpha_bounds(region, lam, bref)
-        hi_r = np.maximum(hi_r, lo_r)
-        aref = lo_r[:, :, None] + (hi_r - lo_r)[:, :, None] * ur
-        vals = avg(aref, bref[:, :, None], R[:, None, None])
-        consider(vals, aref, bref[:, :, None])
+        consider_boundary(np.clip(bref, blo, bhi[:, None]))
         log_w = log_w * _REFINE_SHRINK
         improvement = best_val - prev
         tol = opt.rel_tol * np.maximum(np.abs(best_val), _TINY)
@@ -363,7 +352,7 @@ def _supremum_batch(g, cfg, R, region, opt):
         best_val[empty] = 0.0
         warnings.append("empty feasible region after truncation; value reported as 0")
     if unconverged:
-        warnings.append("refinement did not reach rel_tol within the round budget")
+        warnings.append(_UNCONVERGED)
     # averages of g never exceed its top level; the clamp strips the last
     # bits of rounding noise from near-containment lens evaluations
     best_val = np.clip(best_val, 0.0, g.top_level)
@@ -398,7 +387,7 @@ def maximal_value_detailed(
         value=float(vals[0]),
         alpha=float(a[0]),
         beta=float(b[0]),
-        converged="refinement did not reach rel_tol within the round budget" not in warns,
+        converged=_UNCONVERGED not in warns,
         empty_region=bool(empty[0]),
         warnings=warns,
     )
@@ -413,8 +402,9 @@ def maximal_value(
 ) -> float:
     """Lower-bounding estimate of the supremum of ball averages at radius R.
 
-    The candidate set always contains the best grid point, the dense boundary
-    sweep, the explicit kink candidates, and (for regions whose closure
+    Every candidate lies on the least-offset boundary curve: the explicit
+    kink candidates, a coarse and a dense geometric sweep in beta, the
+    refinement points around the incumbent, and (for regions whose closure
     admits it) the shrinking-ball limit with value g(R).
     """
     return maximal_value_detailed(g, cfg, R, region, opt).value

@@ -296,3 +296,54 @@ def test_optimizer_settings_validation():
         OptimizerSettings(rel_tol=0.1)
     with pytest.raises(UsageError):
         OptimizerSettings(beta_floor=0.0)
+
+
+# ---------------------------------------------------------------------------
+# least-offset boundary search
+# ---------------------------------------------------------------------------
+
+def _alpha_upper(region, beta):
+    if region is RegionKind.UPPER_BAND:
+        return min(1.0, beta + 1.0)
+    if region is RegionKind.LOWER_BAND:
+        return min(beta, 1.0)
+    return 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_reported_argmax_is_feasible(d):
+    for seed in (52, 9):
+        g = random_profile(seed, 6, d)
+        Rs = g.support_radius * np.geomspace(0.02, 8, 15)
+        for lam in (0.0, 0.5, 1.0):
+            cfg = OperatorConfig(d, lam)
+            regions = [RegionKind.FULL, RegionKind.UPPER_BAND, RegionKind.LOWER_BAND]
+            if lam == 0.0:
+                regions.append(RegionKind.CENTERED_SHELL)
+            for region in regions:
+                for R in Rs:
+                    res = maximal_value_detailed(g, cfg, float(R), region)
+                    assert res.alpha <= _alpha_upper(region, res.beta), (seed, lam, region, R)
+
+
+def test_average_nonincreasing_in_center_offset():
+    # the fact the boundary search rests on (Riesz rearrangement)
+    alphas = np.linspace(0.0, 1.5, 16)
+    for d in (1, 2, 3, 5, 10):
+        for seed in (4, 19):
+            g = random_profile(seed, 5, d)
+            for R in (0.5 * g.support_radius, 1.5 * g.support_radius):
+                for beta in (0.1, 0.6, 1.0, 2.5):
+                    vals = [average_over_ball(g, d, R, BallParams(a, beta)) for a in alphas]
+                    for near, far in zip(vals, vals[1:]):
+                        assert far <= near * (1.0 + 1e-12), (d, seed, R, beta)
+
+
+def test_alpha_grid_has_no_effect():
+    for d, lam in ((1, 0.5), (2, 0.0), (3, 1.0)):
+        g = random_profile(31, 5, d)
+        cfg = OperatorConfig(d, lam)
+        for R in (0.4 * g.support_radius, 2.0 * g.support_radius):
+            a = maximal_value_detailed(g, cfg, R, opt=OptimizerSettings(alpha_grid=8))
+            b = maximal_value_detailed(g, cfg, R, opt=OptimizerSettings(alpha_grid=32))
+            assert (a.value, a.alpha, a.beta) == (b.value, b.alpha, b.beta)
