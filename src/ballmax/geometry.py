@@ -190,19 +190,26 @@ def intersection_volume(d: int, c: float, rho1: float, rho2: float) -> float:
 # ---------------------------------------------------------------------------
 # These mirror cap_volume / intersection_volume on numpy arrays.  The beta
 # function comes from scipy's C ufunc here purely for speed; agreement with
-# the scalar continued-fraction path is pinned by the test suite.
+# the scalar continued-fraction path is pinned by the test suite.  One cap
+# formula, _cap_array, serves both kernels: lens_volume_array stacks the two
+# caps of every lens entry into one _cap_array call, so a lens call makes at
+# most one betainc call.
+
+def _cap_array(d: int, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # rho and h share one shape, with 0 <= h <= 2*rho
+    full = unit_ball_volume(d) * rho ** d
+    # complementary-argument evaluation; see cap_volume
+    u = np.abs(rho - h) / rho
+    frac = 1.0 - _betainc_ufunc(0.5, 0.5 * (d + 1), np.minimum(u * u, 1.0))
+    half = 0.5 * full * frac
+    return np.where(h <= rho, half, full - half)
+
 
 def cap_volume_array(d: int, rho, h) -> np.ndarray:
     """Vectorized cap volume; inputs broadcast, heights clipped to [0, 2*rho]."""
     d = _check_dimension(d)
     rho, h = np.broadcast_arrays(np.asarray(rho, float), np.asarray(h, float))
-    h = np.clip(h, 0.0, 2.0 * rho)
-    full = unit_ball_volume(d) * rho ** d
-    # complementary-argument evaluation; see cap_volume
-    u = np.abs(rho - h) / rho
-    frac = 1.0 - _betainc_ufunc(0.5, 0.5 * (d + 1), np.clip(u * u, 0.0, 1.0))
-    half = 0.5 * full * frac
-    return np.where(h <= rho, half, full - half)
+    return _cap_array(d, rho, np.minimum(np.maximum(h, 0.0), 2.0 * rho))
 
 
 def lens_volume_array(d: int, c, rho1, rho2) -> np.ndarray:
@@ -216,22 +223,21 @@ def lens_volume_array(d: int, c, rho1, rho2) -> np.ndarray:
         # min-of-differences form; avoids the cancellation of the naive
         # interval endpoints when one radius is tiny
         overlap = np.minimum(np.minimum(rho1 + rho2 - c, 2.0 * rho1), 2.0 * rho2)
-        return np.clip(overlap, 0.0, None)
-    out = np.zeros(c.shape, dtype=float)
-    small = np.minimum(rho1, rho2)
+        return np.maximum(overlap, 0.0)
     contain = c <= np.abs(rho1 - rho2)
+    out = np.where(contain, unit_ball_volume(d) * np.minimum(rho1, rho2) ** d, 0.0)
     lens = (~contain) & (c < rho1 + rho2)
-    omega = unit_ball_volume(d)
-    if np.any(contain):
-        out[contain] = omega * small[contain] ** d
-    if np.any(lens):
+    if lens.any():
         cc = c[lens]
         r1 = rho1[lens]
         r2 = rho2[lens]
         x1 = (cc * cc + r1 * r1 - r2 * r2) / (2.0 * cc)
-        h1 = np.clip(r1 - x1, 0.0, 2.0 * r1)
-        h2 = np.clip(r2 - (cc - x1), 0.0, 2.0 * r2)
-        out[lens] = cap_volume_array(d, r1, h1) + cap_volume_array(d, r2, h2)
+        # both caps of each lens, stacked: the radical hyperplane lies at
+        # distance x1 from the first center and cc - x1 from the second
+        r = np.concatenate((r1, r2))
+        h = np.minimum(np.maximum(r - np.concatenate((x1, cc - x1)), 0.0), 2.0 * r)
+        caps = _cap_array(d, r, h)
+        out[lens] = caps[: cc.size] + caps[cc.size :]
     return out
 
 

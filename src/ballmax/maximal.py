@@ -199,8 +199,13 @@ def beta_cutoff(norm: float, d: int, R: float, best_so_far: float) -> float:
     """
     if not (norm > 0.0 and R > 0.0 and best_so_far > 0.0):
         raise UsageError("norm, R and best_so_far must be positive")
-    omega = unit_ball_volume(d)
-    return (norm / (omega * best_so_far)) ** (1.0 / d) / R
+    return _mass_cutoff(norm, unit_ball_volume(d), d, R, best_so_far)
+
+
+def _mass_cutoff(norm, omega, d, R, best):
+    # the mass-bound truncation, on floats or arrays; numpy's array power can
+    # differ from Python's float power by an ulp, so each caller keeps its own
+    return (norm / (omega * best)) ** (1.0 / d) / R
 
 
 def pointwise_reference(cfg: OperatorConfig, R: float, norm: float) -> float:
@@ -218,7 +223,8 @@ def pointwise_reference(cfg: OperatorConfig, R: float, norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 _REFINE_SHRINK = 0.33
-_REFINE_BETA_POINTS = 9
+# refinement offsets in log beta, in units of the window half-width
+_REFINE_STEPS = np.linspace(-1.0, 1.0, 9)[None, :]
 _EXTRA_ROUNDS = 48
 _TINY = 1e-300
 _UNCONVERGED = "refinement did not reach rel_tol within the round budget"
@@ -283,9 +289,10 @@ def _supremum_batch(g, cfg, R, region, opt):
         idx = np.argmax(vals, axis=1)
         v = vals[rows, idx]
         better = v > best_val
-        best_val[better] = v[better]
-        best_a[better] = alphas[rows, idx][better]
-        best_b[better] = betas[rows, idx][better]
+        if better.any():
+            best_val[better] = v[better]
+            best_a[better] = alphas[rows, idx][better]
+            best_b[better] = betas[rows, idx][better]
 
     def consider_boundary(betas):
         # one ball per beta, at the least feasible offset
@@ -306,13 +313,14 @@ def _supremum_batch(g, cfg, R, region, opt):
 
     # Explicit candidates (includes the minimal ball and the ball just
     # covering the whole support).
-    consider_boundary(np.clip(_candidate_betas(region, lam, R, radii_k), blo, bhi_region))
+    cands = _candidate_betas(region, lam, R, radii_k)
+    consider_boundary(np.minimum(np.maximum(cands, blo), bhi_region))
 
     # Truncate the beta range using the mass bound; the incumbent is positive
     # by now (the minimal ball always meets the support).
     finite_best = np.maximum(best_val, _TINY)
     with np.errstate(over="ignore"):
-        cut = (norm / (omega * finite_best)) ** (1.0 / d) / R
+        cut = _mass_cutoff(norm, omega, d, R, finite_best)
     bhi = np.minimum(bhi_region, cut)
     bhi = np.maximum(bhi, blo * (1.0 + 1e-9))
 
@@ -330,18 +338,19 @@ def _supremum_batch(g, cfg, R, region, opt):
 
     # Local refinement around the incumbent; at least refine_rounds rounds,
     # then continue until one further round improves by <= rel_tol relative.
-    log_w = (log_hi - log_lo) / (opt.beta_grid - 1) * 2.0
-    wb = np.linspace(-1.0, 1.0, _REFINE_BETA_POINTS)
+    log_w = (log_hi - log_lo)[:, None] / (opt.beta_grid - 1) * 2.0
+    bhi_col = bhi[:, None]
     unconverged = False
     for rnd in range(opt.refine_rounds + _EXTRA_ROUNDS):
         prev = best_val.copy()
-        center_b = np.clip(np.nan_to_num(best_b, nan=blo), blo, bhi)
-        bref = center_b[:, None] * np.exp(log_w[:, None] * wb[None, :])
-        consider_boundary(np.clip(bref, blo, bhi[:, None]))
+        # fmax maps a missing incumbent (NaN) to blo
+        center_b = np.minimum(np.fmax(best_b, blo), bhi)[:, None]
+        bref = center_b * np.exp(log_w * _REFINE_STEPS)
+        consider_boundary(np.minimum(np.maximum(bref, blo), bhi_col))
         log_w = log_w * _REFINE_SHRINK
-        improvement = best_val - prev
-        tol = opt.rel_tol * np.maximum(np.abs(best_val), _TINY)
-        if rnd + 1 >= opt.refine_rounds and np.all(improvement <= tol):
+        if rnd + 1 >= opt.refine_rounds and np.all(
+            best_val - prev <= opt.rel_tol * np.maximum(np.abs(best_val), _TINY)
+        ):
             break
     else:
         unconverged = True
@@ -355,7 +364,7 @@ def _supremum_batch(g, cfg, R, region, opt):
         warnings.append(_UNCONVERGED)
     # averages of g never exceed its top level; the clamp strips the last
     # bits of rounding noise from near-containment lens evaluations
-    best_val = np.clip(best_val, 0.0, g.top_level)
+    best_val = np.minimum(np.maximum(best_val, 0.0), g.top_level)
     return best_val, best_a, best_b, empty, tuple(warnings)
 
 

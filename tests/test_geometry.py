@@ -259,6 +259,60 @@ def test_array_kernels_match_scalar():
             )
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 30])
+def test_lens_kernel_is_exactly_two_caps(d):
+    # The lens kernel evaluates the two caps of every lens entry in one
+    # stacked array; the sum must be the very same floats as two separate
+    # cap_volume_array calls, and the case split must hold at both
+    # tangencies: c == |r1 - r2| is containment and c == r1 + r2 is disjoint.
+    rng = np.random.default_rng(100 + d)
+    n = 200
+    r1 = np.tile(rng.uniform(0.05, 2.0, n), 5)
+    r2 = np.tile(rng.uniform(0.05, 2.0, n), 5)
+    gap, reach = np.abs(r1 - r2), r1 + r2
+    c = np.concatenate(
+        [
+            rng.uniform(gap[:n], reach[:n]),  # lens
+            gap[n : 2 * n],  # inner tangency
+            reach[2 * n : 3 * n],  # outer tangency
+            rng.uniform(0.0, 1.0, n) * gap[3 * n : 4 * n],  # containment
+            reach[4 * n :] + rng.uniform(0.0, 1.0, n),  # disjoint
+        ]
+    )
+    out = lens_volume_array(d, c, r1, r2)
+    lens = (c > gap) & (c < reach)
+    contain = c <= gap
+    disjoint = ~(lens | contain)
+    assert lens[:n].all() and contain[n : 2 * n].all() and contain[3 * n : 4 * n].all()
+    assert disjoint[2 * n : 3 * n].all() and disjoint[4 * n :].all()
+    cc, a, b = c[lens], r1[lens], r2[lens]
+    x1 = (cc * cc + a * a - b * b) / (2.0 * cc)
+    h1 = np.clip(a - x1, 0.0, 2.0 * a)
+    h2 = np.clip(b - (cc - x1), 0.0, 2.0 * b)
+    assert (out[lens] == cap_volume_array(d, a, h1) + cap_volume_array(d, b, h2)).all()
+    small = np.minimum(r1, r2)[contain]
+    assert (out[contain] == unit_ball_volume(d) * small ** d).all()
+    assert (out[disjoint] == 0.0).all()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_lens_kernel_output_shape_and_dtype(d):
+    point = lens_volume_array(d, 0.5, 1.0, 0.7)
+    assert np.shape(point) == () and point.dtype == np.float64
+    assert float(point) == pytest.approx(intersection_volume(d, 0.5, 1.0, 0.7), rel=1e-12)
+    empty = lens_volume_array(d, np.zeros(0), 1.0, np.zeros(0))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    rng = np.random.default_rng(d)
+    c = rng.uniform(0.0, 3.0, (4, 5, 1))
+    radii = np.array([0.1, 0.4, 0.9, 1.6])
+    rho = rng.uniform(0.05, 2.0, (4, 5, 1))
+    out = lens_volume_array(d, c, radii, rho)
+    assert out.shape == (4, 5, 4) and out.dtype == np.float64
+    # the broadcast result is the entrywise result, bit for bit
+    flat = lens_volume_array(d, *(np.broadcast_to(x, out.shape).ravel() for x in (c, radii, rho)))
+    assert (out.ravel() == flat).all()
+
+
 def test_axis_ball():
     ball = AxisBall(center_offset=1.0, radius=0.5)
     assert ball.volume(2) == pytest.approx(math.pi * 0.25, rel=1e-13)

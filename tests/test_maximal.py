@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ballmax import geometry, maximal
+from ballmax.analysis import default_t_grid, weak_constant_estimate
 from ballmax.geometry import unit_ball_volume
 from ballmax.maximal import (
     BallParams,
@@ -347,3 +349,27 @@ def test_alpha_grid_has_no_effect():
             a = maximal_value_detailed(g, cfg, R, opt=OptimizerSettings(alpha_grid=8))
             b = maximal_value_detailed(g, cfg, R, opt=OptimizerSettings(alpha_grid=32))
             assert (a.value, a.alpha, a.beta) == (b.value, b.alpha, b.beta)
+
+
+def test_each_lens_call_makes_at_most_one_betainc_call(monkeypatch):
+    # the lens kernel stacks both caps of every lens entry into one betainc
+    # call, so the fixed cost of a kernel call is paid once
+    betainc, lens = geometry._betainc_ufunc, maximal.lens_volume_array
+    per_lens_call = []
+
+    def counting_betainc(*args):
+        per_lens_call[-1] += 1
+        return betainc(*args)
+
+    def counting_lens(*args):
+        per_lens_call.append(0)
+        return lens(*args)
+
+    monkeypatch.setattr(geometry, "_betainc_ufunc", counting_betainc)
+    monkeypatch.setattr(maximal, "lens_volume_array", counting_lens)
+    maximal_value_detailed(random_profile(11, 6, 3), OperatorConfig(3, 0.5), 0.8)
+    g = random_profile(20240817, 6, 2)
+    criterion_01 = OptimizerSettings(alpha_grid=8, beta_grid=12, refine_rounds=6, rel_tol=1e-5)
+    weak_constant_estimate(g, OperatorConfig(2, 0.5), default_t_grid(g, 8), criterion_01)
+    assert sum(per_lens_call) > 0
+    assert max(per_lens_call) <= 1
