@@ -191,13 +191,17 @@ def intersection_volume(d: int, c: float, rho1: float, rho2: float) -> float:
 # These mirror cap_volume / intersection_volume on numpy arrays.  The beta
 # function comes from scipy's C ufunc here purely for speed; agreement with
 # the scalar continued-fraction path is pinned by the test suite.  One cap
-# formula, _cap_array, serves both kernels: lens_volume_array stacks the two
-# caps of every lens entry into one _cap_array call, so a lens call makes at
-# most one betainc call.
+# formula, _cap_array, and one lens formula, _lens_array, serve every array
+# caller.  Both take inputs already in one shape and omega_d from the caller,
+# so the supremum search, which builds its own arrays, pays no broadcasting
+# or dimension check per call.  The public wrappers check the dimension and
+# broadcast to views, without copying an input to full size.  The lens
+# kernel stacks the two caps of every lens entry into one _cap_array call,
+# so a lens call makes at most one betainc call.
 
-def _cap_array(d: int, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _cap_array(d: int, omega: float, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     # rho and h share one shape, with 0 <= h <= 2*rho
-    full = unit_ball_volume(d) * rho ** d
+    full = omega * rho ** d
     # complementary-argument evaluation; see cap_volume
     u = np.abs(rho - h) / rho
     frac = 1.0 - _betainc_ufunc(0.5, 0.5 * (d + 1), np.minimum(u * u, 1.0))
@@ -209,23 +213,20 @@ def cap_volume_array(d: int, rho, h) -> np.ndarray:
     """Vectorized cap volume; inputs broadcast, heights clipped to [0, 2*rho]."""
     d = _check_dimension(d)
     rho, h = np.broadcast_arrays(np.asarray(rho, float), np.asarray(h, float))
-    return _cap_array(d, rho, np.minimum(np.maximum(h, 0.0), 2.0 * rho))
+    return _cap_array(d, unit_ball_volume(d), rho, np.minimum(np.maximum(h, 0.0), 2.0 * rho))
 
 
-def lens_volume_array(d: int, c, rho1, rho2) -> np.ndarray:
-    """Vectorized two-ball intersection volume with the same case split as
-    intersection_volume."""
-    d = _check_dimension(d)
-    c, rho1, rho2 = np.broadcast_arrays(
-        np.asarray(c, float), np.asarray(rho1, float), np.asarray(rho2, float)
-    )
+def _lens_array(
+    d: int, omega: float, c: np.ndarray, rho1: np.ndarray, rho2: np.ndarray
+) -> np.ndarray:
+    # c, rho1 and rho2 share one shape; same case split as intersection_volume
     if d == 1:
         # min-of-differences form; avoids the cancellation of the naive
         # interval endpoints when one radius is tiny
         overlap = np.minimum(np.minimum(rho1 + rho2 - c, 2.0 * rho1), 2.0 * rho2)
         return np.maximum(overlap, 0.0)
     contain = c <= np.abs(rho1 - rho2)
-    out = np.where(contain, unit_ball_volume(d) * np.minimum(rho1, rho2) ** d, 0.0)
+    out = np.where(contain, omega * np.minimum(rho1, rho2) ** d, 0.0)
     lens = (~contain) & (c < rho1 + rho2)
     if lens.any():
         cc = c[lens]
@@ -236,9 +237,19 @@ def lens_volume_array(d: int, c, rho1, rho2) -> np.ndarray:
         # distance x1 from the first center and cc - x1 from the second
         r = np.concatenate((r1, r2))
         h = np.minimum(np.maximum(r - np.concatenate((x1, cc - x1)), 0.0), 2.0 * r)
-        caps = _cap_array(d, r, h)
+        caps = _cap_array(d, omega, r, h)
         out[lens] = caps[: cc.size] + caps[cc.size :]
     return out
+
+
+def lens_volume_array(d: int, c, rho1, rho2) -> np.ndarray:
+    """Vectorized two-ball intersection volume with the same case split as
+    intersection_volume; inputs broadcast."""
+    d = _check_dimension(d)
+    c, rho1, rho2 = np.broadcast_arrays(
+        np.asarray(c, float), np.asarray(rho1, float), np.asarray(rho2, float)
+    )
+    return _lens_array(d, unit_ball_volume(d), c, rho1, rho2)
 
 
 @dataclass(frozen=True)

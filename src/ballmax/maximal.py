@@ -12,7 +12,10 @@ For radial nonincreasing g the ball average does not increase as the center
 moves away from the origin (Riesz rearrangement: the convolution of two
 symmetric-decreasing functions is symmetric-decreasing).  So for each beta
 the supremum sits at the least feasible offset, and the search runs over
-beta alone, on that boundary curve.
+beta alone, on that boundary curve.  In one dimension the average along the
+curve is (A beta + B) / beta between the kinks, so there the search
+evaluates only the kinks, the branch switches of the curve, the ends of the
+beta range and the shrinking-ball limit, and is exact up to rounding.
 
 The ground-truth region is RegionKind.FULL (alpha in [0, 1],
 lam*beta + alpha >= 1, which is exactly the rotated form of "x in lam*B"
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import intersection_volume, lens_volume_array, unit_ball_volume
+from .geometry import _lens_array, intersection_volume, unit_ball_volume
 from .profiles import (
     OperatorConfig,
     StepProfile,
@@ -199,19 +202,26 @@ def beta_cutoff(norm: float, d: int, R: float, best_so_far: float) -> float:
     """
     if not (norm > 0.0 and R > 0.0 and best_so_far > 0.0):
         raise UsageError("norm, R and best_so_far must be positive")
-    return _mass_cutoff(norm, unit_ball_volume(d), d, R, best_so_far)
+    # one-entry arrays, so the power is numpy's array power, as in the search
+    cut = _mass_cutoff(norm, unit_ball_volume(d), d, np.full(1, R), np.full(1, best_so_far))
+    return float(cut[0])
 
 
 def _mass_cutoff(norm, omega, d, R, best):
-    # the mass-bound truncation, on floats or arrays; numpy's array power can
-    # differ from Python's float power by an ulp, so each caller keeps its own
+    # the mass-bound truncation, on arrays R and best
     return (norm / (omega * best)) ** (1.0 / d) / R
 
 
 def pointwise_reference(cfg: OperatorConfig, R: float, norm: float) -> float:
-    """Reference curve (1+lam)^d * norm / (omega_d R^d): the reciprocal volume
-    of the smallest feasible ball, scaled by the profile mass.  Diagnostic
-    overlay only; not assumed as a pointwise bound."""
+    """Pointwise mass bound (1+lam)^d * norm / (omega_d R^d): the profile mass
+    over the volume of the smallest feasible ball.
+
+    This is the paper's weak-(1,1) bound in pointwise form: for nonincreasing
+    M g, sup_t t mu(t) = sup_R omega_d R^d M g(R), so the bound (1+lam)^d on
+    the weak ratio says M g(R) stays below this curve.  The level-set solver
+    uses the same inequality (analysis.level_set_radius_bound) as the upper
+    end of every bracket, and checks it at run time: an operator value above
+    t at that radius raises an AnalysisWarning."""
     if not (R > 0.0 and norm > 0.0):
         raise UsageError("R and norm must be positive")
     omega = unit_ball_volume(cfg.d)
@@ -286,7 +296,7 @@ def _supremum_batch(g, cfg, R, region, opt):
     rows = np.arange(n)
 
     def consider(vals, alphas, betas):
-        idx = np.argmax(vals, axis=1)
+        idx = vals.argmax(axis=1)
         v = vals[rows, idx]
         better = v > best_val
         if better.any():
@@ -295,10 +305,16 @@ def _supremum_batch(g, cfg, R, region, opt):
             best_b[better] = betas[rows, idx][better]
 
     def consider_boundary(betas):
-        # one ball per beta, at the least feasible offset
+        # one ball per beta, at the least feasible offset; the kernel gets
+        # one (n, m, K) entry per radius, beta and profile step
         alphas = _least_offset(region, lam, betas)
         rad = betas * r_col
-        lens = lens_volume_array(d, (alphas * r_col)[..., None], radii_k, rad[..., None])
+        shape = betas.shape + radii_k.shape
+        c, rho1, rho2 = np.empty(shape), np.empty(shape), np.empty(shape)
+        np.copyto(c, (alphas * r_col)[..., None])
+        np.copyto(rho1, radii_k)
+        np.copyto(rho2, rad[..., None])
+        lens = _lens_array(d, omega, c, rho1, rho2)
         consider((lens @ coeff_k) / (omega * rad ** d), alphas, betas)
 
     # Shrinking-ball limit: alpha = 1, beta -> 0 stays feasible for the full
@@ -314,6 +330,10 @@ def _supremum_batch(g, cfg, R, region, opt):
     # Explicit candidates (includes the minimal ball and the ball just
     # covering the whole support).
     cands = _candidate_betas(region, lam, R, radii_k)
+    if d == 1:
+        # the branch switches of _least_offset and the low end of the range
+        extra = [1.0, 2.0 / (1.0 + lam), blo] + ([1.0 / lam] if lam > 0.0 else [])
+        cands = np.concatenate([cands, np.tile(extra, (n, 1))], axis=1)
     consider_boundary(np.minimum(np.maximum(cands, blo), bhi_region))
 
     # Truncate the beta range using the mass bound; the incumbent is positive
@@ -323,6 +343,15 @@ def _supremum_batch(g, cfg, R, region, opt):
         cut = _mass_cutoff(norm, omega, d, R, finite_best)
     bhi = np.minimum(bhi_region, cut)
     bhi = np.maximum(bhi, blo * (1.0 + 1e-9))
+
+    if d == 1:
+        # In one dimension the overlap of each profile step with a ball on
+        # the boundary curve is piecewise linear in beta, so the average is
+        # (A beta + B) / beta between consecutive candidates: monotone, with
+        # its supremum at a candidate, an end of [blo, bhi] or the
+        # shrinking-ball limit.  The search is exact up to rounding.
+        consider_boundary(bhi[:, None])
+        return _finish(g, best_val, best_a, best_b, unconverged=False)
 
     log_lo = math.log(blo)
     log_hi = np.log(bhi)
@@ -354,7 +383,10 @@ def _supremum_batch(g, cfg, R, region, opt):
             break
     else:
         unconverged = True
+    return _finish(g, best_val, best_a, best_b, unconverged)
 
+
+def _finish(g, best_val, best_a, best_b, unconverged):
     empty = ~np.isfinite(best_val)
     warnings = []
     if np.any(empty):
@@ -414,6 +446,9 @@ def maximal_value(
     Every candidate lies on the least-offset boundary curve: the explicit
     kink candidates, a coarse and a dense geometric sweep in beta, the
     refinement points around the incumbent, and (for regions whose closure
-    admits it) the shrinking-ball limit with value g(R).
+    admits it) the shrinking-ball limit with value g(R).  At d = 1 the kinks,
+    the curve's branch switches, the ends of the mass-truncated beta range
+    and the shrinking-ball limit are the only candidates; the average is
+    monotone between them, so the value is exact up to rounding.
     """
     return maximal_value_detailed(g, cfg, R, region, opt).value

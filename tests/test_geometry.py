@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ballmax import geometry, maximal
 from ballmax.geometry import (
     AxisBall,
     GeometryDomainError,
@@ -311,6 +312,38 @@ def test_lens_kernel_output_shape_and_dtype(d):
     # the broadcast result is the entrywise result, bit for bit
     flat = lens_volume_array(d, *(np.broadcast_to(x, out.shape).ravel() for x in (c, radii, rho)))
     assert (out.ravel() == flat).all()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 30])
+def test_search_kernel_matches_public_lens_bitwise(d):
+    # The supremum search builds full (n, m, K) arrays and calls the private
+    # kernel itself; it must give the very bits of the public wrapper, which
+    # works on broadcast views.  Columns 0-4 are centered balls (c == 0),
+    # 5-14 inner and 15-24 outer tangencies with one step each, 25-29
+    # containment, and the rest random.
+    assert maximal._lens_array is geometry._lens_array
+    rng = np.random.default_rng(300 + d)
+    n, m, K = 3, 40, 6
+    radii = np.sort(rng.uniform(0.05, 2.0, K))
+    rho = rng.uniform(0.01, 3.0, (n, m, 1))
+    c = rng.uniform(0.0, 4.0, (n, m, 1))
+    step = np.arange(m) % K
+    gap = np.abs(radii[step][None, :, None] - rho)
+    reach = radii[step][None, :, None] + rho
+    c[:, :5] = 0.0
+    c[:, 5:15] = gap[:, 5:15]
+    c[:, 15:25] = reach[:, 15:25]
+    c[:, 25:30] = rng.uniform(0.0, 1.0, (n, 5, 1)) * gap[:, 25:30]
+    public = lens_volume_array(d, c, radii, rho)
+    full = [np.ascontiguousarray(np.broadcast_to(x, public.shape)) for x in (c, radii, rho)]
+    kernel = geometry._lens_array(d, unit_ball_volume(d), *full)
+    assert kernel.shape == public.shape == (n, m, K)
+    assert (kernel.view(np.int64) == public.view(np.int64)).all()
+    cols = np.arange(m)
+    tied = public[:, cols, step]
+    contained = unit_ball_volume(d) * np.minimum(radii[step], rho[..., 0]) ** d
+    assert (tied[:, :15] == contained[:, :15]).all() and (tied[:, 25:30] == contained[:, 25:30]).all()
+    assert (tied[:, 15:25] == 0.0).all()
 
 
 def test_axis_ball():

@@ -142,6 +142,19 @@ def test_beta_cutoff_monotonicity_and_scaling():
     assert b2 ** d == pytest.approx(b1 ** d / 2.0, rel=1e-12)
 
 
+def test_beta_cutoff_matches_search_truncation_bitwise():
+    # the public cutoff and the truncation inside the search give the same
+    # bits; numpy's array power and Python's float power can differ by an ulp
+    rng = np.random.default_rng(2026)
+    for d in range(1, 31):
+        norm = float(rng.uniform(0.1, 10.0))
+        R = rng.uniform(0.01, 100.0, 300)
+        best = np.exp(rng.uniform(-20.0, 3.0, 300))
+        search = maximal._mass_cutoff(norm, unit_ball_volume(d), d, R, best)
+        single = np.array([beta_cutoff(norm, d, float(r), float(b)) for r, b in zip(R, best)])
+        assert (single.view(np.int64) == search.view(np.int64)).all(), d
+
+
 # ---------------------------------------------------------------------------
 # maximal_value: frozen closed forms (verified against the 1-D oracle)
 # ---------------------------------------------------------------------------
@@ -354,7 +367,7 @@ def test_alpha_grid_has_no_effect():
 def test_each_lens_call_makes_at_most_one_betainc_call(monkeypatch):
     # the lens kernel stacks both caps of every lens entry into one betainc
     # call, so the fixed cost of a kernel call is paid once
-    betainc, lens = geometry._betainc_ufunc, maximal.lens_volume_array
+    betainc, lens = geometry._betainc_ufunc, maximal._lens_array
     per_lens_call = []
 
     def counting_betainc(*args):
@@ -366,10 +379,91 @@ def test_each_lens_call_makes_at_most_one_betainc_call(monkeypatch):
         return lens(*args)
 
     monkeypatch.setattr(geometry, "_betainc_ufunc", counting_betainc)
-    monkeypatch.setattr(maximal, "lens_volume_array", counting_lens)
+    monkeypatch.setattr(maximal, "_lens_array", counting_lens)
     maximal_value_detailed(random_profile(11, 6, 3), OperatorConfig(3, 0.5), 0.8)
     g = random_profile(20240817, 6, 2)
     criterion_01 = OptimizerSettings(alpha_grid=8, beta_grid=12, refine_rounds=6, rel_tol=1e-5)
     weak_constant_estimate(g, OperatorConfig(2, 0.5), default_t_grid(g, 8), criterion_01)
     assert sum(per_lens_call) > 0
     assert max(per_lens_call) <= 1
+
+
+# ---------------------------------------------------------------------------
+# d = 1: the search is exact at its candidate betas
+# ---------------------------------------------------------------------------
+
+def _least_offset_1d(region, lam, beta):
+    """Least alpha of each region's definition (see feasible), scalar."""
+    if region is RegionKind.FULL:
+        return max(0.0, 1.0 - lam * beta)
+    if region is RegionKind.CENTERED_SHELL:
+        return 1.0
+    if region is RegionKind.UPPER_BAND:
+        return min(max(beta, 1.0 - lam * beta), 1.0)
+    return min(max(0.0, beta - 1.0, 1.0 - lam * beta), beta, 1.0)
+
+
+def _beta_span(region, lam, g, R):
+    if region is RegionKind.FULL:
+        # past the ball that covers the support the average only falls
+        return 1e-6, 3.0 * (g.support_radius + R) / R
+    if region is RegionKind.UPPER_BAND:
+        return 1e-6, 1.0
+    if region is RegionKind.LOWER_BAND:
+        return 1.0 / (1.0 + lam), 2.0
+    return 1.0, 2.0
+
+
+_D1_CASES = [(RegionKind.CENTERED_SHELL, 0.0)] + [
+    (region, lam)
+    for region in (RegionKind.FULL, RegionKind.UPPER_BAND, RegionKind.LOWER_BAND)
+    for lam in (0.0, 0.25, 0.5, 0.75, 1.0)
+]
+# one radius per case, from 0.02 to 60 r_K, spread over the regions
+_D1_RADII = np.geomspace(0.02, 60.0, len(_D1_CASES))[(5 * np.arange(len(_D1_CASES))) % len(_D1_CASES)]
+
+
+@pytest.mark.parametrize("case", range(len(_D1_CASES)))
+def test_one_dimensional_search_matches_dense_scan(case):
+    # The reported value is never below a 20,000-beta least-offset scan
+    # through the scalar path by more than 1e-12 relative, and never above
+    # that scan plus the reported ball itself, beyond rounding: it is a
+    # genuine ball average.  Far from the support the kernel's c - rho
+    # cancellation costs about R / r_K ulps, hence 1e-13 there.
+    region, lam = _D1_CASES[case]
+    g = random_profile(400 + case, 6, 1)
+    R = float(_D1_RADII[case] * g.support_radius)
+    res = maximal_value_detailed(g, OperatorConfig(1, lam), R, region)
+    assert res.converged and res.warnings == ()
+    scan = [
+        average_over_ball(g, 1, R, BallParams(_least_offset_1d(region, lam, b), b))
+        for b in np.geomspace(*_beta_span(region, lam, g, R), 20_000).tolist()
+    ]
+    if region in (RegionKind.FULL, RegionKind.UPPER_BAND):
+        scan.append(evaluate(g, R))  # shrinking-ball limit
+    if res.beta == 0.0:
+        own = evaluate(g, R)
+    else:
+        own = average_over_ball(g, 1, R, BallParams(res.alpha, res.beta))
+    assert res.value >= max(scan) * (1.0 - 1e-12)
+    assert res.value <= max(max(scan), own) * (1.0 + 1e-13)
+
+
+def test_one_dimensional_unit_ball_closed_forms_to_rounding():
+    cases = [
+        (1.0, 2.0, RegionKind.FULL, 2.0 / 3.0),
+        (0.0, 2.0, RegionKind.FULL, 1.0 / 3.0),
+        (0.0, 0.9, RegionKind.FULL, 1.0),
+        (0.0, 0.9, RegionKind.CENTERED_SHELL, 5.0 / 9.0),
+        (0.5, 2.0, RegionKind.FULL, 0.5),
+    ]
+    # outside the support m(R) = (1 + lam) / (R + 1)
+    cases += [
+        (lam, R, RegionKind.FULL, (1.0 + lam) / (R + 1.0))
+        for lam in (0.0, 0.25, 0.5, 0.75, 1.0)
+        for R in (1.5, 2.0, 4.0, 9.0)
+    ]
+    for lam, R, region, want in cases:
+        res = maximal_value_detailed(UNIT_BALL, OperatorConfig(1, lam), R, region)
+        assert res.converged and res.warnings == ()
+        assert res.value == pytest.approx(want, rel=1e-14, abs=0.0), (lam, R, region)
