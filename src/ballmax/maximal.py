@@ -15,7 +15,11 @@ the supremum sits at the least feasible offset, and the search runs over
 beta alone, on that boundary curve.  In one dimension the average along the
 curve is (A beta + B) / beta between the kinks, so there the search
 evaluates only the kinks, the branch switches of the curve, the ends of the
-beta range and the shrinking-ball limit, and is exact up to rounding.
+beta range and the shrinking-ball limit, and is exact up to rounding.  In
+higher dimensions it adds one geometric sweep in beta and a window around the
+incumbent that narrows each round; a radius stops once its window is flat
+(its values spread by at most rel_tol), whatever the other radii of a batch
+do, so a radius gets the same value alone or in a batch.
 
 The ground-truth region is RegionKind.FULL (alpha in [0, 1],
 lam*beta + alpha >= 1, which is exactly the rotated form of "x in lam*B"
@@ -94,7 +98,13 @@ class BallParams:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Grid sizes and stopping tolerances for the supremum search.
+    """Grid sizes and stopping tolerances for the supremum search (d >= 2).
+
+    beta_grid sets the one geometric sweep of 4 * beta_grid betas.  A radius
+    stops refining once a round's values spread by at most rel_tol relative
+    to its incumbent; refine_rounds is part of the round budget
+    (refine_rounds plus a fixed number of extra rounds), not a minimum, and a
+    radius still refining when the budget runs out is reported unconverged.
 
     alpha_grid has no effect: the search evaluates one ball per beta, at the
     least feasible offset.  The field is still accepted and validated
@@ -123,7 +133,8 @@ class MaximalResult:
     """Value and argmax of the supremum search.
 
     beta == 0.0 marks the shrinking-ball limit (alpha = 1, beta -> 0), whose
-    value is the profile level at R.
+    value is the profile level at R.  converged is False when the radius was
+    still refining when the round budget ran out.
     """
 
     value: float
@@ -232,9 +243,10 @@ def pointwise_reference(cfg: OperatorConfig, R: float, norm: float) -> float:
 # Supremum search
 # ---------------------------------------------------------------------------
 
-_REFINE_SHRINK = 0.33
 # refinement offsets in log beta, in units of the window half-width
 _REFINE_STEPS = np.linspace(-1.0, 1.0, 9)[None, :]
+# each round's half-width is the previous round's point spacing
+_REFINE_SHRINK = 0.25
 _EXTRA_ROUNDS = 48
 _TINY = 1e-300
 _UNCONVERGED = "refinement did not reach rel_tol within the round budget"
@@ -271,11 +283,15 @@ def _candidate_betas(region: RegionKind, lam: float, R: np.ndarray, radii_k: np.
 
 
 def _supremum_batch(g, cfg, R, region, opt):
+    """Search every radius of R.  Returns per-radius arrays (value, alpha,
+    beta, empty region), the warnings tuple, and the per-radius converged
+    array."""
     R = np.atleast_1d(np.asarray(R, dtype=float))
     if R.ndim != 1:
         raise UsageError("radii must form a one-dimensional array")
     if R.size == 0:
-        return (np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), ())
+        none = np.zeros(0, dtype=bool)
+        return np.zeros(0), np.zeros(0), np.zeros(0), none, (), none
     if not np.all(np.isfinite(R)) or np.any(R <= 0.0):
         raise UsageError("every radius must be positive and finite")
     d, lam = cfg.d, cfg.lam
@@ -288,26 +304,31 @@ def _supremum_batch(g, cfg, R, region, opt):
     omega = unit_ball_volume(d)
     norm = l1_norm(g, d)
     n = R.size
-    r_col = R[:, None]
 
     best_val = np.full(n, -np.inf)
     best_a = np.full(n, np.nan)
     best_b = np.full(n, np.nan)
     rows = np.arange(n)
 
-    def consider(vals, alphas, betas):
-        idx = vals.argmax(axis=1)
-        v = vals[rows, idx]
-        better = v > best_val
+    # Every step below is elementwise in the radius, so a radius gets the
+    # same bits whether it is searched alone or in a batch.
+    def consider(idx, vals, alphas, betas):
+        # fold each row's best candidate into the incumbents of radii idx
+        k = np.arange(idx.size)
+        j = vals.argmax(axis=1)
+        v = vals[k, j]
+        better = v > best_val[idx]
         if better.any():
-            best_val[better] = v[better]
-            best_a[better] = alphas[rows, idx][better]
-            best_b[better] = betas[rows, idx][better]
+            up = idx[better]
+            best_val[up] = v[better]
+            best_a[up] = alphas[k, j][better]
+            best_b[up] = betas[k, j][better]
 
-    def consider_boundary(betas):
+    def consider_boundary(idx, betas):
         # one ball per beta, at the least feasible offset; the kernel gets
-        # one (n, m, K) entry per radius, beta and profile step
+        # one (len(idx), m, K) entry per radius, beta and profile step
         alphas = _least_offset(region, lam, betas)
+        r_col = R[idx, None]
         rad = betas * r_col
         shape = betas.shape + radii_k.shape
         c, rho1, rho2 = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -315,14 +336,16 @@ def _supremum_batch(g, cfg, R, region, opt):
         np.copyto(rho1, radii_k)
         np.copyto(rho2, rad[..., None])
         lens = _lens_array(d, omega, c, rho1, rho2)
-        consider((lens @ coeff_k) / (omega * rad ** d), alphas, betas)
+        vals = (lens @ coeff_k) / (omega * rad ** d)
+        consider(idx, vals, alphas, betas)
+        return vals
 
     # Shrinking-ball limit: alpha = 1, beta -> 0 stays feasible for the full
     # region (lam*beta + 1 >= 1) and for the upper band (alpha = 1 >= beta for
     # small beta); its value is the profile level at R.
     if region in (RegionKind.FULL, RegionKind.UPPER_BAND):
         shrink = levels_at(g, R).astype(float)
-        consider(shrink[:, None], np.ones((n, 1)), np.zeros((n, 1)))
+        consider(rows, shrink[:, None], np.ones((n, 1)), np.zeros((n, 1)))
 
     blo_region, bhi_region = _beta_range(region, lam)
     blo = max(blo_region, opt.beta_floor)
@@ -334,7 +357,7 @@ def _supremum_batch(g, cfg, R, region, opt):
         # the branch switches of _least_offset and the low end of the range
         extra = [1.0, 2.0 / (1.0 + lam), blo] + ([1.0 / lam] if lam > 0.0 else [])
         cands = np.concatenate([cands, np.tile(extra, (n, 1))], axis=1)
-    consider_boundary(np.minimum(np.maximum(cands, blo), bhi_region))
+    consider_boundary(rows, np.minimum(np.maximum(cands, blo), bhi_region))
 
     # Truncate the beta range using the mass bound; the incumbent is positive
     # by now (the minimal ball always meets the support).
@@ -350,54 +373,51 @@ def _supremum_batch(g, cfg, R, region, opt):
         # (A beta + B) / beta between consecutive candidates: monotone, with
         # its supremum at a candidate, an end of [blo, bhi] or the
         # shrinking-ball limit.  The search is exact up to rounding.
-        consider_boundary(bhi[:, None])
-        return _finish(g, best_val, best_a, best_b, unconverged=False)
+        consider_boundary(rows, bhi[:, None])
+        return _finish(g, best_val, best_a, best_b, np.ones(n, dtype=bool))
 
+    # One geometric sweep in beta, in one kernel call.
     log_lo = math.log(blo)
-    log_hi = np.log(bhi)
+    log_span = np.log(bhi) - log_lo
+    t = np.linspace(0.0, 1.0, 4 * opt.beta_grid)
+    consider_boundary(rows, np.exp(log_lo + log_span[:, None] * t[None, :]))
 
-    # Coarse and dense geometric sweeps in beta, in one kernel call.
-    def geometric(count):
-        t = np.linspace(0.0, 1.0, count)
-        return np.exp(log_lo + (log_hi - log_lo)[:, None] * t[None, :])
-
-    consider_boundary(
-        np.concatenate([geometric(opt.beta_grid), geometric(4 * opt.beta_grid)], axis=1)
-    )
-
-    # Local refinement around the incumbent; at least refine_rounds rounds,
-    # then continue until one further round improves by <= rel_tol relative.
-    log_w = (log_hi - log_lo)[:, None] / (opt.beta_grid - 1) * 2.0
-    bhi_col = bhi[:, None]
-    unconverged = False
-    for rnd in range(opt.refine_rounds + _EXTRA_ROUNDS):
-        prev = best_val.copy()
+    # Local refinement around the incumbent.  The window starts two sweep
+    # steps wide on either side and each round narrows it to the last
+    # round's point spacing.  A radius stops once its window is flat: its
+    # values spread by at most rel_tol relative to the incumbent.  Only the
+    # radii still live are evaluated; those left when the round budget runs
+    # out are reported unconverged.
+    log_w = 2.0 * log_span / (t.size - 1)
+    converged = np.zeros(n, dtype=bool)
+    live = rows
+    for _ in range(opt.refine_rounds + _EXTRA_ROUNDS):
         # fmax maps a missing incumbent (NaN) to blo
-        center_b = np.minimum(np.fmax(best_b, blo), bhi)[:, None]
-        bref = center_b * np.exp(log_w * _REFINE_STEPS)
-        consider_boundary(np.minimum(np.maximum(bref, blo), bhi_col))
-        log_w = log_w * _REFINE_SHRINK
-        if rnd + 1 >= opt.refine_rounds and np.all(
-            best_val - prev <= opt.rel_tol * np.maximum(np.abs(best_val), _TINY)
-        ):
+        center_b = np.minimum(np.fmax(best_b[live], blo), bhi[live])[:, None]
+        bref = center_b * np.exp(log_w[live, None] * _REFINE_STEPS)
+        vals = consider_boundary(live, np.minimum(np.maximum(bref, blo), bhi[live, None]))
+        spread = vals.max(axis=1) - vals.min(axis=1)
+        flat = spread <= opt.rel_tol * np.maximum(np.abs(best_val[live]), _TINY)
+        converged[live[flat]] = True
+        live = live[~flat]
+        if live.size == 0:
             break
-    else:
-        unconverged = True
-    return _finish(g, best_val, best_a, best_b, unconverged)
+        log_w = log_w * _REFINE_SHRINK
+    return _finish(g, best_val, best_a, best_b, converged)
 
 
-def _finish(g, best_val, best_a, best_b, unconverged):
+def _finish(g, best_val, best_a, best_b, converged):
     empty = ~np.isfinite(best_val)
     warnings = []
     if np.any(empty):
         best_val[empty] = 0.0
         warnings.append("empty feasible region after truncation; value reported as 0")
-    if unconverged:
+    if not converged.all():
         warnings.append(_UNCONVERGED)
     # averages of g never exceed its top level; the clamp strips the last
     # bits of rounding noise from near-containment lens evaluations
     best_val = np.minimum(np.maximum(best_val, 0.0), g.top_level)
-    return best_val, best_a, best_b, empty, tuple(warnings)
+    return best_val, best_a, best_b, empty, tuple(warnings), converged
 
 
 def maximal_value_batch(
@@ -410,8 +430,7 @@ def maximal_value_batch(
     """Operator values at several radii in one call (same contract as
     maximal_value entrywise)."""
     opt = opt or OptimizerSettings()
-    vals, _, _, _, _ = _supremum_batch(g, cfg, R_values, region, opt)
-    return vals
+    return _supremum_batch(g, cfg, R_values, region, opt)[0]
 
 
 def maximal_value_detailed(
@@ -423,12 +442,12 @@ def maximal_value_detailed(
 ) -> MaximalResult:
     """maximal_value plus the located argmax and convergence flags."""
     opt = opt or OptimizerSettings()
-    vals, a, b, empty, warns = _supremum_batch(g, cfg, [R], region, opt)
+    vals, a, b, empty, warns, converged = _supremum_batch(g, cfg, [R], region, opt)
     return MaximalResult(
         value=float(vals[0]),
         alpha=float(a[0]),
         beta=float(b[0]),
-        converged=_UNCONVERGED not in warns,
+        converged=bool(converged[0]),
         empty_region=bool(empty[0]),
         warnings=warns,
     )
@@ -444,9 +463,12 @@ def maximal_value(
     """Lower-bounding estimate of the supremum of ball averages at radius R.
 
     Every candidate lies on the least-offset boundary curve: the explicit
-    kink candidates, a coarse and a dense geometric sweep in beta, the
+    kink candidates, one geometric sweep of 4 * beta_grid betas, the
     refinement points around the incumbent, and (for regions whose closure
-    admits it) the shrinking-ball limit with value g(R).  At d = 1 the kinks,
+    admits it) the shrinking-ball limit with value g(R).  Refinement starts
+    two sweep steps either side of the incumbent, narrows to the last
+    round's point spacing each round, and stops once a round's nine values
+    spread by at most rel_tol relative to the incumbent.  At d = 1 the kinks,
     the curve's branch switches, the ends of the mass-truncated beta range
     and the shrinking-ball limit are the only candidates; the average is
     monotone between them, so the value is exact up to rounding.

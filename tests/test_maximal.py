@@ -19,7 +19,7 @@ from ballmax.maximal import (
     maximal_value_detailed,
     pointwise_reference,
 )
-from ballmax.profiles import OperatorConfig, StepProfile, evaluate, random_profile
+from ballmax.profiles import OperatorConfig, StepProfile, evaluate, l1_norm, random_profile
 
 UNIT_BALL = StepProfile(((1.0, 1.0),))
 
@@ -39,26 +39,35 @@ def _integral_1d(g, lo, hi):
     return total
 
 
+def _integral_1d_grid(g, lo, hi):
+    """_integral_1d on arrays of intervals, summed in the same order."""
+    total = np.zeros(np.shape(lo))
+    prev = 0.0
+    for r, v in g.breakpoints:
+        for a, b in ((prev, r), (-r, -prev)):
+            total += v * np.maximum(0.0, np.minimum(hi, b) - np.maximum(lo, a))
+        prev = r
+    return total
+
+
 def brute_force_m_1d(g, lam, R, n_beta=1200, n_alpha=60, rounds=3):
     """Independent supremum search in one dimension using only interval
-    arithmetic; never touches the package's lens or optimizer code."""
+    arithmetic; never touches the package's lens or optimizer code.  Each
+    round scans its whole (beta, alpha) grid at once and keeps the first
+    maximum in beta-major order."""
     best = evaluate(g, R)  # shrinking centered-at-x limit
     b_lo, b_hi = 1e-7, (g.support_radius + R) / R * 3.0
-
-    def value(alpha, beta):
-        c, rad = alpha * R, beta * R
-        return _integral_1d(g, c - rad, c + rad) / (2.0 * rad)
-
     best_ab = None
     for _ in range(rounds):
         betas = np.geomspace(b_lo, b_hi, n_beta)
-        for beta in betas:
-            a_lo = max(0.0, 1.0 - lam * beta)
-            for alpha in np.linspace(a_lo, 1.0, n_alpha):
-                v = value(alpha, beta)
-                if v > best:
-                    best = v
-                    best_ab = (alpha, beta)
+        a_lo = np.maximum(0.0, 1.0 - lam * betas)
+        alphas = np.linspace(a_lo, 1.0, n_alpha, axis=1)  # (n_beta, n_alpha)
+        c, rad = alphas * R, betas[:, None] * R
+        vals = _integral_1d_grid(g, c - rad, c + rad) / (2.0 * rad)
+        i, j = np.unravel_index(vals.argmax(), vals.shape)
+        if vals[i, j] > best:
+            best = float(vals[i, j])
+            best_ab = (alphas[i, j], betas[i])
         if best_ab is None:
             break
         b_lo = max(1e-9, best_ab[1] * 0.8)
@@ -218,6 +227,44 @@ def test_maximal_value_batch_matches_scalar():
     batch = maximal_value_batch(g, cfg, Rs)
     for R, v in zip(Rs, batch):
         assert v == pytest.approx(maximal_value(g, cfg, R), rel=1e-12)
+
+
+CRITERION_01 = OptimizerSettings(alpha_grid=8, beta_grid=12, refine_rounds=6, rel_tol=1e-5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 30])
+def test_maximal_value_batch_is_bitwise_independent(d):
+    # each radius stops on its own evidence, so a batch changes no bits
+    g = random_profile(700 + d, 6, d)
+    Rs = g.support_radius * np.geomspace(0.03, 20.0, 36)
+    for lam in (0.0, 0.5, 1.0):
+        cfg = OperatorConfig(d, lam)
+        for opt in (OptimizerSettings(), CRITERION_01):
+            batch = maximal_value_batch(g, cfg, Rs, opt=opt)
+            single = np.array([maximal_value(g, cfg, float(R), opt=opt) for R in Rs])
+            assert (batch.view(np.int64) == single.view(np.int64)).all(), (lam, opt)
+
+
+def test_converged_flag_is_per_radius(monkeypatch):
+    # with a one-round budget some radii stop and some do not; each flag
+    # is the same in a batch as alone
+    monkeypatch.setattr(maximal, "_EXTRA_ROUNDS", 0)
+    opt = OptimizerSettings(refine_rounds=1)
+    flags = []
+    for d in (2, 3, 10):
+        g = random_profile(60 + d, 6, d)
+        Rs = g.support_radius * np.geomspace(0.05, 10.0, 24)
+        cfg = OperatorConfig(d, 0.5)
+        vals, _, _, _, warns, converged = maximal._supremum_batch(
+            g, cfg, Rs, RegionKind.FULL, opt
+        )
+        for R, v, flag in zip(Rs, vals, converged):
+            res = maximal_value_detailed(g, cfg, float(R), opt=opt)
+            assert (res.value, res.converged) == (v, flag)
+            assert (maximal._UNCONVERGED in res.warnings) == (not flag)
+        assert (maximal._UNCONVERGED in warns) == (not converged.all())
+        flags.extend(converged)
+    assert any(flags) and not all(flags)
 
 
 def test_maximal_value_rejects_bad_radius():
@@ -382,10 +429,60 @@ def test_each_lens_call_makes_at_most_one_betainc_call(monkeypatch):
     monkeypatch.setattr(maximal, "_lens_array", counting_lens)
     maximal_value_detailed(random_profile(11, 6, 3), OperatorConfig(3, 0.5), 0.8)
     g = random_profile(20240817, 6, 2)
-    criterion_01 = OptimizerSettings(alpha_grid=8, beta_grid=12, refine_rounds=6, rel_tol=1e-5)
-    weak_constant_estimate(g, OperatorConfig(2, 0.5), default_t_grid(g, 8), criterion_01)
+    weak_constant_estimate(g, OperatorConfig(2, 0.5), default_t_grid(g, 8), CRITERION_01)
     assert sum(per_lens_call) > 0
     assert max(per_lens_call) <= 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_refinement_stops_within_rel_tol_of_a_dense_scan(d):
+    # A flat window is honest evidence: no least-offset ball within two
+    # sweep steps of the reported beta (2,001 scalar-path averages) beats
+    # the reported value by more than rel_tol.  The sweep step is taken at
+    # the mass cutoff of the reported value, which is at most the search's;
+    # past it no ball can beat the reported value.
+    opt = OptimizerSettings()
+    steps = 4 * opt.beta_grid - 1
+    scanned = 0
+    for lam in (0.0, 0.5, 1.0):
+        cfg = OperatorConfig(d, lam)
+        g = random_profile(80 + 10 * d + int(4 * lam), 6, d)
+        for R in (0.6 * g.support_radius, 1.7 * g.support_radius, 4.0 * g.support_radius):
+            res = maximal_value_detailed(g, cfg, R, opt=opt)
+            assert res.converged
+            if res.beta == 0.0:
+                continue  # the shrinking-ball limit
+            bhi = beta_cutoff(l1_norm(g, d), d, R, res.value)
+            step = (math.log(bhi) - math.log(opt.beta_floor)) / steps
+            betas = res.beta * np.exp(np.linspace(-2.0 * step, 2.0 * step, 2001))
+            scan = max(
+                average_over_ball(g, d, R, BallParams(max(0.0, 1.0 - lam * b), b))
+                for b in np.minimum(betas, bhi).tolist()
+            )
+            assert res.value >= scan * (1.0 - opt.rel_tol), (lam, R, res.value, scan)
+            scanned += 1
+    assert scanned >= 6
+
+
+def test_refinement_work_budget(monkeypatch):
+    # median lens-kernel calls per d >= 2 radius at the default settings:
+    # candidates, one sweep and the refinement rounds
+    lens, calls = maximal._lens_array, [0]
+
+    def counting_lens(*args):
+        calls[0] += 1
+        return lens(*args)
+
+    monkeypatch.setattr(maximal, "_lens_array", counting_lens)
+    per_radius = []
+    for d in (2, 3, 5, 10, 30):
+        for lam in (0.0, 0.5, 1.0):
+            g = random_profile(90 + d, 6, d)
+            for R in g.support_radius * np.geomspace(0.05, 5.0, 8):
+                calls[0] = 0
+                maximal_value_detailed(g, OperatorConfig(d, lam), float(R))
+                per_radius.append(calls[0])
+    assert np.median(per_radius) <= 9
 
 
 # ---------------------------------------------------------------------------
