@@ -145,7 +145,10 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--beta-grid", dest="beta_grid", type=int, default=None)
-    p.add_argument("--refine-rounds", dest="refine_rounds", type=int, default=None)
+    p.add_argument(
+        "--refine-rounds", dest="refine_rounds", type=int, default=None,
+        help="cap on refinement rounds (a fixed number of extra rounds is added); not a minimum",
+    )
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
     p.add_argument("--beta-floor", dest="beta_floor", type=float, default=None)
 

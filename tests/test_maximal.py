@@ -267,6 +267,19 @@ def test_converged_flag_is_per_radius(monkeypatch):
     assert any(flags) and not all(flags)
 
 
+def test_collapsed_window_is_unconverged():
+    # rel_tol far below rounding: no window can go flat before it shrinks
+    # below float resolution, and such a radius is not reported converged.
+    # It follows the default search's path past the default stop, so its
+    # value is at least the default one.
+    opt = OptimizerSettings(rel_tol=1e-300)
+    g = random_profile(64, 6, 3)
+    cfg, R = OperatorConfig(3, 0.5), 2.0 * g.support_radius
+    res = maximal_value_detailed(g, cfg, R, opt=opt)
+    assert not res.converged and maximal._UNCONVERGED in res.warnings
+    assert res.value >= maximal_value(g, cfg, R)
+
+
 def test_maximal_value_rejects_bad_radius():
     cfg = OperatorConfig(1, 0.5)
     with pytest.raises(UsageError):
