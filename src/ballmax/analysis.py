@@ -5,9 +5,9 @@ scaling a ball admissible at s*x (s > 1) by 1/s about the origin gives a
 ball admissible at x with no smaller average.  So the superlevel set
 { operator value > t } is a centered ball of radius R_t and the distribution
 function is mu(t) = omega_d R_t^d.  R_t is found by monotone inversion: each
-crossing is bracketed before any search (just inside the largest breakpoint
-whose level exceeds t, and the mass-bound radius), and all brackets are
-narrowed together by Illinois regula falsi in (log R, log m).  The
+crossing is bracketed before any search (see _level_set_bracket), and all
+brackets are narrowed together by regula falsi in (log R, log m) with
+Anderson-Bjorck steps (Anderson and Bjorck, BIT 13, 1973).  The
 weak-type ratio t * mu(t) / ||g||_1 is then maximized over a threshold grid;
 for radial nonincreasing profiles its supremum over all t is (1 + lam)^d,
 which the sharpness experiment approaches with normalized ball indicators.
@@ -60,7 +60,11 @@ _CROSSING_MAX_STEPS = 80
 # once one end sits at the root, the next point lands across it and closes
 # the bracket below _CROSSING_REL_WIDTH.
 _MIN_LOG_STEP = 0.3 * _CROSSING_REL_WIDTH
-_INSIDE = 1.0 - 1e-9  # lower bracket end as a fraction of its breakpoint
+# Lower bracket ends sit this fraction inside a radius where the value
+# reaches t: a breakpoint (lo = r_k * _INSIDE), or the mass-bound radius
+# for the covering ball (lo + r_K = hi * _INSIDE, an average of
+# t / _INSIDE^d).
+_INSIDE = 1.0 - 1e-9
 _TINY = 1e-300  # floor under operator values before taking the log
 _MU_MONOTONE_SLACK = 1e-5
 
@@ -164,22 +168,44 @@ def radial_scan(
     return RadialScan(entries, cfg, region, opt, warnings=warns)
 
 
+def _level_set_bracket(g, cfg, ts):
+    """Ends [lo, hi] that bracket R_t for each threshold t < top level,
+    known before any operator call.
+
+    hi is the mass-bound radius, where the value is at most t.  lo is the
+    larger of two radii where the value exceeds t.  One is just inside the
+    largest breakpoint whose level exceeds t, where the shrinking-ball
+    candidate keeps the value above t.  The other is the covering-ball end
+    hi * _INSIDE - r_K: for R >= lam r_K the ball of radius
+    (R + r_K) / (1 + lam) centered at (R - lam r_K) / (1 + lam) is
+    admissible and holds the whole support, so
+    M g(R) >= (1+lam)^d ||g||_1 / (omega_d (R + r_K)^d), which is
+    t / _INSIDE^d at that end.  Below lam r_K the ball is not admissible,
+    so the covering-ball end is used only where it is at least lam r_K.
+    """
+    ts = np.asarray(ts, dtype=float)
+    r_k = g.support_radius
+    norm = l1_norm(g, cfg.d)
+    levels = np.array(g.levels)
+    lo = np.array(g.radii)[np.sum(levels[None, :] > ts[:, None], axis=1) - 1] * _INSIDE
+    hi = np.array([level_set_radius_bound(cfg, norm, t) for t in ts])
+    cover = hi * _INSIDE - r_k
+    lo = np.where(cover >= cfg.lam * r_k, np.maximum(lo, cover), lo)
+    return lo, hi
+
+
 def _level_set_radii(g, cfg, ts, opt):
     """Radius R_t of the ball { operator value > t } for each threshold
     t < top level, all thresholds solved together.
 
-    The bracket is known before any search: just inside the largest
-    breakpoint whose level exceeds t the shrinking-ball candidate keeps the
-    value above t, and at the mass-bound radius the value is at most t.
-    Illinois regula falsi on log m - log t against log R then narrows every
-    bracket to relative width 1e-6, one batched operator call per step.
+    Every bracket is known before any search (_level_set_bracket).
+    Regula falsi on log m - log t against log R, with Anderson-Bjorck
+    steps, then narrows every bracket to relative width 1e-6, one batched
+    operator call per step.
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
-    levels = np.array(g.levels)
-    norm = l1_norm(g, cfg.d)
-    lo = np.array(g.radii)[np.sum(levels[None, :] > ts[:, None], axis=1) - 1] * _INSIDE
-    hi = np.array([level_set_radius_bound(cfg, norm, t) for t in ts])
+    lo, hi = _level_set_bracket(g, cfg, ts)
     log_t = np.log(ts)
 
     def mval(R):
@@ -217,9 +243,12 @@ def _level_set_radii(g, cfg, ts, opt):
         up = m > ts[idx]
         f = log_m - log_t[idx]
         a, b = idx[up], idx[~up]
-        # Illinois: an end kept twice running has its value halved
-        f_hi[a[side[a] < 0]] *= 0.5
-        f_lo[b[side[b] > 0]] *= 0.5
+        # Anderson-Bjorck: an end kept twice running has its value scaled
+        # by 1 - f_new / f_old, the change at the end just replaced, or
+        # halved (Illinois) where that factor is not positive
+        ka, kb = side[a] < 0, side[b] > 0
+        f_hi[a[ka]] *= _anderson_bjorck(f[up][ka], f_lo[a[ka]])
+        f_lo[b[kb]] *= _anderson_bjorck(f[~up][kb], f_hi[b[kb]])
         lo[a], f_lo[a], side[a] = R[up], f[up], -1
         hi[b], f_hi[b], side[b] = R[~up], f[~up], 1
     for i in live():
@@ -231,6 +260,14 @@ def _level_set_radii(g, cfg, ts, opt):
             stacklevel=4,
         )
     return np.where(breach, hi, 0.5 * (lo + hi))
+
+
+def _anderson_bjorck(f_new, f_old):
+    # scale factor 1 - f_new / f_old, or 0.5 where it is not positive or
+    # f_old is 0
+    ratio = np.divide(f_new, f_old, out=np.ones_like(f_new), where=f_old != 0.0)
+    scale = 1.0 - ratio
+    return np.where(scale > 0.0, scale, 0.5)
 
 
 def _measure_for_thresholds(g, cfg, ts, opt):
@@ -253,10 +290,11 @@ def superlevel_measure(
 
     The operator is radially nonincreasing on radial nonincreasing profiles,
     so the set is a centered ball and its measure is omega_d R_t^d.  R_t is
-    bracketed between the largest breakpoint whose level exceeds t and the
-    mass-bound radius, and found by regula falsi to relative width 1e-6.  A
-    value above t at the mass-bound radius is warned about and the measure
-    taken to that radius.
+    bracketed between a radius inside the set (just inside a breakpoint, or
+    where the ball covering the support still averages above t) and the
+    mass-bound radius, and found by regula falsi with Anderson-Bjorck steps
+    to relative width 1e-6.  A value above t at the mass-bound radius is
+    warned about and the measure taken to that radius.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise UsageError(f"threshold must be positive, got {t}")

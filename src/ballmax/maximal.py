@@ -19,7 +19,9 @@ beta range and the shrinking-ball limit, and is exact up to rounding.  In
 higher dimensions it adds one geometric sweep in beta and a window around the
 incumbent that narrows each round; a radius stops once its window is flat
 (its values spread by at most rel_tol), whatever the other radii of a batch
-do, so a radius gets the same value alone or in a batch.
+do, so a radius gets the same value alone or in a batch.  Where the kernel
+is quiet (d <= 6) the window never reaches below the betas whose balls miss
+the support, which far outside the support leaves a narrow range.
 
 The ground-truth region is RegionKind.FULL (alpha in [0, 1],
 lam*beta + alpha >= 1, which is exactly the rotated form of "x in lam*B"
@@ -104,12 +106,17 @@ class OptimizerSettings:
     beta_grid sets the one geometric sweep of 4 * beta_grid betas and the
     first refinement window: two sweep steps either side of the incumbent,
     or at d >= 7, where the lens kernel is noisy, two steps of a
-    beta_grid-point grid.  A radius stops refining once a round's values
-    spread by at most rel_tol relative to its incumbent.  refine_rounds only
-    caps the rounds (the budget is refine_rounds plus a fixed number of
-    extra rounds); it is not a minimum.  A radius still refining when the
-    budget runs out, or whose window has shrunk below float resolution
-    before it went flat, is reported unconverged.
+    beta_grid-point grid.  Up to d = 6 the window stays above the betas
+    whose balls on the least-offset curve miss the support, so far outside
+    the support it starts no wider than the betas that remain.  beta_floor
+    is the least beta searched; at tiny radii the search raises it so that
+    the least ball's volume stays a normal double.  A radius stops refining
+    once a round's values spread by at most rel_tol relative to its
+    incumbent.  refine_rounds only caps the rounds (the budget is
+    refine_rounds plus a fixed number of extra rounds); it is not a minimum.
+    A radius still refining when the budget runs out, or whose window has
+    shrunk below float resolution before it went flat, is reported
+    unconverged.
 
     alpha_grid has no effect: the search evaluates one ball per beta, at the
     least feasible offset.  The field is still accepted and validated
@@ -259,6 +266,10 @@ _REFINE_SPACING = _REFINE_STEPS[0, 1] - _REFINE_STEPS[0, 0]
 _QUIET_DIM = 6
 _EXTRA_ROUNDS = 48
 _TINY = 1e-300
+# The least ball volume searched, as a multiple of the smallest normal double:
+# at tiny radii (beta R)^d would underflow and an average would read 0 / 0.
+# With this margin a subnormal rounding is at most 2^-104 of the ball volume.
+_LEAST_VOLUME = np.finfo(float).tiny * 2.0**52
 _UNCONVERGED = "refinement did not reach rel_tol within the round budget"
 
 
@@ -367,16 +378,18 @@ def _supremum_batch(g, cfg, R, region, opt):
         consider(rows, shrink[:, None], np.ones((n, 1)), np.zeros((n, 1)))
 
     blo_region, bhi_region = _beta_range(region, lam)
-    blo = max(blo_region, opt.beta_floor)
+    blo_opt = max(blo_region, opt.beta_floor)
+    # per radius, the floor keeps the least ball's volume a normal double
+    blo = np.maximum(blo_opt, (_LEAST_VOLUME / omega) ** (1.0 / d) / R)
 
     # Explicit candidates (includes the minimal ball and the ball just
     # covering the whole support).
     cands = _candidate_betas(region, lam, R, radii_k)
     if d == 1:
         # the branch switches of _least_offset and the low end of the range
-        extra = [1.0, 2.0 / (1.0 + lam), blo] + ([1.0 / lam] if lam > 0.0 else [])
-        cands = np.concatenate([cands, np.tile(extra, (n, 1))], axis=1)
-    consider_boundary(rows, np.minimum(np.maximum(cands, blo), bhi_region))
+        extra = [1.0, 2.0 / (1.0 + lam)] + ([1.0 / lam] if lam > 0.0 else [])
+        cands = np.concatenate([cands, np.tile(extra, (n, 1)), blo[:, None]], axis=1)
+    consider_boundary(rows, np.minimum(np.maximum(cands, blo[:, None]), bhi_region))
 
     # Truncate the beta range using the mass bound; the incumbent is positive
     # by now (the minimal ball always meets the support).
@@ -395,42 +408,51 @@ def _supremum_batch(g, cfg, R, region, opt):
         consider_boundary(rows, bhi[:, None])
         return _finish(g, best_val, best_a, best_b, np.ones(n, dtype=bool))
 
-    # One geometric sweep in beta, in one kernel call.
-    log_lo = math.log(blo)
+    # One geometric sweep in beta, in one kernel call.  Where the floor does
+    # not bind, math.log keeps the bits (np.log differs in the last bit at a
+    # few arguments).
+    log_lo = np.where(blo > blo_opt, np.log(blo), math.log(blo_opt))
     log_span = np.log(bhi) - log_lo
     t = _unit_grid(4 * opt.beta_grid)
-    consider_boundary(rows, np.exp(log_lo + log_span[:, None] * t[None, :]))
+    consider_boundary(rows, np.exp(log_lo[:, None] + log_span[:, None] * t[None, :]))
 
     # Local refinement around the incumbent.  A radius stops once its window
     # is flat: its nine values spread by at most rel_tol relative to the
-    # incumbent.  live, log_w and hi hold the radii still refining, their
-    # half-widths and their beta caps; only those radii are evaluated.  A
+    # incumbent.  live, log_w, lo and hi hold the radii still refining, their
+    # half-widths and their beta ranges; only those radii are evaluated.  A
     # window that has collapsed (its end points are one float) is flat
     # without evidence; such a radius, and one still live when the round
     # budget runs out, is reported unconverged.
     if d <= _QUIET_DIM:
-        # the window starts two sweep steps wide on either side and each
-        # round narrows to the last round's point spacing
-        log_w, shrink = 2.0 * log_span / (t.size - 1), _REFINE_SPACING
+        # Below lo every ball on the least-offset curve misses the support
+        # (alpha - beta >= 1 - (1 + lam) beta > r_K / R) and averages 0, so
+        # the window stays in [lo, bhi].  It starts two sweep steps wide on
+        # either side, or as wide as that range, and each round narrows to
+        # the last round's point spacing.
+        lo = np.minimum(np.maximum(blo, (1.0 - radii_k[-1] / R) / (1.0 + lam)), bhi)
+        log_w = np.minimum(2.0 * log_span / (t.size - 1), np.log(bhi / lo))
+        shrink = _REFINE_SPACING
     else:
         # On a noisy objective a window that narrow, or that closes that
         # fast, settles on lower noise peaks (up to 2.5e-5 lower at d = 10).
         # This one starts two steps of a beta_grid-point grid wide and
         # narrows to a third each round, so its stencils interleave.
-        log_w, shrink = 2.0 * log_span / (opt.beta_grid - 1), 0.33
+        lo, log_w, shrink = blo, 2.0 * log_span / (opt.beta_grid - 1), 0.33
     live, hi = rows, bhi
     converged = np.zeros(n, dtype=bool)
     for _ in range(opt.refine_rounds + _EXTRA_ROUNDS):
-        # fmax maps a missing incumbent (NaN) to blo
-        center_b = np.minimum(np.fmax(best_b[live], blo), hi)[:, None]
+        # fmax maps a missing incumbent (NaN) to lo
+        center_b = np.minimum(np.fmax(best_b[live], lo), hi)[:, None]
         bref = center_b * np.exp(log_w[:, None] * _REFINE_STEPS)
-        top, vals = consider_boundary(live, np.minimum(np.maximum(bref, blo), hi[:, None]))
+        top, vals = consider_boundary(
+            live, np.minimum(np.maximum(bref, lo[:, None]), hi[:, None])
+        )
         spread = top - np.minimum.reduce(vals, axis=1)
         flat = spread <= opt.rel_tol * np.maximum(np.abs(best_val[live]), _TINY)
         if np.logical_or.reduce(flat):
             converged[live[flat & (bref[:, 0] < bref[:, -1])]] = True
             keep = ~flat
-            live, log_w, hi = live[keep], log_w[keep], hi[keep]
+            live, log_w, lo, hi = live[keep], log_w[keep], lo[keep], hi[keep]
             if live.size == 0:
                 break
         log_w = log_w * shrink
@@ -497,13 +519,14 @@ def maximal_value(
     kink candidates, one geometric sweep of 4 * beta_grid betas, the
     refinement points around the incumbent, and (for regions whose closure
     admits it) the shrinking-ball limit with value g(R).  Refinement starts
-    two sweep steps either side of the incumbent and narrows to the point
-    spacing each round (at d >= 7, where the lens kernel is noisy: two steps
-    of a beta_grid-point grid, narrowing to a third), and stops once a
-    round's nine values spread by at most rel_tol relative to the
-    incumbent.  At d = 1 the kinks,
-    the curve's branch switches, the ends of the mass-truncated beta range
-    and the shrinking-ball limit are the only candidates; the average is
-    monotone between them, so the value is exact up to rounding.
+    two sweep steps either side of the incumbent, kept above the betas whose
+    balls miss the support, and narrows to the point spacing each round (at
+    d >= 7, where the lens kernel is noisy, without that floor: two steps of
+    a beta_grid-point grid, narrowing to a third), and stops once a round's
+    nine values spread by at most rel_tol relative to the incumbent.  At
+    d = 1 the kinks, the curve's branch switches, the ends of the
+    mass-truncated beta range and the shrinking-ball limit are the only
+    candidates; the average is monotone between them, so the value is exact
+    up to rounding.
     """
     return maximal_value_detailed(g, cfg, R, region, opt).value

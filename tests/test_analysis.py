@@ -121,10 +121,14 @@ def test_superlevel_matches_scan_and_bisection_oracle(lam):
 
 
 def test_weak_constant_radius_budget(monkeypatch):
-    counts = []
+    # radii per cell, and supremum searches (maximal_value_batch calls) over
+    # all 24 cells: the covering-ball ends close most far-field brackets in
+    # a few steps
+    counts, calls = [], [0]
 
     def counting(g, cfg, R, *args, **kwargs):
         counts[-1] += np.size(R)
+        calls[0] += 1
         return maximal_value_batch(g, cfg, R, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "maximal_value_batch", counting)
@@ -135,6 +139,8 @@ def test_weak_constant_radius_budget(monkeypatch):
                 counts.append(0)
                 weak_constant_estimate(g, OperatorConfig(d, lam), default_t_grid(g, 8), SUITE_OPT)
                 assert counts[-1] <= 80, (d, i, lam, counts[-1])
+    assert len(counts) == 24
+    assert calls[0] <= 195
 
 
 def test_superlevel_warns_on_mass_bound_breach(monkeypatch):
@@ -147,9 +153,22 @@ def test_superlevel_warns_on_mass_bound_breach(monkeypatch):
 
 
 def test_superlevel_warns_when_steps_run_out(monkeypatch):
+    g, cfg = random_profile(BASE_SEED, 6, 2), OperatorConfig(2, 0.5)
+    t = default_t_grid(g, 4)[1]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return maximal_value_batch(*args, **kwargs)
+
+    # premise: this level set needs more than one step (one call evaluates
+    # the bracket ends, then one call per step)
+    monkeypatch.setattr(analysis, "maximal_value_batch", counting)
+    superlevel_measure(g, cfg, t)
+    assert len(calls) > 2
     monkeypatch.setattr(analysis, "_CROSSING_MAX_STEPS", 1)
     with pytest.warns(AnalysisWarning, match="not resolved to relative width"):
-        superlevel_measure(UNIT_BALL, OperatorConfig(1, 1.0), 0.2)
+        superlevel_measure(g, cfg, t)
 
 
 def test_superlevel_resolves_without_warning():
@@ -157,6 +176,43 @@ def test_superlevel_resolves_without_warning():
         warnings.simplefilter("error", AnalysisWarning)
         g = random_profile(BASE_SEED, 6, 2)
         weak_constant_estimate(g, OperatorConfig(2, 0.5), default_t_grid(g, 8), SUITE_OPT)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 30])
+def test_lower_bracket_ends_lie_inside_the_level_set(d):
+    # the computed M g exceeds t at every lower bracket end, and in
+    # particular at every covering-ball end (hi * _INSIDE - r_K)
+    covering, margin = 0, math.inf
+    for lam in (0.0, 0.25, 0.5, 1.0):
+        cfg = OperatorConfig(d, lam)
+        for s in range(7):
+            g = random_profile(BASE_SEED + 10 * d + s, 6, d)
+            ts = np.array(default_t_grid(g, 12))
+            lo, hi = analysis._level_set_bracket(g, cfg, ts)
+            m = maximal_value_batch(g, cfg, lo)
+            assert np.all(m > ts), (lam, s, ts[m <= ts])
+            cover = lo == hi * analysis._INSIDE - g.support_radius
+            assert np.all(lo[cover] >= lam * g.support_radius)
+            covering += np.count_nonzero(cover)
+            margin = min(margin, np.min(m[cover] / ts[cover] - 1.0, initial=math.inf))
+    assert covering >= 50, covering
+    assert margin > 0.0
+
+
+def test_covering_ball_end_unused_below_lam_support():
+    # Below R = lam r_K the covering ball is not admissible.  Here the
+    # covering-ball end falls just below lam r_K and above the breakpoint
+    # end, so only the guard keeps the breakpoint end.
+    d, lam = 3, 1.0
+    g, cfg = random_profile(BASE_SEED, 6, d), OperatorConfig(d, lam)
+    r_k = g.support_radius
+    hi_want = (lam * r_k * (1.0 - 1e-6) + r_k) / analysis._INSIDE
+    t = (1.0 + lam) ** d * l1_norm(g, d) / (unit_ball_volume(d) * hi_want ** d)
+    lo, hi = analysis._level_set_bracket(g, cfg, [t])
+    cover = hi[0] * analysis._INSIDE - r_k
+    inside = max(r for r, v in g.breakpoints if v > t) * analysis._INSIDE
+    assert inside < cover < lam * r_k
+    assert lo[0] == inside
 
 
 def test_level_set_radius_bound_value():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ballmax.cli import CliError, emit, main, parse_grid
-from ballmax.profiles import StepProfile, serialize_profile
+from ballmax.profiles import StepProfile, random_profile, serialize_profile
 
 UNIT_BALL_DOC = serialize_profile(StepProfile(((1.0, 1.0),)))
 
@@ -91,6 +91,16 @@ def test_eval_prints_value(capsys, unitball):
     out = capsys.readouterr().out
     assert code == 0
     assert "m = 0.666667" in out
+
+
+def test_eval_tiny_radius_at_d30(tmp_path, capsys):
+    # the search floors the ball radius, so no average reads 0 / 0
+    path = tmp_path / "g.json"
+    path.write_text(serialize_profile(random_profile(7004, 6, 30)))
+    code = main(["eval", "--d", "30", "--lambda", "0", "--profile", str(path), "--R", "1e-6"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.startswith("m = ")
 
 
 def test_eval_writes_table(tmp_path, unitball):

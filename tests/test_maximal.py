@@ -280,6 +280,19 @@ def test_collapsed_window_is_unconverged():
     assert res.value >= maximal_value(g, cfg, R)
 
 
+@pytest.mark.parametrize("R", [1e-6, 2.07e-5])
+def test_tiny_radius_keeps_the_ball_volume_normal(R):
+    # At d=30, (beta R)^d underflows for the smallest betas of such radii;
+    # the floored ball radius keeps every average finite (tests turn any
+    # RuntimeWarning into an error) and the search converges on the top
+    # level.
+    g = random_profile(7004, 6, 30)
+    for lam in (0.0, 0.5, 1.0):
+        res = maximal_value_detailed(g, OperatorConfig(30, lam), R)
+        assert res.converged and res.warnings == ()
+        assert res.value == g.top_level
+
+
 def test_maximal_value_rejects_bad_radius():
     cfg = OperatorConfig(1, 0.5)
     with pytest.raises(UsageError):
@@ -453,14 +466,15 @@ def test_refinement_stops_within_rel_tol_of_a_dense_scan(d):
     # sweep steps of the reported beta (2,001 scalar-path averages) beats
     # the reported value by more than rel_tol.  The sweep step is taken at
     # the mass cutoff of the reported value, which is at most the search's;
-    # past it no ball can beat the reported value.
+    # past it no ball can beat the reported value.  The far-field radii
+    # (3 to 60 r_K) check the window floored where balls miss the support.
     opt = OptimizerSettings()
     steps = 4 * opt.beta_grid - 1
     scanned = 0
     for lam in (0.0, 0.5, 1.0):
         cfg = OperatorConfig(d, lam)
         g = random_profile(80 + 10 * d + int(4 * lam), 6, d)
-        for R in (0.6 * g.support_radius, 1.7 * g.support_radius, 4.0 * g.support_radius):
+        for R in g.support_radius * np.array([0.6, 1.7, 3.0, 4.0, 20.0, 60.0]):
             res = maximal_value_detailed(g, cfg, R, opt=opt)
             assert res.converged
             if res.beta == 0.0:
@@ -474,7 +488,7 @@ def test_refinement_stops_within_rel_tol_of_a_dense_scan(d):
             )
             assert res.value >= scan * (1.0 - opt.rel_tol), (lam, R, res.value, scan)
             scanned += 1
-    assert scanned >= 6
+    assert scanned >= 12
 
 
 def test_refinement_work_budget(monkeypatch):
