@@ -11,11 +11,9 @@ independent oracles.
 
 from .geometry import (
     MAX_DIMENSION,
-    AxisBall,
     GeometryDomainError,
     cap_volume,
     intersection_volume,
-    reg_inc_beta,
     unit_ball_volume,
 )
 from .profiles import (
@@ -39,12 +37,10 @@ from .maximal import (
     RegionKind,
     UsageError,
     average_over_ball,
-    beta_cutoff,
     feasible,
     maximal_value,
     maximal_value_batch,
     maximal_value_detailed,
-    pointwise_reference,
 )
 from .analysis import (
     AnalysisWarning,
@@ -77,11 +73,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_DIMENSION",
-    "AxisBall",
     "GeometryDomainError",
     "cap_volume",
     "intersection_volume",
-    "reg_inc_beta",
     "unit_ball_volume",
     "OperatorConfig",
     "ProfileError",
@@ -101,12 +95,10 @@ __all__ = [
     "RegionKind",
     "UsageError",
     "average_over_ball",
-    "beta_cutoff",
     "feasible",
     "maximal_value",
     "maximal_value_batch",
     "maximal_value_detailed",
-    "pointwise_reference",
     "AnalysisWarning",
     "ConstantEstimate",
     "RadialScan",

@@ -127,11 +127,14 @@ def level_set_radius_bound(cfg: OperatorConfig, norm: float, t: float) -> float:
     """Radius beyond which the mass bound forces operator values below t:
     ((1+lam)^d * norm / (omega_d * t))^(1/d).
 
-    The mass bound is the paper's weak-(1,1) bound in pointwise form,
-    M g(R) <= (1+lam)^d norm / (omega_d R^d) (maximal.pointwise_reference
-    states it), solved for R at M g = t.  The level-set solver uses this
-    radius as the upper end of every bracket and checks the bound at run
-    time: an operator value above t there raises an AnalysisWarning."""
+    The mass bound M g(R) <= (1+lam)^d norm / (omega_d R^d), the profile
+    mass over the volume of the smallest feasible ball, is the paper's
+    weak-(1,1) bound in pointwise form: for nonincreasing M g,
+    sup_t t mu(t) = sup_R omega_d R^d M g(R), so the bound (1+lam)^d on the
+    weak ratio says M g stays below this curve.  This radius solves it for R
+    at M g = t.  The level-set solver uses it as the upper end of every
+    bracket and checks the bound at run time: an operator value above t
+    there raises an AnalysisWarning."""
     if not (t > 0.0 and norm > 0.0):
         raise UsageError("t and norm must be positive")
     omega = unit_ball_volume(cfg.d)

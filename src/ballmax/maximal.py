@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _lens_array, intersection_volume, unit_ball_volume
+from .geometry import _lens_array, unit_ball_volume
 from .profiles import (
     OperatorConfig,
     StepProfile,
@@ -64,11 +64,9 @@ __all__ = [
     "MaximalResult",
     "feasible",
     "average_over_ball",
-    "beta_cutoff",
     "maximal_value",
     "maximal_value_batch",
     "maximal_value_detailed",
-    "pointwise_reference",
 ]
 
 
@@ -207,49 +205,26 @@ def _beta_range(region: RegionKind, lam: float):
 
 def average_over_ball(g: StepProfile, d: int, R: float, p: BallParams) -> float:
     """Average of g over the ball with center offset alpha*R and radius
-    beta*R, as a finite sum of exact lens volumes."""
+    beta*R, as a finite sum of exact lens volumes (one lens-kernel call)."""
     if not (R > 0.0 and math.isfinite(R)):
         raise UsageError(f"R must be positive, got {R}")
     omega = unit_ball_volume(d)
+    decomp = indicator_decomposition(g)
+    radii_k = np.array([r for r, _ in decomp])
+    coeff_k = np.array([a for _, a in decomp])
     rad = p.beta * R
-    total = 0.0
-    for r_k, a_k in indicator_decomposition(g):
-        total += a_k * intersection_volume(d, p.alpha * R, r_k, rad)
-    return total / (omega * rad ** d)
-
-
-def beta_cutoff(norm: float, d: int, R: float, best_so_far: float) -> float:
-    """Smallest beta beyond which no ball can beat best_so_far.
-
-    Any ball of radius beta*R has average at most norm / (omega_d (beta R)^d),
-    so radii above the returned threshold are dominated.
-    """
-    if not (norm > 0.0 and R > 0.0 and best_so_far > 0.0):
-        raise UsageError("norm, R and best_so_far must be positive")
-    # one-entry arrays, so the power is numpy's array power, as in the search
-    cut = _mass_cutoff(norm, unit_ball_volume(d), d, np.full(1, R), np.full(1, best_so_far))
-    return float(cut[0])
+    lens = _lens_array(
+        d, omega, np.full(radii_k.shape, p.alpha * R), radii_k, np.full(radii_k.shape, rad)
+    )
+    return float(lens @ coeff_k) / (omega * rad ** d)
 
 
 def _mass_cutoff(norm, omega, d, R, best):
-    # the mass-bound truncation, on arrays R and best
+    """Smallest beta beyond which no ball can beat best, on arrays R and best.
+
+    Any ball of radius beta*R has average at most norm / (omega_d (beta R)^d),
+    so radii above the returned threshold are dominated."""
     return (norm / (omega * best)) ** (1.0 / d) / R
-
-
-def pointwise_reference(cfg: OperatorConfig, R: float, norm: float) -> float:
-    """Pointwise mass bound (1+lam)^d * norm / (omega_d R^d): the profile mass
-    over the volume of the smallest feasible ball.
-
-    This is the paper's weak-(1,1) bound in pointwise form: for nonincreasing
-    M g, sup_t t mu(t) = sup_R omega_d R^d M g(R), so the bound (1+lam)^d on
-    the weak ratio says M g(R) stays below this curve.  The level-set solver
-    uses the same inequality (analysis.level_set_radius_bound) as the upper
-    end of every bracket, and checks it at run time: an operator value above
-    t at that radius raises an AnalysisWarning."""
-    if not (R > 0.0 and norm > 0.0):
-        raise UsageError("R and norm must be positive")
-    omega = unit_ball_volume(cfg.d)
-    return (1.0 + cfg.lam) ** cfg.d * norm / (omega * R ** cfg.d)
 
 
 # ---------------------------------------------------------------------------

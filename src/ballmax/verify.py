@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import intersection_volume, lens_volume_array, unit_ball_volume
+from .geometry import (
+    GeometryDomainError,
+    intersection_volume,
+    lens_volume_array,
+    unit_ball_volume,
+)
 from .maximal import (
     OptimizerSettings,
     RegionKind,
@@ -161,6 +166,14 @@ def check_mc_geometry(n_tuples: int, d_max: int, mc: McConfig) -> CheckReport:
     )
 
 
+def _finite_radii(t) -> np.ndarray:
+    # the batched checks reject what the scalar lens API would reject
+    t = np.array(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise GeometryDomainError(f"radii must be finite, got {t[~np.isfinite(t)][0]}")
+    return t
+
+
 def check_shrink_overlap_inequality(
     d: int, r_grid, t_grid, assert_full_region: bool = False
 ) -> CheckReport:
@@ -172,30 +185,35 @@ def check_shrink_overlap_inequality(
     with t + r > 1 is asserted, which reproduces the documented failures at
     t > 1 (e.g. d=1, r=0.1, t=1.111: left side 0.1111 < right side 0.2).
     """
+    rs = sorted(float(x) for x in r_grid)
+    for r in rs:
+        if not 0.0 < r <= 1.0:
+            raise UsageError(f"r must lie in (0, 1], got {r}")
+    ts = sorted(float(x) for x in t_grid)
+    pairs = [(r, t) for r in rs for t in ts if not (t <= 0.0 or t + r <= 1.0)]
+    # the whole grid in one lens-kernel call per side
+    r_col = np.array([r for r, _ in pairs])
+    t_col = _finite_radii([t for _, t in pairs])
+    scale = np.array([r ** d for r, _ in pairs])
+    lhs = (scale * lens_volume_array(d, 1.0, t_col, 1.0)).tolist()
+    rhs = lens_volume_array(d, 1.0, t_col, r_col).tolist()
     rows = []
     worst = -math.inf
     witness = None
     beyond = []
     first_violating_t: dict[float, float] = {}
-    for r in sorted(float(x) for x in r_grid):
-        if not 0.0 < r <= 1.0:
-            raise UsageError(f"r must lie in (0, 1], got {r}")
-        for t in sorted(float(x) for x in t_grid):
-            if t <= 0.0 or t + r <= 1.0:
-                continue
-            lhs = r ** d * intersection_volume(d, 1.0, t, 1.0)
-            rhs = intersection_volume(d, 1.0, t, r)
-            viol = rhs - lhs
-            rows.append({"r": r, "t": t, "lhs": lhs, "rhs": rhs, "violation": viol})
-            asserted = assert_full_region or t <= 1.0
-            if asserted and viol > worst:
-                worst = viol
-                witness = (r, t, lhs, rhs)
-            if viol > _EXACT_TOL:
-                if t > 1.0:
-                    beyond.append((r, t, lhs, rhs))
-                if r not in first_violating_t:
-                    first_violating_t[r] = t
+    for (r, t), left, right in zip(pairs, lhs, rhs):
+        viol = right - left
+        rows.append({"r": r, "t": t, "lhs": left, "rhs": right, "violation": viol})
+        asserted = assert_full_region or t <= 1.0
+        if asserted and viol > worst:
+            worst = viol
+            witness = (r, t, left, right)
+        if viol > _EXACT_TOL:
+            if t > 1.0:
+                beyond.append((r, t, left, right))
+            if r not in first_violating_t:
+                first_violating_t[r] = t
     if worst == -math.inf:
         worst = 0.0
     return _report(
@@ -288,22 +306,28 @@ def check_homothety_identity(d: int, r_grid, t_grid) -> CheckReport:
 
         r^d |B(e1,1) ^ B(0,t)| = |B(e1,r) ^ B((1-r) e1, r t)|.
     """
-    worst = -math.inf
-    witness = None
-    count = 0
-    for r in (float(x) for x in r_grid):
+    rs = [float(x) for x in r_grid]
+    for r in rs:
         if not 0.0 < r <= 1.0:
             raise UsageError(f"r must lie in (0, 1], got {r}")
-        for t in (float(x) for x in t_grid):
-            if t <= 0.0:
-                raise UsageError(f"t must be positive, got {t}")
-            lhs = r ** d * intersection_volume(d, 1.0, t, 1.0)
-            rhs = intersection_volume(d, r, r, r * t)
-            err = abs(lhs - rhs)
-            count += 1
-            if err > worst:
-                worst = err
-                witness = (r, t, lhs, rhs)
+    ts = [float(x) for x in t_grid]
+    for t in ts:
+        if t <= 0.0:
+            raise UsageError(f"t must be positive, got {t}")
+    # the whole grid, r-major, in one lens-kernel call per side
+    r_col = np.repeat(rs, len(ts))
+    t_col = np.tile(_finite_radii(ts), len(rs))
+    scale = np.repeat([r ** d for r in rs], len(ts))
+    lhs = scale * lens_volume_array(d, 1.0, t_col, 1.0)
+    rhs = lens_volume_array(d, r_col, r_col, r_col * t_col)
+    err = np.abs(lhs - rhs)
+    count = err.size
+    worst = -math.inf
+    witness = None
+    if count:
+        i = int(np.argmax(err))
+        worst = float(err[i])
+        witness = (float(r_col[i]), float(t_col[i]), float(lhs[i]), float(rhs[i]))
     return _report(
         "homothety-identity",
         worst,

@@ -221,6 +221,21 @@ def test_level_set_radius_bound_value():
     assert level_set_radius_bound(cfg, 2.0, 0.1) == pytest.approx(20.0, rel=1e-12)
 
 
+def test_level_set_radius_bound_meets_mass_bound():
+    # The mass bound (1+lam)^d norm / (omega_d R^d) is the paper's bound in
+    # pointwise form.  At three closed-form values t of it, the returned
+    # radius is the one the value was taken at, and the bound there is t.
+    for cfg, norm, R, t in [
+        (OperatorConfig(1, 1.0), 2.0, 2.0, 1.0),
+        (OperatorConfig(3, 0.0), 0.9, 1.7, 0.9 / (unit_ball_volume(3) * 1.7 ** 3)),
+        (OperatorConfig(2, 0.5), 1.0, 3.0, 2.25 / (9 * math.pi)),
+    ]:
+        R_t = level_set_radius_bound(cfg, norm, t)
+        assert R_t == pytest.approx(R, rel=1e-12)
+        bound = (1.0 + cfg.lam) ** cfg.d * norm / (unit_ball_volume(cfg.d) * R_t ** cfg.d)
+        assert bound == pytest.approx(t, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # weak_constant_estimate
 # ---------------------------------------------------------------------------

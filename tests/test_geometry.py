@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from ballmax import geometry, maximal
 from ballmax.geometry import (
-    AxisBall,
     GeometryDomainError,
     cap_volume,
     cap_volume_array,
     intersection_volume,
     lens_volume_array,
-    reg_inc_beta,
     unit_ball_volume,
 )
 from ballmax.verify import McConfig, mc_intersection_volume
+
+from _oracle import cap_volume_ref, lens_volume_ref, reg_inc_beta
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,7 @@ def test_unit_ball_volume_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# reg_inc_beta
+# reg_inc_beta: the test oracle's continued fraction
 # ---------------------------------------------------------------------------
 
 def test_reg_inc_beta_endpoints():
@@ -235,7 +235,7 @@ def test_lens_monte_carlo_agreement_small():
 
 
 # ---------------------------------------------------------------------------
-# array kernels agree with the scalar path
+# the kernels agree with the continued-fraction oracle
 # ---------------------------------------------------------------------------
 
 def test_array_kernels_match_scalar():
@@ -247,7 +247,7 @@ def test_array_kernels_match_scalar():
         arr = lens_volume_array(d, c, r1, r2)
         for i in range(0, 200, 17):
             assert arr[i] == pytest.approx(
-                intersection_volume(d, float(c[i]), float(r1[i]), float(r2[i])),
+                lens_volume_ref(d, float(c[i]), float(r1[i]), float(r2[i])),
                 rel=1e-12,
                 abs=1e-13,
             )
@@ -256,8 +256,51 @@ def test_array_kernels_match_scalar():
         caps = cap_volume_array(d, rho, h)
         for i in range(0, 100, 13):
             assert caps[i] == pytest.approx(
-                cap_volume(d, float(rho[i]), float(h[i])), rel=1e-12, abs=1e-13
+                cap_volume_ref(d, float(rho[i]), float(h[i])), rel=1e-12, abs=1e-13
             )
+
+
+@pytest.mark.parametrize("d", range(1, 31))
+def test_scalar_wrappers_are_the_kernels_bitwise(d):
+    # cap_volume and intersection_volume check their domain and evaluate the
+    # array kernel on one entry: each scalar value is the array value of the
+    # same element, bit for bit, across the case split and its edges.
+    rng = np.random.default_rng(500 + d)
+    n = 40
+    r1 = np.tile(rng.uniform(0.05, 2.0, n), 5)
+    r2 = np.tile(rng.uniform(0.05, 2.0, n), 5)
+    gap, reach = np.abs(r1 - r2), r1 + r2
+    c = np.concatenate(
+        [
+            rng.uniform(gap[:n], reach[:n]),  # lens
+            gap[n : 2 * n],  # inner tangency
+            reach[2 * n : 3 * n],  # outer tangency
+            np.zeros(n),  # concentric
+            reach[4 * n :] + rng.uniform(0.0, 1.0, n),  # disjoint
+        ]
+    )
+    lens = lens_volume_array(d, c, r1, r2)
+    args = zip(c.tolist(), r1.tolist(), r2.tolist())
+    single = np.array([intersection_volume(d, *x) for x in args])
+    assert (single.view(np.int64) == lens.view(np.int64)).all()
+    rho = np.tile(rng.uniform(0.05, 2.0, n), 4)
+    # h == 0, h == 2*rho, half balls and random heights
+    h = np.concatenate(
+        [np.zeros(n), 2.0 * rho[n : 2 * n], rho[2 * n : 3 * n], rho[3 * n :] * rng.uniform(0.0, 2.0, n)]
+    )
+    caps = cap_volume_array(d, rho, h)
+    single = np.array([cap_volume(d, *x) for x in zip(rho.tolist(), h.tolist())])
+    assert (single.view(np.int64) == caps.view(np.int64)).all()
+    assert (caps[:n] == 0.0).all()
+    assert (caps[n : 2 * n] == unit_ball_volume(d) * rho[n : 2 * n] ** d).all()
+    for bad in [(0.0, 1.0), (-1.0, 0.5), (math.inf, 1.0), (1.0, -1e-9), (1.0, 2.0 + 1e-9),
+                (1.0, math.nan)]:
+        with pytest.raises(GeometryDomainError):
+            cap_volume(d, *bad)
+    for bad in [(-1e-9, 1.0, 1.0), (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
+                (1.0, 0.0, 1.0), (1.0, 1.0, -1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.nan)]:
+        with pytest.raises(GeometryDomainError):
+            intersection_volume(d, *bad)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 30])
@@ -345,14 +388,3 @@ def test_search_kernel_matches_public_lens_bitwise(d):
     assert (tied[:, :15] == contained[:, :15]).all() and (tied[:, 25:30] == contained[:, 25:30]).all()
     assert (tied[:, 15:25] == 0.0).all()
 
-
-def test_axis_ball():
-    ball = AxisBall(center_offset=1.0, radius=0.5)
-    assert ball.volume(2) == pytest.approx(math.pi * 0.25, rel=1e-13)
-    pts = np.array([[1.0, 0.0], [1.5, 0.0], [1.51, 0.0], [1.0, 0.49]])
-    inside = ball.contains(pts)
-    assert inside.tolist() == [True, True, False, True]
-    with pytest.raises(GeometryDomainError):
-        AxisBall(center_offset=-0.1, radius=1.0)
-    with pytest.raises(GeometryDomainError):
-        AxisBall(center_offset=0.0, radius=0.0)

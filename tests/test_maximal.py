@@ -12,12 +12,10 @@ from ballmax.maximal import (
     RegionKind,
     UsageError,
     average_over_ball,
-    beta_cutoff,
     feasible,
     maximal_value,
     maximal_value_batch,
     maximal_value_detailed,
-    pointwise_reference,
 )
 from ballmax.profiles import OperatorConfig, StepProfile, evaluate, l1_norm, random_profile
 
@@ -135,33 +133,21 @@ def test_average_interval_arithmetic():
 
 
 # ---------------------------------------------------------------------------
-# beta_cutoff
+# the mass-bound truncation
 # ---------------------------------------------------------------------------
 
-def test_beta_cutoff_solves_mass_bound():
-    assert beta_cutoff(2.0, 1, 2.0, 2.0 / 3.0) == pytest.approx(0.75, rel=1e-12)
+def test_mass_cutoff_solves_mass_bound():
+    assert maximal._mass_cutoff(2.0, 2.0, 1, 2.0, 2.0 / 3.0) == pytest.approx(0.75, rel=1e-12)
 
 
-def test_beta_cutoff_monotonicity_and_scaling():
+def test_mass_cutoff_monotonicity_and_scaling():
     norm, d, R = 3.0, 2, 1.5
-    base = beta_cutoff(norm, d, R, norm / (unit_ball_volume(d) * R ** d))
+    omega = unit_ball_volume(d)
+    base = maximal._mass_cutoff(norm, omega, d, R, norm / (omega * R ** d))
     assert base <= 1.0 + 1e-12
-    b1 = beta_cutoff(norm, d, R, 0.4)
-    b2 = beta_cutoff(norm, d, R, 0.8)
+    b1 = maximal._mass_cutoff(norm, omega, d, R, 0.4)
+    b2 = maximal._mass_cutoff(norm, omega, d, R, 0.8)
     assert b2 ** d == pytest.approx(b1 ** d / 2.0, rel=1e-12)
-
-
-def test_beta_cutoff_matches_search_truncation_bitwise():
-    # the public cutoff and the truncation inside the search give the same
-    # bits; numpy's array power and Python's float power can differ by an ulp
-    rng = np.random.default_rng(2026)
-    for d in range(1, 31):
-        norm = float(rng.uniform(0.1, 10.0))
-        R = rng.uniform(0.01, 100.0, 300)
-        best = np.exp(rng.uniform(-20.0, 3.0, 300))
-        search = maximal._mass_cutoff(norm, unit_ball_volume(d), d, R, best)
-        single = np.array([beta_cutoff(norm, d, float(r), float(b)) for r, b in zip(R, best)])
-        assert (single.view(np.int64) == search.view(np.int64)).all(), d
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +287,6 @@ def test_maximal_value_rejects_bad_radius():
         maximal_value(UNIT_BALL, cfg, -1.0)
     with pytest.raises(UsageError):
         maximal_value(UNIT_BALL, OperatorConfig(1, 0.5), 1.0, RegionKind.CENTERED_SHELL)
-
-
-# ---------------------------------------------------------------------------
-# pointwise reference
-# ---------------------------------------------------------------------------
-
-def test_pointwise_reference_values():
-    assert pointwise_reference(OperatorConfig(1, 1.0), 2.0, 2.0) == pytest.approx(1.0)
-    assert pointwise_reference(OperatorConfig(3, 0.0), 1.7, 0.9) == pytest.approx(
-        0.9 / (unit_ball_volume(3) * 1.7 ** 3)
-    )
-    assert pointwise_reference(OperatorConfig(2, 0.5), 3.0, 1.0) == pytest.approx(
-        2.25 / (9 * math.pi)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +451,7 @@ def test_refinement_stops_within_rel_tol_of_a_dense_scan(d):
             assert res.converged
             if res.beta == 0.0:
                 continue  # the shrinking-ball limit
-            bhi = beta_cutoff(l1_norm(g, d), d, R, res.value)
+            bhi = maximal._mass_cutoff(l1_norm(g, d), unit_ball_volume(d), d, R, res.value)
             step = (math.log(bhi) - math.log(opt.beta_floor)) / steps
             betas = res.beta * np.exp(np.linspace(-2.0 * step, 2.0 * step, 2001))
             scan = max(

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from ballmax import verify
+from ballmax.geometry import GeometryDomainError, intersection_volume
 from ballmax.maximal import OptimizerSettings, UsageError
 from ballmax.profiles import OperatorConfig, StepProfile, random_profile
 from ballmax.verify import (
@@ -130,6 +132,24 @@ def test_shrink_inequality_fails_when_asserting_full_range():
     assert rep.worst_violation == pytest.approx(0.2 - 0.1111, abs=1e-12)
 
 
+def test_criterion_07_stays_red_at_its_stated_values():
+    # The stated region {0 < r <= 1, 1 - r < t <= 1} on the criterion-07
+    # grid: the inequality holds at d = 1 to rounding and fails at d = 2, 3
+    # by the documented amounts; asserting t > 1 too reproduces the d = 1
+    # witness (r=0.1, t=1.111).
+    grid = np.linspace(0.05, 1.0, 20)
+    d1, d2, d3 = (check_shrink_overlap_inequality(d, grid, grid) for d in (1, 2, 3))
+    assert d1.passed and d1.worst_violation <= 1e-15
+    assert not d2.passed and f"{d2.worst_violation:.3e}" == "5.213e-02"
+    assert not d3.passed and f"{d3.worst_violation:.3e}" == "8.283e-02"
+    full = check_shrink_overlap_inequality(
+        1, np.linspace(0.1, 1.0, 10), [0.9, 1.0, 1.111], assert_full_region=True
+    )
+    assert not full.passed
+    assert full.witness[:2] == (0.1, 1.111)
+    assert full.witness[2:] == pytest.approx((0.1111, 0.2), abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # lens enclosure audit
 # ---------------------------------------------------------------------------
@@ -197,6 +217,93 @@ def test_homothety_identity_grid():
         )
         assert rep.passed
         assert rep.worst_violation <= 1e-10
+
+
+def _homothety_per_point(d, r_grid, t_grid):
+    worst, witness, count = -math.inf, None, 0
+    for r in r_grid:
+        for t in t_grid:
+            lhs = r ** d * intersection_volume(d, 1.0, t, 1.0)
+            rhs = intersection_volume(d, r, r, r * t)
+            count += 1
+            if abs(lhs - rhs) > worst:
+                worst, witness = abs(lhs - rhs), (r, t, lhs, rhs)
+    return verify._report(
+        "homothety-identity", worst, verify._HOMOTHETY_TOL, witness,
+        f"d={d}, {count} (r, t) grid points",
+    )
+
+
+def _shrink_per_point(d, r_grid, t_grid, assert_full_region):
+    rows, beyond, first = [], [], {}
+    worst, witness = -math.inf, None
+    for r in sorted(r_grid):
+        for t in sorted(t_grid):
+            if t <= 0.0 or t + r <= 1.0:
+                continue
+            lhs = r ** d * intersection_volume(d, 1.0, t, 1.0)
+            rhs = intersection_volume(d, 1.0, t, r)
+            viol = rhs - lhs
+            rows.append({"r": r, "t": t, "lhs": lhs, "rhs": rhs, "violation": viol})
+            if (assert_full_region or t <= 1.0) and viol > worst:
+                worst, witness = viol, (r, t, lhs, rhs)
+            if viol > verify._EXACT_TOL:
+                if t > 1.0:
+                    beyond.append((r, t, lhs, rhs))
+                first.setdefault(r, t)
+    return verify._report(
+        "shrink-overlap-inequality",
+        0.0 if worst == -math.inf else worst,
+        verify._EXACT_TOL,
+        witness,
+        f"d={d}, {len(rows)} (r, t) pairs with t + r > 1"
+        + ("" if assert_full_region else ", asserted on t <= 1"),
+        {
+            "rows": rows,
+            "violations_beyond_t1": beyond,
+            "empirical_violation_boundary": first,
+            "assert_full_region": assert_full_region,
+        },
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_grid_checks_match_a_per_point_loop(d):
+    # The homothety and shrink-overlap checks evaluate their whole (r, t)
+    # grid in one lens-kernel call per side; their reports are those of a
+    # per-point loop over the scalar API, to the bit.  The grids are
+    # unsorted, with repeats, and reach the disjoint and contained cases.
+    rng = np.random.default_rng(40 + d)
+    r_grid = rng.permutation(np.append(np.linspace(0.05, 1.0, 20), [0.5, 1.0])).tolist()
+    t_grid = rng.permutation(np.append(np.linspace(0.05, 3.5, 24), [1.0, 1.111])).tolist()
+    for t in (t_grid, []):
+        assert (
+            check_homothety_identity(d, r_grid, t).to_dict()
+            == _homothety_per_point(d, r_grid, t).to_dict()
+        )
+    t_grid.append(-0.5)  # skipped by the shrink check
+    for full in (False, True):
+        assert (
+            check_shrink_overlap_inequality(d, r_grid, t_grid, full).to_dict()
+            == _shrink_per_point(d, r_grid, t_grid, full).to_dict()
+        )
+    assert check_shrink_overlap_inequality(d, [0.2], [0.5]).to_dict() == _shrink_per_point(
+        d, [0.2], [0.5], False
+    ).to_dict()
+
+
+def test_grid_checks_reject_what_the_scalar_api_rejects():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(GeometryDomainError):
+            check_homothety_identity(2, [0.5], [0.4, bad])
+        with pytest.raises(GeometryDomainError):
+            check_shrink_overlap_inequality(2, [0.5], [0.8, bad])
+    with pytest.raises(UsageError):
+        check_homothety_identity(2, [0.5], [0.0])
+    with pytest.raises(UsageError):
+        check_shrink_overlap_inequality(2, [1.5], [0.8])
+    # thresholds at or below 0, or with t + r <= 1, are skipped, not rejected
+    assert check_shrink_overlap_inequality(2, [0.5], [-math.inf, 0.0, 0.3]).passed
 
 
 # ---------------------------------------------------------------------------
