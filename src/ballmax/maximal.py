@@ -19,9 +19,10 @@ beta range and the shrinking-ball limit, and is exact up to rounding.  In
 higher dimensions it adds one geometric sweep in beta and a window around the
 incumbent that narrows each round; a radius stops once its window is flat
 (its values spread by at most rel_tol), whatever the other radii of a batch
-do, so a radius gets the same value alone or in a batch.  Where the kernel
-is quiet (d <= 6) the window never reaches below the betas whose balls miss
-the support, which far outside the support leaves a narrow range.
+do, so a radius gets the same value alone or in a batch.  Where the cap
+kernel is exact to rounding (d <= 6) the window never reaches below the
+betas whose balls miss the support, which far outside the support leaves a
+narrow range.
 
 The ground-truth region is RegionKind.FULL (alpha in [0, 1],
 lam*beta + alpha >= 1, which is exactly the rotated form of "x in lam*B"
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _lens_array, unit_ball_volume
+from .geometry import _QUIET_DIM, _lens_array, unit_ball_volume
 from .profiles import (
     OperatorConfig,
     StepProfile,
@@ -234,11 +235,6 @@ def _mass_cutoff(norm, omega, d, R, best):
 # refinement offsets in log beta, in units of the window half-width
 _REFINE_STEPS = np.linspace(-1.0, 1.0, 9)[None, :]
 _REFINE_SPACING = _REFINE_STEPS[0, 1] - _REFINE_STEPS[0, 0]
-# Up to this dimension the lens kernel's error stays far below the default
-# rel_tol.  From d = 7 on its small-cap cancellation makes the objective
-# noisy at some radii: in a 1,260-radius set per dimension, 0 radii at
-# d <= 6 and 1, 3, 9 and 16 at d = 7..10 never got a flat window.
-_QUIET_DIM = 6
 _EXTRA_ROUNDS = 48
 _TINY = 1e-300
 # The least ball volume searched, as a multiple of the smallest normal double:

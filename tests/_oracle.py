@@ -3,8 +3,9 @@
 The regularized incomplete beta function is evaluated here by its own
 continued fraction, with no scipy, and the cap and lens volumes are built on
 it with their own scalar case split.  ballmax.geometry has one cap formula
-and one lens case split, both on numpy arrays over scipy's betainc; the tests
-pin those kernels against this module and this module against mpmath.
+and one lens case split, both on numpy arrays: the cap is a closed form up to
+d = 6 and scipy's betainc complement above.  The tests pin those kernels
+against this module, and this module and the closed form against mpmath.
 """
 
 from __future__ import annotations

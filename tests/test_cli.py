@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ballmax
 from ballmax.cli import CliError, emit, main, parse_grid
 from ballmax.profiles import StepProfile, random_profile, serialize_profile
 
@@ -260,3 +264,24 @@ def test_cli_byte_identical_given_seed(tmp_path, unitball):
     assert main(args + ["--out", str(p1)]) == 0
     assert main(args + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# import cost: scipy only where d > geometry._QUIET_DIM needs it
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d, loads_scipy", [(2, False), (10, True)])
+def test_eval_imports_scipy_only_above_the_closed_form_dimensions(tmp_path, d, loads_scipy):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_profile(random_profile(3, 4, d)))
+    script = (
+        "import sys, ballmax.cli\n"
+        "before = 'scipy' in sys.modules\n"
+        f"code = ballmax.cli.main(['eval', '--d', '{d}', '--lambda', '0.5', '--profile', {str(path)!r}, '--R', '1.3'])\n"
+        "print(code, before, 'scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ballmax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 False {loads_scipy}"

@@ -260,6 +260,53 @@ def test_array_kernels_match_scalar():
             )
 
 
+# ---------------------------------------------------------------------------
+# the cap kernel: closed form to d = 6, betainc complement above
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", range(1, geometry._QUIET_DIM + 1))
+def test_closed_form_cap_matches_mpmath(d):
+    # Exact to rounding from caps of height 1e-14 rho to the whole ball, on
+    # the small side and on its complement: the reference is the smaller
+    # cap's share I_{v(2-v)}((d+1)/2, 1/2) / 2 with v = min(h, 2 rho - h) / rho.
+    t = np.concatenate([np.geomspace(1e-14, 1.0, 40), np.linspace(0.0, 1.0, 11)])
+    for rho in (0.05, 1.3, 7.0):
+        h = rho * np.concatenate([t, 2.0 - t])
+        got = geometry._cap_array(d, unit_ball_volume(d), np.full(h.size, rho), h)
+        with mpmath.workdps(50):
+            full = mpmath.mpf(unit_ball_volume(d)) * mpmath.mpf(rho) ** d
+            for hi, gi in zip(h.tolist(), got.tolist()):
+                u = mpmath.mpf(hi) / rho
+                v = min(u, 2 - u)
+                x = v * (2 - v)
+                small = full * mpmath.betainc(mpmath.mpf(d + 1) / 2, 0.5, 0, x, regularized=True) / 2
+                want = small if u <= 1 else full - small
+                assert abs(gi - want) <= 1e-13 * want, (rho, hi)
+
+
+def test_tiny_planar_cap_pin():
+    # arccos(1 - h) - (1 - h) sqrt(2h - h^2) at h = 1e-9, to 50 digits; the
+    # betainc complement reads it 2.4e-4 high
+    assert cap_volume(2, 1.0, 1e-9) == pytest.approx(5.962847939105012556e-14, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [7, 10, 30])
+def test_cap_kernel_keeps_the_betainc_complement_bitwise(d):
+    from scipy.special import betainc
+
+    rng = np.random.default_rng(700 + d)
+    rho = rng.uniform(0.05, 2.0, 400)
+    tiny = np.geomspace(1e-14, 1.0, 100)
+    h = rho * np.concatenate([tiny, rng.uniform(0.0, 2.0, 200), 2.0 - tiny])
+    omega = unit_ball_volume(d)
+    full = omega * rho ** d
+    u = np.abs(rho - h) / rho
+    half = 0.5 * full * (1.0 - betainc(0.5, 0.5 * (d + 1), np.minimum(u * u, 1.0)))
+    want = np.where(h <= rho, half, full - half)
+    got = geometry._cap_array(d, omega, rho, h)
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
 @pytest.mark.parametrize("d", range(1, 31))
 def test_scalar_wrappers_are_the_kernels_bitwise(d):
     # cap_volume and intersection_volume check their domain and evaluate the

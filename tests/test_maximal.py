@@ -410,8 +410,9 @@ def test_alpha_grid_has_no_effect():
 
 
 def test_each_lens_call_makes_at_most_one_betainc_call(monkeypatch):
-    # the lens kernel stacks both caps of every lens entry into one betainc
-    # call, so the fixed cost of a kernel call is paid once
+    # Up to geometry._QUIET_DIM the cap is closed form and calls no betainc.
+    # Above it the lens kernel stacks both caps of every lens entry into one
+    # betainc call, so the fixed cost of a kernel call is paid once.
     betainc, lens = geometry._betainc_ufunc, maximal._lens_array
     per_lens_call = []
 
@@ -428,6 +429,10 @@ def test_each_lens_call_makes_at_most_one_betainc_call(monkeypatch):
     maximal_value_detailed(random_profile(11, 6, 3), OperatorConfig(3, 0.5), 0.8)
     g = random_profile(20240817, 6, 2)
     weak_constant_estimate(g, OperatorConfig(2, 0.5), default_t_grid(g, 8), CRITERION_01)
+    assert len(per_lens_call) > 0
+    assert sum(per_lens_call) == 0
+    per_lens_call.clear()
+    maximal_value_detailed(random_profile(11, 6, 10), OperatorConfig(10, 0.5), 0.8)
     assert sum(per_lens_call) > 0
     assert max(per_lens_call) <= 1
 
