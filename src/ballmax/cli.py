@@ -133,7 +133,7 @@ def _load_profile(path: str) -> StepProfile:
 
 def _optimizer_from(ns) -> OptimizerSettings:
     kwargs = {}
-    for name in ("beta_grid", "refine_rounds", "rel_tol", "beta_floor"):
+    for name in ("beta_grid", "rel_tol"):
         val = getattr(ns, name, None)
         if val is not None:
             kwargs[name] = val
@@ -145,12 +145,7 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--beta-grid", dest="beta_grid", type=int, default=None)
-    p.add_argument(
-        "--refine-rounds", dest="refine_rounds", type=int, default=None,
-        help="cap on refinement rounds (a fixed number of extra rounds is added); not a minimum",
-    )
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--beta-floor", dest="beta_floor", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +327,10 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
     if ns.R is not None and not ns.R > 0.0:
         raise CliError(f"--R must be positive, got {ns.R:g}")
     mc = verify.McConfig(ns.seed, ns.n_samples)
-    d_list = [int(x) for x in parse_grid(ns.d_set)] if ns.d_set else [ns.d or 2]
+    if ns.d_set:
+        d_list = [int(x) for x in parse_grid(ns.d_set)]
+    else:
+        d_list = [ns.d if ns.d is not None else 2]
     g = _load_profile(ns.profile) if ns.profile else StepProfile(((1.0, 1.0),))
     reports = []
 
@@ -383,13 +381,7 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
 
 def _cmd_verify(ns, opt) -> int:
     reports = _verify_reports(ns, opt)
-    payload = [r.to_dict() for r in reports]
-    text = json.dumps([_json_ready(r) for r in payload], indent=2) + "\n"
-    if ns.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    emit([r.to_dict() for r in reports], "json", ns.out)
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(

@@ -64,12 +64,11 @@ def unit_ball_volume(d: int) -> float:
 
 # Up to this dimension the cap is exact to rounding: a closed form in numpy
 # alone, within 1e-14 relative of a 50-digit mpmath value down to caps of
-# height 1e-14 rho.  There the supremum search in maximal uses its fast
-# refinement window schedule.  Above it the cap is the complement
+# height 1e-14 rho.  Above it the cap is the complement
 # 1 - I_{u^2}(1/2, (d+1)/2) through scipy's betainc, bit for bit as before.
 # That complement cancels for small caps (it reads 0 for the tiniest) and
-# makes the objective noisy at some radii: in a 1,260-radius set per
-# dimension, 1, 3, 9 and 16 radii at d = 7..10 never got a flat window.
+# makes the supremum search's objective noisy at some radii: at d = 30 a
+# searched value read 0.76% above the 50-digit average of its own ball.
 # The split goes once the benchmark's reference values no longer come from
 # that complement (the exact cap kernel item in ROADMAP.md).
 _QUIET_DIM = 6

@@ -19,10 +19,9 @@ beta range and the shrinking-ball limit, and is exact up to rounding.  In
 higher dimensions it adds one geometric sweep in beta and a window around the
 incumbent that narrows each round; a radius stops once its window is flat
 (its values spread by at most rel_tol), whatever the other radii of a batch
-do, so a radius gets the same value alone or in a batch.  Where the cap
-kernel is exact to rounding (d <= 6) the window never reaches below the
-betas whose balls miss the support, which far outside the support leaves a
-narrow range.
+do, so a radius gets the same value alone or in a batch.  The window never
+reaches below the betas whose balls miss the support, which far outside the
+support leaves a narrow range.
 
 The ground-truth region is RegionKind.FULL (alpha in [0, 1],
 lam*beta + alpha >= 1, which is exactly the rotated form of "x in lam*B"
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _QUIET_DIM, _lens_array, unit_ball_volume
+from .geometry import _lens_array, unit_ball_volume
 from .profiles import (
     OperatorConfig,
     StepProfile,
@@ -103,30 +102,25 @@ class OptimizerSettings:
     """Grid sizes and stopping tolerances for the supremum search (d >= 2).
 
     beta_grid sets the one geometric sweep of 4 * beta_grid betas and the
-    first refinement window: two sweep steps either side of the incumbent,
-    or at d >= 7, where the lens kernel is noisy, two steps of a
-    beta_grid-point grid.  Up to d = 6 the window stays above the betas
-    whose balls on the least-offset curve miss the support, so far outside
-    the support it starts no wider than the betas that remain.  beta_floor
-    is the least beta searched; at tiny radii the search raises it so that
-    the least ball's volume stays a normal double.  A radius stops refining
-    once a round's values spread by at most rel_tol relative to its
-    incumbent.  refine_rounds only caps the rounds (the budget is
-    refine_rounds plus a fixed number of extra rounds); it is not a minimum.
-    A radius still refining when the budget runs out, or whose window has
-    shrunk below float resolution before it went flat, is reported
+    first refinement window: two sweep steps either side of the incumbent.
+    The window stays above the betas whose balls on the least-offset curve
+    miss the support, so far outside the support it starts no wider than
+    the betas that remain.  A radius stops refining once a round's values
+    spread by at most rel_tol relative to its incumbent; one whose window
+    has shrunk below float resolution before it went flat is reported
     unconverged.
 
-    alpha_grid has no effect: the search evaluates one ball per beta, at the
-    least feasible offset.  The field is still accepted and validated
-    (>= 8) so that existing settings keep working.
+    alpha_grid and refine_rounds have no effect: the search evaluates one
+    ball per beta, at the least feasible offset, and a window narrows until
+    it is flat or collapses.  Both fields are still accepted and validated
+    (alpha_grid >= 8, refine_rounds >= 1) so that existing settings keep
+    working.
     """
 
     alpha_grid: int = 12
     beta_grid: int = 24
     refine_rounds: int = 12
     rel_tol: float = 1e-6
-    beta_floor: float = 1e-6
 
     def __post_init__(self):
         if self.alpha_grid < 8 or self.beta_grid < 8:
@@ -135,8 +129,6 @@ class OptimizerSettings:
             raise UsageError("refine_rounds must be at least 1")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise UsageError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
-        if not self.beta_floor > 0.0:
-            raise UsageError(f"beta_floor must be positive, got {self.beta_floor}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +136,9 @@ class MaximalResult:
     """Value and argmax of the supremum search.
 
     beta == 0.0 marks the shrinking-ball limit (alpha = 1, beta -> 0), whose
-    value is the profile level at R.  converged is False when the radius was
-    still refining when the round budget ran out, or when its window shrank
-    below float resolution without going flat (kernel noise above rel_tol).
+    value is the profile level at R.  converged is False when the radius's
+    window shrank below float resolution without going flat (kernel noise
+    above rel_tol).
     """
 
     value: float
@@ -235,13 +227,19 @@ def _mass_cutoff(norm, omega, d, R, best):
 # refinement offsets in log beta, in units of the window half-width
 _REFINE_STEPS = np.linspace(-1.0, 1.0, 9)[None, :]
 _REFINE_SPACING = _REFINE_STEPS[0, 1] - _REFINE_STEPS[0, 0]
-_EXTRA_ROUNDS = 48
+# Each round narrows a window 4x and a collapsed window is flat, so a radius
+# stops within about 32 rounds; this cap only ends the loop on a NaN
+# objective, whose spread is never flat.
+_MAX_ROUNDS = 60
+# The least beta searched; at tiny radii the search raises it so that the
+# least ball's volume stays a normal double.
+_BETA_FLOOR = 1e-6
 _TINY = 1e-300
 # The least ball volume searched, as a multiple of the smallest normal double:
 # at tiny radii (beta R)^d would underflow and an average would read 0 / 0.
 # With this margin a subnormal rounding is at most 2^-104 of the ball volume.
 _LEAST_VOLUME = np.finfo(float).tiny * 2.0**52
-_UNCONVERGED = "refinement did not reach rel_tol within the round budget"
+_UNCONVERGED = "refinement did not reach rel_tol before its window collapsed"
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,7 +347,7 @@ def _supremum_batch(g, cfg, R, region, opt):
         consider(rows, shrink[:, None], np.ones((n, 1)), np.zeros((n, 1)))
 
     blo_region, bhi_region = _beta_range(region, lam)
-    blo_opt = max(blo_region, opt.beta_floor)
+    blo_opt = max(blo_region, _BETA_FLOOR)
     # per radius, the floor keeps the least ball's volume a normal double
     blo = np.maximum(blo_opt, (_LEAST_VOLUME / omega) ** (1.0 / d) / R)
 
@@ -392,26 +390,17 @@ def _supremum_batch(g, cfg, R, region, opt):
     # incumbent.  live, log_w, lo and hi hold the radii still refining, their
     # half-widths and their beta ranges; only those radii are evaluated.  A
     # window that has collapsed (its end points are one float) is flat
-    # without evidence; such a radius, and one still live when the round
-    # budget runs out, is reported unconverged.
-    if d <= _QUIET_DIM:
-        # Below lo every ball on the least-offset curve misses the support
-        # (alpha - beta >= 1 - (1 + lam) beta > r_K / R) and averages 0, so
-        # the window stays in [lo, bhi].  It starts two sweep steps wide on
-        # either side, or as wide as that range, and each round narrows to
-        # the last round's point spacing.
-        lo = np.minimum(np.maximum(blo, (1.0 - radii_k[-1] / R) / (1.0 + lam)), bhi)
-        log_w = np.minimum(2.0 * log_span / (t.size - 1), np.log(bhi / lo))
-        shrink = _REFINE_SPACING
-    else:
-        # On a noisy objective a window that narrow, or that closes that
-        # fast, settles on lower noise peaks (up to 2.5e-5 lower at d = 10).
-        # This one starts two steps of a beta_grid-point grid wide and
-        # narrows to a third each round, so its stencils interleave.
-        lo, log_w, shrink = blo, 2.0 * log_span / (opt.beta_grid - 1), 0.33
+    # without evidence; such a radius is reported unconverged.  Below lo
+    # every ball on the least-offset curve misses the support
+    # (alpha - beta >= 1 - (1 + lam) beta > r_K / R) and averages 0, so the
+    # window stays in [lo, bhi].  It starts two sweep steps wide on either
+    # side, or as wide as that range, and each round narrows to the last
+    # round's point spacing.
+    lo = np.minimum(np.maximum(blo, (1.0 - radii_k[-1] / R) / (1.0 + lam)), bhi)
+    log_w = np.minimum(2.0 * log_span / (t.size - 1), np.log(bhi / lo))
     live, hi = rows, bhi
     converged = np.zeros(n, dtype=bool)
-    for _ in range(opt.refine_rounds + _EXTRA_ROUNDS):
+    for _ in range(_MAX_ROUNDS):
         # fmax maps a missing incumbent (NaN) to lo
         center_b = np.minimum(np.fmax(best_b[live], lo), hi)[:, None]
         bref = center_b * np.exp(log_w[:, None] * _REFINE_STEPS)
@@ -426,7 +415,7 @@ def _supremum_batch(g, cfg, R, region, opt):
             live, log_w, lo, hi = live[keep], log_w[keep], lo[keep], hi[keep]
             if live.size == 0:
                 break
-        log_w = log_w * shrink
+        log_w = log_w * _REFINE_SPACING
     return _finish(g, best_val, best_a, best_b, converged)
 
 
@@ -491,13 +480,11 @@ def maximal_value(
     refinement points around the incumbent, and (for regions whose closure
     admits it) the shrinking-ball limit with value g(R).  Refinement starts
     two sweep steps either side of the incumbent, kept above the betas whose
-    balls miss the support, and narrows to the point spacing each round (at
-    d >= 7, where the lens kernel is noisy, without that floor: two steps of
-    a beta_grid-point grid, narrowing to a third), and stops once a round's
-    nine values spread by at most rel_tol relative to the incumbent.  At
-    d = 1 the kinks, the curve's branch switches, the ends of the
-    mass-truncated beta range and the shrinking-ball limit are the only
-    candidates; the average is monotone between them, so the value is exact
-    up to rounding.
+    balls miss the support, narrows to the point spacing each round, and
+    stops once a round's nine values spread by at most rel_tol relative to
+    the incumbent.  At d = 1 the kinks, the curve's branch switches, the
+    ends of the mass-truncated beta range and the shrinking-ball limit are
+    the only candidates; the average is monotone between them, so the value
+    is exact up to rounding.
     """
     return maximal_value_detailed(g, cfg, R, region, opt).value

@@ -153,6 +153,21 @@ def test_verify_homothety_exit_zero(tmp_path):
     assert all(rep["passed"] for rep in reports)
 
 
+def test_verify_out_file_matches_stdout(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    args = ["verify", "homothety", "--d", "3", "--r-grid", "0.2:1.0:5", "--t-grid", "0.5:2.0:5"]
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_verify_dimension_zero_is_usage_error(capsys):
+    assert main(["verify", "homothety", "--d", "0"]) == 2
+    assert "dimension" in capsys.readouterr().err
+
+
 def test_verify_shrink_overlap_full_range_exits_one(tmp_path):
     out = tmp_path / "v.json"
     code = main(
@@ -248,6 +263,13 @@ def test_invalid_profile_names_field(tmp_path, capsys):
 def test_bad_flag_usage_exit_two(capsys):
     assert main(["eval", "--d", "1"]) == 2
     assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--refine-rounds", "6"), ("--beta-floor", "1e-6")])
+def test_removed_search_flags_are_usage_errors(unitball, capsys, flag, value):
+    args = ["eval", "--d", "2", "--lambda", "1", "--profile", unitball, "--R", "2"]
+    assert main(args + [flag, value]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_grid_exit_two(unitball, capsys):

@@ -231,11 +231,19 @@ def test_maximal_value_batch_is_bitwise_independent(d):
             assert (batch.view(np.int64) == single.view(np.int64)).all(), (lam, opt)
 
 
+def _same_search(a, b):
+    # two _supremum_batch results agree bit for bit: value, alpha, beta,
+    # empty flags, warnings and converged flags
+    return all((x.view(np.int64) == y.view(np.int64)).all() for x, y in zip(a[:3], b[:3])) and (
+        (a[3] == b[3]).all() and a[4] == b[4] and (a[5] == b[5]).all()
+    )
+
+
 def test_converged_flag_is_per_radius(monkeypatch):
-    # with a one-round budget some radii stop and some do not; each flag
-    # is the same in a batch as alone
-    monkeypatch.setattr(maximal, "_EXTRA_ROUNDS", 0)
-    opt = OptimizerSettings(refine_rounds=1)
+    # with a one-round cap some radii stop and some do not; each flag is
+    # the same in a batch as alone
+    monkeypatch.setattr(maximal, "_MAX_ROUNDS", 1)
+    opt = OptimizerSettings()
     flags = []
     for d in (2, 3, 10):
         g = random_profile(60 + d, 6, d)
@@ -251,6 +259,21 @@ def test_converged_flag_is_per_radius(monkeypatch):
         assert (maximal._UNCONVERGED in warns) == (not converged.all())
         flags.extend(converged)
     assert any(flags) and not all(flags)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 30])
+def test_round_cap_never_binds(monkeypatch, d):
+    # At rel_tol far below rounding every window narrows until it collapses;
+    # even then no radius reaches the cap, so lifting it changes no bit.
+    opt = OptimizerSettings(rel_tol=1e-300)
+    g = random_profile(900 + d, 6, d)
+    Rs = g.support_radius * np.geomspace(1e-3, 100.0, 24)
+    cfgs = [OperatorConfig(d, lam) for lam in (0.0, 0.5, 1.0)]
+    capped = [maximal._supremum_batch(g, cfg, Rs, RegionKind.FULL, opt) for cfg in cfgs]
+    monkeypatch.setattr(maximal, "_MAX_ROUNDS", 10_000)
+    for cfg, before in zip(cfgs, capped):
+        lifted = maximal._supremum_batch(g, cfg, Rs, RegionKind.FULL, opt)
+        assert _same_search(before, lifted), cfg.lam
 
 
 def test_collapsed_window_is_unconverged():
@@ -354,8 +377,6 @@ def test_optimizer_settings_validation():
         OptimizerSettings(refine_rounds=0)
     with pytest.raises(UsageError):
         OptimizerSettings(rel_tol=0.1)
-    with pytest.raises(UsageError):
-        OptimizerSettings(beta_floor=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +430,19 @@ def test_alpha_grid_has_no_effect():
             assert (a.value, a.alpha, a.beta) == (b.value, b.alpha, b.beta)
 
 
+@pytest.mark.parametrize("d", [2, 10, 30])
+def test_refine_rounds_has_no_effect(d):
+    g = random_profile(33 + d, 6, d)
+    Rs = g.support_radius * np.geomspace(0.05, 20.0, 12)
+    for lam in (0.0, 0.5, 1.0):
+        cfg = OperatorConfig(d, lam)
+        runs = [
+            maximal._supremum_batch(g, cfg, Rs, RegionKind.FULL, OptimizerSettings(refine_rounds=k))
+            for k in (1, 12, 100)
+        ]
+        assert all(_same_search(runs[0], other) for other in runs[1:]), lam
+
+
 def test_each_lens_call_makes_at_most_one_betainc_call(monkeypatch):
     # Up to geometry._QUIET_DIM the cap is closed form and calls no betainc.
     # Above it the lens kernel stacks both caps of every lens entry into one
@@ -457,7 +491,7 @@ def test_refinement_stops_within_rel_tol_of_a_dense_scan(d):
             if res.beta == 0.0:
                 continue  # the shrinking-ball limit
             bhi = maximal._mass_cutoff(l1_norm(g, d), unit_ball_volume(d), d, R, res.value)
-            step = (math.log(bhi) - math.log(opt.beta_floor)) / steps
+            step = (math.log(bhi) - math.log(maximal._BETA_FLOOR)) / steps
             betas = res.beta * np.exp(np.linspace(-2.0 * step, 2.0 * step, 2001))
             scan = max(
                 average_over_ball(g, d, R, BallParams(max(0.0, 1.0 - lam * b), b))
