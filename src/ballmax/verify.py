@@ -7,18 +7,25 @@ inclusion claims fail on documented parameter ranges, and those failures are
 recorded (with witnesses) rather than patched over.
 
 Every check is reproducible bit for bit given its inputs and seed.
+
+The Monte Carlo lens oracle, mc_intersection_volume, takes the draws of
+sample_in_ball but decides each hit from the sample's radius r and first
+direction coordinate u_0 alone: r u lies in B(c e1, rho2) exactly when
+r (r - 2 c u_0) <= rho2^2 - c^2.  check_mc_geometry accepts a lens volume
+when it lies in the Wilson score interval of the hit count, at a family-wise
+false-alarm level split over the tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
 from .geometry import (
     GeometryDomainError,
-    intersection_volume,
     lens_volume_array,
     unit_ball_volume,
 )
@@ -49,6 +56,10 @@ _MEMBERSHIP_TOL = 1e-12
 _EXACT_TOL = 1e-12
 _HOMOTHETY_TOL = 1e-10
 _MC_CHUNK = 250_000
+# family-wise false-alarm level of check_mc_geometry over all its tuples
+_MC_FALSE_ALARM = 1e-3
+# up to this many hits (or misses) _hit_interval widens the Wilson interval
+_MC_FEW_HITS = 30
 
 
 @dataclass(frozen=True)
@@ -116,18 +127,37 @@ def sample_in_ball(rng, n: int, d: int, center=None, radius: float = 1.0) -> np.
     return pts
 
 
+def _lens_hits(x: np.ndarray, r: np.ndarray, c: float, rho2: float) -> int:
+    # Points r x/|x| inside B(c e1, rho2), from |x| and x_0 alone:
+    # |r u - c e1|^2 <= rho2^2 with |u| = 1 is r (r - 2 c u_0) <= rho2^2 - c^2.
+    # As in sample_in_ball, a zero row of x is the origin.  r is overwritten.
+    norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+    zero = norm == 0.0
+    norm[zero] = 1.0
+    r[zero] = 0.0
+    u0 = x[:, 0] / norm
+    u0 *= -2.0 * c
+    u0 += r
+    u0 *= r
+    return int(np.count_nonzero(u0 <= rho2 * rho2 - c * c))
+
+
 def mc_intersection_volume(d: int, c: float, rho1: float, rho2: float, mc: McConfig):
     """Monte Carlo lens volume: uniform samples in B(0, rho1) tested for
-    membership in the second ball.  Returns (estimate, standard error)."""
+    membership in the second ball.  Returns (estimate, standard error).
+
+    The draws are those of sample_in_ball, chunk by chunk, but no point is
+    built: a sample r u (|u| = 1) is a hit when r (r - 2 c u_0) <= rho2^2 - c^2,
+    which needs only its radius r and first direction coordinate u_0."""
     rng = np.random.default_rng(mc.seed)
     n = mc.n_samples
     hits = 0
     done = 0
     while done < n:
         m = min(_MC_CHUNK, n - done)
-        pts = sample_in_ball(rng, m, d, radius=rho1)
-        pts[:, 0] -= c
-        hits += int(np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= rho2 * rho2))
+        x = rng.standard_normal((m, d))
+        r = rho1 * rng.random(m) ** (1.0 / d)
+        hits += _lens_hits(x, r, c, rho2)
         done += m
     vol1 = unit_ball_volume(d) * rho1 ** d
     p = hits / n
@@ -136,32 +166,81 @@ def mc_intersection_volume(d: int, c: float, rho1: float, rho2: float, mc: McCon
     return est, se
 
 
+def _poisson_lower(k: int, z: float) -> float:
+    # lower confidence bound on a Poisson mean from k >= 1 counts at the
+    # one-sided normal quantile z: chi2_{2k}/2 in the Wilson-Hilferty form,
+    # which lies below the exact bound at small k
+    return k * max(0.0, 1.0 - 1.0 / (9.0 * k) - z / (3.0 * math.sqrt(k))) ** 3
+
+
+def _hit_interval(hits: int, n: int, z: float) -> tuple[float, float]:
+    """Confidence interval for a hit probability from hits of n samples.
+
+    The Wilson score interval.  It undercovers at a few hits or misses, and
+    more so at a large z: at z = 4 and one hit its lower end lies 2000x
+    above the exact one.  There the end near 0 (or 1) is widened to the
+    Poisson bound, as in the modified Wilson interval of Brown, Cai and
+    DasGupta (Statist. Sci. 16, 2001, sec. 4.1.1)."""
+    p = hits / n
+    z2n = z * z / n
+    centre = (p + 0.5 * z2n) / (1.0 + z2n)
+    half = z / (1.0 + z2n) * math.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n))
+    lo, hi = centre - half, centre + half
+    if 0 < hits <= _MC_FEW_HITS:
+        lo = min(lo, _poisson_lower(hits, z) / n)
+    if 0 < n - hits <= _MC_FEW_HITS:
+        hi = max(hi, 1.0 - _poisson_lower(n - hits, z) / n)
+    return lo, hi
+
+
 def check_mc_geometry(n_tuples: int, d_max: int, mc: McConfig) -> CheckReport:
-    """Exact lens volumes against the Monte Carlo oracle on random tuples;
-    agreement required within 4 standard errors."""
+    """Exact lens volumes against the Monte Carlo oracle on random tuples.
+
+    A tuple passes when exact / vol1 lies in the Wilson score interval of its
+    hit count (Brown, Cai and DasGupta, Statist. Sci. 16, 2001), with a
+    Poisson end at up to _MC_FEW_HITS hits or misses (see _hit_interval) and
+    a relative 1e-12 for rounding.  Its z puts the family-wise false-alarm
+    level _MC_FALSE_ALARM on all tuples together, split evenly over them
+    (Bonferroni), and comes from statistics.NormalDist, so no scipy loads.
+    Each row carries its interval, as volumes, in mc_lo and mc_hi."""
     rng = np.random.default_rng(mc.seed)
-    worst = -math.inf
-    witness = None
-    rows = []
-    for i in range(n_tuples):
+    draws = []
+    for _ in range(n_tuples):
         d = int(rng.integers(1, d_max + 1))
         rho1 = float(rng.uniform(0.2, 2.0))
         rho2 = float(rng.uniform(0.2, 2.0))
         c = float(rng.uniform(0.0, rho1 + rho2 + 0.5))
-        exact = intersection_volume(d, c, rho1, rho2)
-        est, se = mc_intersection_volume(d, c, rho1, rho2, McConfig(int(rng.integers(2**31)), mc.n_samples))
-        # 4 sigma plus an absolute epsilon for the zero-variance exact cases
-        viol = abs(exact - est) - (4.0 * se + 1e-12 * max(1.0, exact))
-        rows.append({"d": d, "c": c, "rho1": rho1, "rho2": rho2, "exact": exact, "mc": est, "se": se})
+        draws.append((d, c, rho1, rho2, int(rng.integers(2**31))))
+    # the exact volumes in one lens-kernel call per dimension
+    dims = np.array([t[0] for t in draws], dtype=int)
+    geo = np.array([t[1:4] for t in draws], dtype=float).reshape(-1, 3)
+    exact = np.zeros(n_tuples)
+    for d in np.unique(dims):
+        at = dims == d
+        exact[at] = lens_volume_array(int(d), *geo[at].T)
+    n = mc.n_samples
+    z = NormalDist().inv_cdf(1.0 - _MC_FALSE_ALARM / (2 * max(n_tuples, 1)))
+    worst = -math.inf if n_tuples else 0.0
+    witness = None
+    rows = []
+    for (d, c, rho1, rho2, seed), ex in zip(draws, exact.tolist()):
+        est, se = mc_intersection_volume(d, c, rho1, rho2, McConfig(seed, n))
+        vol1 = unit_ball_volume(d) * rho1 ** d
+        lo, hi = _hit_interval(round(est / vol1 * n), n, z)
+        lo, hi = lo * vol1, hi * vol1
+        viol = max(lo - ex, ex - hi) - _EXACT_TOL * max(1.0, ex)
+        rows.append({"d": d, "c": c, "rho1": rho1, "rho2": rho2, "exact": ex, "mc": est, "se": se,
+                     "mc_lo": lo, "mc_hi": hi})
         if viol > worst:
             worst = viol
-            witness = (d, c, rho1, rho2, exact, est, se)
+            witness = (d, c, rho1, rho2, ex, est, se, lo, hi)
     return _report(
         "mc-geometry",
         worst,
         0.0,
         witness,
-        f"{n_tuples} random tuples, d<=1..{d_max}, n={mc.n_samples} samples each",
+        f"{n_tuples} random tuples, d<=1..{d_max}, n={n} samples each, "
+        f"Wilson z={z:.4f} (family-wise level {_MC_FALSE_ALARM:g})",
         {"rows": rows},
     )
 

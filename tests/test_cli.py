@@ -292,18 +292,38 @@ def test_cli_byte_identical_given_seed(tmp_path, unitball):
 # import cost: scipy only where d > geometry._QUIET_DIM needs it
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("d, loads_scipy", [(2, False), (10, True)])
-def test_eval_imports_scipy_only_above_the_closed_form_dimensions(tmp_path, d, loads_scipy):
-    path = tmp_path / "g.json"
-    path.write_text(serialize_profile(random_profile(3, 4, d)))
+def _fresh_interpreter(argv: list) -> list:
+    """Run ballmax.cli.main(argv) in a new interpreter; return its exit code
+    and whether scipy was loaded before and after."""
     script = (
         "import sys, ballmax.cli\n"
         "before = 'scipy' in sys.modules\n"
-        f"code = ballmax.cli.main(['eval', '--d', '{d}', '--lambda', '0.5', '--profile', {str(path)!r}, '--R', '1.3'])\n"
+        f"code = ballmax.cli.main({argv!r})\n"
         "print(code, before, 'scipy' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(ballmax.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 False {loads_scipy}"
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("d, loads_scipy", [(2, False), (10, True)])
+def test_eval_imports_scipy_only_above_the_closed_form_dimensions(tmp_path, d, loads_scipy):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_profile(random_profile(3, 4, d)))
+    argv = ["eval", "--d", str(d), "--lambda", "0.5", "--profile", str(path), "--R", "1.3"]
+    assert _fresh_interpreter(argv) == ["0", "False", str(loads_scipy)]
+
+
+def test_verify_mc_geometry_defaults_load_no_scipy_and_report_intervals(tmp_path):
+    # the Wilson z comes from statistics.NormalDist, not scipy.stats
+    out = tmp_path / "mc.json"
+    assert _fresh_interpreter(["verify", "mc-geometry", "--out", str(out)]) == ["0", "False", "False"]
+    (rep,) = json.loads(out.read_text())
+    assert rep["name"] == "mc-geometry" and rep["passed"]
+    rows = rep["extra"]["rows"]
+    assert len(rows) == 20
+    for row in rows:
+        slack = 1e-11 * max(1.0, row["exact"])  # rounding, and 12 digits in the JSON
+        assert row["mc_lo"] - slack <= row["exact"] <= row["mc_hi"] + slack

@@ -64,6 +64,82 @@ def test_check_mc_geometry_passes():
     rep = check_mc_geometry(10, 6, McConfig(123, 100_000))
     assert rep.passed
     assert len(rep.extra["rows"]) == 10
+    for row in rep.extra["rows"]:
+        slack = 1e-12 * max(1.0, row["exact"])  # containment: exact = vol1 = mc_hi up to rounding
+        assert row["mc_lo"] - slack <= row["exact"] <= row["mc_hi"] + slack
+
+
+def _explicit_hits(d, c, rho1, rho2, mc):
+    # the same draws as mc_intersection_volume, as points with a distance test
+    rng = np.random.default_rng(mc.seed)
+    hits = done = 0
+    while done < mc.n_samples:
+        m = min(verify._MC_CHUNK, mc.n_samples - done)
+        pts = sample_in_ball(rng, m, d, radius=rho1)
+        pts[:, 0] -= c
+        hits += int(np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= rho2 * rho2))
+        done += m
+    return hits
+
+
+@pytest.mark.parametrize(
+    "d, c, rho1, rho2, n",
+    [(d, 0.9, 1.0, 0.7, 20_000) for d in range(1, 7)]
+    + [
+        (3, 0.0, 1.3, 0.8, 20_000),  # concentric
+        (2, 2.5, 1.0, 1.5, 20_000),  # externally tangent: no hits
+        (4, 0.5, 1.2, 0.7, 20_000),  # internally tangent: the second ball inside
+        (5, 0.5, 0.7, 1.2, 20_000),  # the first ball inside: every sample hits
+        (6, 1.999, 1.0, 1.0, 20_000),  # near-tangent sliver
+        (4, 1.1, 1.0, 0.6, 250_001),  # crosses a chunk boundary
+    ],
+)
+def test_mc_hits_equal_the_explicit_distance_test(d, c, rho1, rho2, n):
+    mc = McConfig(17 + d, n)
+    hits = _explicit_hits(d, c, rho1, rho2, mc)
+    vol1 = verify.unit_ball_volume(d) * rho1 ** d
+    p = hits / n
+    assert mc_intersection_volume(d, c, rho1, rho2, mc) == (vol1 * p, vol1 * math.sqrt(p * (1.0 - p) / n))
+
+
+def test_mc_zero_direction_is_the_origin():
+    # sample_in_ball maps a zero normal row to the origin, whatever its radius
+    x = np.zeros((2, 3))
+    x[1, 0] = 1.0
+    for c, rho2, want in ((0.5, 0.6, 1), (0.5, 0.4, 0)):
+        r = np.array([0.7, 0.7])
+        origin = verify._lens_hits(x[:1], r[:1], c, rho2)
+        assert origin == want
+        assert verify._lens_hits(x, r, c, rho2) == origin + (abs(0.7 - c) <= rho2)
+
+
+def test_mc_geometry_exact_is_the_scalar_lens_volume_bit_for_bit():
+    for seed in (3, 4):
+        rows = check_mc_geometry(200, 6, McConfig(seed, 1000)).extra["rows"]
+        batched = np.array([row["exact"] for row in rows])
+        scalar = np.array([intersection_volume(r["d"], r["c"], r["rho1"], r["rho2"]) for r in rows])
+        assert np.array_equal(batched.view(np.int64), scalar.view(np.int64))
+
+
+def test_mc_geometry_false_alarms_at_the_stated_level():
+    # Correct volumes, small samples: tiny lenses get 0, 1 or a few hits.
+    # At the family-wise level 1e-3 the expected number of failed checks in
+    # 500 is 0.5, and more than 3 has probability below 2e-3.  The plain
+    # Wilson interval, without the Poisson ends, fails 7 of these 500.
+    seeds = range(500)
+    failed = [s for s in seeds if not check_mc_geometry(20, 6, McConfig(s, 1000)).passed]
+    assert verify._MC_FALSE_ALARM == 1e-3
+    assert len(failed) <= 3, failed
+
+
+def test_mc_geometry_fails_a_volume_off_by_a_fixed_share(monkeypatch):
+    lens = verify.lens_volume_array
+    monkeypatch.setattr(verify, "lens_volume_array", lambda *a: 1.03 * lens(*a))
+    rep = check_mc_geometry(10, 6, McConfig(123, 100_000))
+    assert not rep.passed
+    d, c, rho1, rho2, exact, est, se, lo, hi = rep.witness
+    vol1 = verify.unit_ball_volume(d) * rho1 ** d
+    assert 0.05 <= est / vol1 <= 1.0 and not lo <= exact <= hi
 
 
 # ---------------------------------------------------------------------------
