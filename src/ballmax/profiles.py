@@ -219,6 +219,8 @@ def random_profile(seed: int, k_max: int, d: int) -> StepProfile:
     d = _check_dimension(d)
     if k_max < 1:
         raise ProfileError(f"k_max must be at least 1, got {k_max}")
+    if seed < 0:
+        raise ProfileError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, k_max + 1))
     widths = rng.uniform(0.15, 1.0, size=k)

@@ -8,12 +8,20 @@ recorded (with witnesses) rather than patched over.
 
 Every check is reproducible bit for bit given its inputs and seed.
 
-The Monte Carlo lens oracle, mc_intersection_volume, takes the draws of
-sample_in_ball but decides each hit from the sample's radius r and first
-direction coordinate u_0 alone: r u lies in B(c e1, rho2) exactly when
-r (r - 2 c u_0) <= rho2^2 - c^2.  check_mc_geometry accepts a lens volume
-when it lies in the Wilson score interval of the hit count, at a family-wise
-false-alarm level split over the tuples.
+The Monte Carlo lens oracle, mc_intersection_volume, decides each hit from
+the sample's radius r and first direction coordinate u_0 alone: r u lies in
+B(c e1, rho2) exactly when r (r - 2 c u_0) <= rho2^2 - c^2.  So it draws
+only (r, u_0), from their exact joint law: r = rho1 U^(1/d), and u_0 by
+recursion on d.  At d = 1, u_0 is -1 or +1 with probability 1/2 each; at
+d = 2, u_0 = cos(pi V); at d >= 3, u_0 = V^(1/(d-2)) times an independent
+u_0 of dimension d - 2.  The last step is the generalised Archimedes fact:
+dropping two coordinates of a uniform point on S^(d-1) leaves a uniform
+point in B^(d-2) (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 33, 2005;
+Voelker, Gosmann and Stewart, "Efficiently sampling vectors and coordinates
+from the n-sphere and n-ball", 2017).  A sample costs about d/2 + 1 uniform
+draws and no normals.  check_mc_geometry accepts a lens volume when it lies
+in the Wilson score interval of the hit count, at a family-wise false-alarm
+level split over the tuples.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import numpy as np
 
 from .geometry import (
     GeometryDomainError,
+    MAX_DIMENSION,
     lens_volume_array,
     unit_ball_volume,
 )
@@ -55,7 +64,9 @@ __all__ = [
 _MEMBERSHIP_TOL = 1e-12
 _EXACT_TOL = 1e-12
 _HOMOTHETY_TOL = 1e-10
-_MC_CHUNK = 250_000
+# samples per draw chunk of mc_intersection_volume; a few arrays of this
+# length stay in cache
+_MC_CHUNK = 16_384
 # family-wise false-alarm level of check_mc_geometry over all its tuples
 _MC_FALSE_ALARM = 1e-3
 # up to this many hits (or misses) _hit_interval widens the Wilson interval
@@ -70,6 +81,8 @@ class McConfig:
     n_samples: int = 100_000
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
         if self.n_samples < 1000:
             raise UsageError(f"n_samples must be at least 1000, got {self.n_samples}")
 
@@ -127,15 +140,33 @@ def sample_in_ball(rng, n: int, d: int, center=None, radius: float = 1.0) -> np.
     return pts
 
 
-def _lens_hits(x: np.ndarray, r: np.ndarray, c: float, rho2: float) -> int:
-    # Points r x/|x| inside B(c e1, rho2), from |x| and x_0 alone:
-    # |r u - c e1|^2 <= rho2^2 with |u| = 1 is r (r - 2 c u_0) <= rho2^2 - c^2.
-    # As in sample_in_ball, a zero row of x is the origin.  r is overwritten.
-    norm = np.sqrt(np.einsum("ij,ij->i", x, x))
-    zero = norm == 0.0
-    norm[zero] = 1.0
-    r[zero] = 0.0
-    u0 = x[:, 0] / norm
+def _mc_draws(d: int, rho1: float, mc: McConfig):
+    """The (r, u_0) draws of mc_intersection_volume, chunk by chunk.
+
+    Each chunk of m = _MC_CHUNK samples (fewer in the last) draws, in this
+    order: m uniforms V for each recursion step k = d - 2, d - 4, ... >= 1
+    (the factor V^(1/k)); m uniforms for the base (the sign at odd d,
+    cos(pi V) at even d); m uniforms U for r = rho1 U^(1/d)."""
+    rng = np.random.default_rng(mc.seed)
+    for start in range(0, mc.n_samples, _MC_CHUNK):
+        m = min(_MC_CHUNK, mc.n_samples - start)
+        u0 = np.ones(m)
+        for k in range(d - 2, 0, -2):
+            u0 *= rng.random(m) ** (1.0 / k)
+        v = rng.random(m)
+        if d % 2:
+            np.copysign(u0, v - 0.5, out=u0)
+        else:
+            u0 *= np.cos(np.pi * v)
+        r = rng.random(m) ** (1.0 / d)
+        r *= rho1
+        yield r, u0
+
+
+def _lens_hits(r: np.ndarray, u0: np.ndarray, c: float, rho2: float) -> int:
+    # Points r u (|u| = 1) inside B(c e1, rho2): |r u - c e1|^2 <= rho2^2 is
+    # r (r - 2 c u_0) <= rho2^2 - c^2, so r = 0 hits exactly when c <= rho2.
+    # u0 is overwritten.
     u0 *= -2.0 * c
     u0 += r
     u0 *= r
@@ -146,19 +177,15 @@ def mc_intersection_volume(d: int, c: float, rho1: float, rho2: float, mc: McCon
     """Monte Carlo lens volume: uniform samples in B(0, rho1) tested for
     membership in the second ball.  Returns (estimate, standard error).
 
-    The draws are those of sample_in_ball, chunk by chunk, but no point is
-    built: a sample r u (|u| = 1) is a hit when r (r - 2 c u_0) <= rho2^2 - c^2,
-    which needs only its radius r and first direction coordinate u_0."""
-    rng = np.random.default_rng(mc.seed)
+    No point is built: a sample r u (|u| = 1) is a hit when
+    r (r - 2 c u_0) <= rho2^2 - c^2, which needs only its radius r and first
+    direction coordinate u_0.  Those two are drawn from their exact joint law
+    (see the module docstring): r = rho1 U^(1/d), and u_0 by the recursion
+    u_0(d) = V^(1/(d-2)) u_0(d-2) down to a random sign (d = 1) or cos(pi V)
+    (d = 2).  _mc_draws fixes the chunks and the draw order, so the seed
+    fixes every bit."""
+    hits = sum(_lens_hits(r, u0, c, rho2) for r, u0 in _mc_draws(d, rho1, mc))
     n = mc.n_samples
-    hits = 0
-    done = 0
-    while done < n:
-        m = min(_MC_CHUNK, n - done)
-        x = rng.standard_normal((m, d))
-        r = rho1 * rng.random(m) ** (1.0 / d)
-        hits += _lens_hits(x, r, c, rho2)
-        done += m
     vol1 = unit_ball_volume(d) * rho1 ** d
     p = hits / n
     est = vol1 * p
@@ -203,6 +230,10 @@ def check_mc_geometry(n_tuples: int, d_max: int, mc: McConfig) -> CheckReport:
     level _MC_FALSE_ALARM on all tuples together, split evenly over them
     (Bonferroni), and comes from statistics.NormalDist, so no scipy loads.
     Each row carries its interval, as volumes, in mc_lo and mc_hi."""
+    if n_tuples < 0:
+        raise UsageError(f"n_tuples must be non-negative, got {n_tuples}")
+    if not 1 <= d_max <= MAX_DIMENSION:
+        raise UsageError(f"d_max must lie in [1, {MAX_DIMENSION}], got {d_max}")
     rng = np.random.default_rng(mc.seed)
     draws = []
     for _ in range(n_tuples):

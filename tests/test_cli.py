@@ -272,6 +272,24 @@ def test_removed_search_flags_are_usage_errors(unitball, capsys, flag, value):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "mc-geometry", "--seed", "-1"],
+        ["verify", "domination", "--seed", "-1"],
+        ["verify", "lens-enclosure", "--seed", "-5"],
+        ["sweep", "--d-set", "1", "--lambda-set", "0", "--count", "1", "--seed", "-3"],
+        ["verify", "mc-geometry", "--tuples", "-1"],
+        ["verify", "mc-geometry", "--d-max", "0"],
+        ["verify", "mc-geometry", "--d-max", "31"],
+    ],
+)
+def test_negative_seed_and_bad_mc_counts_are_usage_errors(capsys, args):
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_bad_grid_exit_two(unitball, capsys):
     code = main(
         ["scan", "--d", "1", "--lambda", "1", "--profile", unitball, "--R-grid", "oops"]

@@ -58,6 +58,19 @@ def test_mc_planar_lens_within_four_sigma():
 def test_mc_config_validation():
     with pytest.raises(UsageError):
         McConfig(1, 10)
+    with pytest.raises(UsageError, match="seed"):
+        McConfig(-1, 1000)
+
+
+@pytest.mark.parametrize("n_tuples, d_max", [(-1, 6), (5, 0), (5, 31)])
+def test_check_mc_geometry_rejects_bad_counts(n_tuples, d_max):
+    with pytest.raises(UsageError):
+        check_mc_geometry(n_tuples, d_max, McConfig(1, 1000))
+
+
+def test_check_mc_geometry_with_no_tuples_passes():
+    rep = check_mc_geometry(0, 30, McConfig(1, 1000))
+    assert rep.passed and rep.extra["rows"] == []
 
 
 def test_check_mc_geometry_passes():
@@ -70,15 +83,15 @@ def test_check_mc_geometry_passes():
 
 
 def _explicit_hits(d, c, rho1, rho2, mc):
-    # the same draws as mc_intersection_volume, as points with a distance test
-    rng = np.random.default_rng(mc.seed)
-    hits = done = 0
-    while done < mc.n_samples:
-        m = min(verify._MC_CHUNK, mc.n_samples - done)
-        pts = sample_in_ball(rng, m, d, radius=rho1)
-        pts[:, 0] -= c
+    # the oracle's (r, u_0) draws as explicit points r (u_0, sqrt(1 - u_0^2), 0, ...)
+    # with a distance test
+    hits = 0
+    for r, u0 in verify._mc_draws(d, rho1, mc):
+        pts = np.zeros((r.size, d))
+        pts[:, 0] = r * u0 - c
+        if d > 1:
+            pts[:, 1] = r * np.sqrt(1.0 - u0 * u0)
         hits += int(np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= rho2 * rho2))
-        done += m
     return hits
 
 
@@ -91,7 +104,10 @@ def _explicit_hits(d, c, rho1, rho2, mc):
         (4, 0.5, 1.2, 0.7, 20_000),  # internally tangent: the second ball inside
         (5, 0.5, 0.7, 1.2, 20_000),  # the first ball inside: every sample hits
         (6, 1.999, 1.0, 1.0, 20_000),  # near-tangent sliver
-        (4, 1.1, 1.0, 0.6, 250_001),  # crosses a chunk boundary
+        (4, 1.1, 1.0, 0.6, 250_001),  # crosses chunk boundaries
+        # at d = 10 and 30 the lens of (0.9, 1.0, 0.7) holds too few samples
+        (10, 0.3, 1.0, 1.0, 20_000),
+        (30, 0.3, 1.0, 1.0, 20_000),
     ],
 )
 def test_mc_hits_equal_the_explicit_distance_test(d, c, rho1, rho2, n):
@@ -102,15 +118,42 @@ def test_mc_hits_equal_the_explicit_distance_test(d, c, rho1, rho2, n):
     assert mc_intersection_volume(d, c, rho1, rho2, mc) == (vol1 * p, vol1 * math.sqrt(p * (1.0 - p) / n))
 
 
-def test_mc_zero_direction_is_the_origin():
-    # sample_in_ball maps a zero normal row to the origin, whatever its radius
-    x = np.zeros((2, 3))
-    x[1, 0] = 1.0
-    for c, rho2, want in ((0.5, 0.6, 1), (0.5, 0.4, 0)):
-        r = np.array([0.7, 0.7])
-        origin = verify._lens_hits(x[:1], r[:1], c, rho2)
-        assert origin == want
-        assert verify._lens_hits(x, r, c, rho2) == origin + (abs(0.7 - c) <= rho2)
+def _ks_statistic(a, b):
+    # two-sample Kolmogorov-Smirnov statistic; ties (d = 1) are handled by
+    # evaluating both empirical CDFs at every distinct value
+    a, b = np.sort(a), np.sort(b)
+    x = np.union1d(a, b)
+    fa = np.searchsorted(a, x, side="right") / a.size
+    fb = np.searchsorted(b, x, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 10, 30])
+def test_mc_draws_follow_the_uniform_ball_law(d):
+    n, rho1 = 200_000, 1.7
+    r, u0 = (np.concatenate(chunks) for chunks in zip(*verify._mc_draws(d, rho1, McConfig(40 + d, n))))
+    pts = sample_in_ball(np.random.default_rng(90 + d), n, d, radius=rho1)
+    want_u0 = pts[:, 0] / np.linalg.norm(pts, axis=1)
+    want_r = rho1 * np.random.default_rng(140 + d).random(n) ** (1.0 / d)
+    # two samples of n each differ by more than this with probability below 1e-6
+    critical = math.sqrt(-math.log(1e-6 / 2) / 2) * math.sqrt(2.0 / n)
+    assert _ks_statistic(u0, want_u0) <= critical
+    assert _ks_statistic(r, want_r) <= critical
+    assert np.all((0.0 <= r) & (r <= rho1)) and np.all(np.abs(u0) <= 1.0)
+    # exact moments E u_0^2 = 1/d and E u_0^4 = 3/(d(d+2)), within 6 standard errors
+    for power, exact in ((2, 1.0 / d), (4, 3.0 / (d * (d + 2)))):
+        x = u0 ** power
+        assert abs(x.mean() - exact) <= 6.0 * x.std() / math.sqrt(n) + 1e-15
+
+
+def test_mc_sample_at_the_origin_hits_exactly_when_c_within_rho2():
+    rho2 = 0.6
+    above = math.nextafter(rho2, math.inf)
+    below = math.nextafter(rho2, 0.0)
+    for c in (0.0, 0.3, below, rho2, above, 0.9):
+        for u0 in (-1.0, 0.0, 0.4, 1.0):
+            want = int(c <= rho2)
+            assert verify._lens_hits(np.zeros(1), np.array([u0]), c, rho2) == want
 
 
 def test_mc_geometry_exact_is_the_scalar_lens_volume_bit_for_bit():
