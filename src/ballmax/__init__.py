@@ -66,7 +66,6 @@ from .verify import (
     check_random_ball_domination,
     check_shrink_overlap_inequality,
     mc_intersection_volume,
-    sample_in_ball,
 )
 
 __version__ = "0.1.0"
@@ -120,5 +119,4 @@ __all__ = [
     "check_random_ball_domination",
     "check_shrink_overlap_inequality",
     "mc_intersection_volume",
-    "sample_in_ball",
 ]

@@ -353,12 +353,16 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
             )
     if want("lens-enclosure"):
         r_grid = parse_grid(ns.r_grid) if ns.r_grid else [0.3, 0.5, 0.9]
+        before = len(reports)
         for d in d_list:
-            for r in r_grid:
+            for r in dict.fromkeys(r_grid):
                 t_grid = parse_grid(ns.t_grid) if ns.t_grid else [min(1.0, 1.0 - r + 0.1), 1.0]
-                for t in t_grid:
-                    if t + r > 1.0:
+                for t in dict.fromkeys(t_grid):
+                    # skip t + r <= 1 only: nan and inf reach the check, which rejects them
+                    if not t + r <= 1.0:
                         reports.append(verify.check_lens_enclosure(d, r, t, mc))
+        if len(reports) == before:
+            raise CliError("lens-enclosure: no (r, t) pair has t + r > 1")
     if want("centered-shell"):
         R_set = parse_grid(ns.R_set) if ns.R_set else [0.5, 0.9, 2.0, 5.0]
         for d in d_list:
@@ -376,6 +380,8 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
                 reports.append(
                     verify.check_random_ball_domination(g, OperatorConfig(d, lam), R, mc, opt)
                 )
+    if not reports:
+        raise CliError(f"verify {name}: no check ran, a grid is empty")
     return reports
 
 

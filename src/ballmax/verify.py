@@ -8,10 +8,14 @@ recorded (with witnesses) rather than patched over.
 
 Every check is reproducible bit for bit given its inputs and seed.
 
-The Monte Carlo lens oracle, mc_intersection_volume, decides each hit from
-the sample's radius r and first direction coordinate u_0 alone: r u lies in
-B(c e1, rho2) exactly when r (r - 2 c u_0) <= rho2^2 - c^2.  So it draws
-only (r, u_0), from their exact joint law: r = rho1 U^(1/d), and u_0 by
+Every Monte Carlo check draws a point r u (|u| = 1) of a ball as its radius
+r and axis cosine u_0 alone: each set the point is tested against is a ball
+centered on the e1 axis, so no d-dimensional point is built.  The lens
+oracle, mc_intersection_volume, counts a hit in B(c e1, rho2) when
+r (r - 2 c u_0) <= rho2^2 - c^2; check_lens_enclosure and
+check_random_ball_domination use the axis coordinate r u_0 and the distance
+r sqrt(1 - u_0^2) from the axis.  One function, _ball_draws, draws (r, u_0)
+from their exact joint law in the unit ball: r = U^(1/d), and u_0 by
 recursion on d.  At d = 1, u_0 is -1 or +1 with probability 1/2 each; at
 d = 2, u_0 = cos(pi V); at d >= 3, u_0 = V^(1/(d-2)) times an independent
 u_0 of dimension d - 2.  The last step is the generalised Archimedes fact:
@@ -45,12 +49,11 @@ from .maximal import (
     maximal_value_batch,
     maximal_value_detailed,
 )
-from .profiles import OperatorConfig, StepProfile, indicator_decomposition, l1_norm
+from .profiles import OperatorConfig, StepProfile, indicator_decomposition
 
 __all__ = [
     "McConfig",
     "CheckReport",
-    "sample_in_ball",
     "mc_intersection_volume",
     "check_mc_geometry",
     "check_shrink_overlap_inequality",
@@ -127,38 +130,30 @@ def _report(name, worst, tol, witness, grid, extra=None) -> CheckReport:
     )
 
 
-def sample_in_ball(rng, n: int, d: int, center=None, radius: float = 1.0) -> np.ndarray:
-    """n points uniform in a d-ball: isotropic direction, radius u^(1/d)."""
-    x = rng.standard_normal((n, d))
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    x /= norms
-    r = radius * rng.random(n) ** (1.0 / d)
-    pts = x * r[:, None]
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+def _ball_draws(rng, m: int, d: int):
+    """m points uniform in the unit d-ball, as their radius r and axis
+    cosine u_0 (see the module docstring).
+
+    Draw order: m uniforms V for each recursion step k = d - 2, d - 4, ...
+    >= 1 (the factor V^(1/k)); m uniforms for the base (the sign at odd d,
+    cos(pi V) at even d); m uniforms U for r = U^(1/d)."""
+    u0 = np.ones(m)
+    for k in range(d - 2, 0, -2):
+        u0 *= rng.random(m) ** (1.0 / k)
+    v = rng.random(m)
+    if d % 2:
+        np.copysign(u0, v - 0.5, out=u0)
+    else:
+        u0 *= np.cos(np.pi * v)
+    return rng.random(m) ** (1.0 / d), u0
 
 
 def _mc_draws(d: int, rho1: float, mc: McConfig):
-    """The (r, u_0) draws of mc_intersection_volume, chunk by chunk.
-
-    Each chunk of m = _MC_CHUNK samples (fewer in the last) draws, in this
-    order: m uniforms V for each recursion step k = d - 2, d - 4, ... >= 1
-    (the factor V^(1/k)); m uniforms for the base (the sign at odd d,
-    cos(pi V) at even d); m uniforms U for r = rho1 U^(1/d)."""
+    """The (r, u_0) draws of mc_intersection_volume: _ball_draws on chunks of
+    m = _MC_CHUNK samples (fewer in the last), r scaled by rho1."""
     rng = np.random.default_rng(mc.seed)
     for start in range(0, mc.n_samples, _MC_CHUNK):
-        m = min(_MC_CHUNK, mc.n_samples - start)
-        u0 = np.ones(m)
-        for k in range(d - 2, 0, -2):
-            u0 *= rng.random(m) ** (1.0 / k)
-        v = rng.random(m)
-        if d % 2:
-            np.copysign(u0, v - 0.5, out=u0)
-        else:
-            u0 *= np.cos(np.pi * v)
-        r = rng.random(m) ** (1.0 / d)
+        r, u0 = _ball_draws(rng, min(_MC_CHUNK, mc.n_samples - start), d)
         r *= rho1
         yield r, u0
 
@@ -179,11 +174,9 @@ def mc_intersection_volume(d: int, c: float, rho1: float, rho2: float, mc: McCon
 
     No point is built: a sample r u (|u| = 1) is a hit when
     r (r - 2 c u_0) <= rho2^2 - c^2, which needs only its radius r and first
-    direction coordinate u_0.  Those two are drawn from their exact joint law
-    (see the module docstring): r = rho1 U^(1/d), and u_0 by the recursion
-    u_0(d) = V^(1/(d-2)) u_0(d-2) down to a random sign (d = 1) or cos(pi V)
-    (d = 2).  _mc_draws fixes the chunks and the draw order, so the seed
-    fixes every bit."""
+    direction coordinate u_0, drawn by _ball_draws (see the module
+    docstring).  _mc_draws fixes the chunks and _ball_draws the draw order,
+    so the seed fixes every bit."""
     hits = sum(_lens_hits(r, u0, c, rho2) for r, u0 in _mc_draws(d, rho1, mc))
     n = mc.n_samples
     vol1 = unit_ball_volume(d) * rho1 ** d
@@ -347,65 +340,61 @@ def check_lens_enclosure(d: int, r: float, t: float, mc: McConfig) -> CheckRepor
     centered at ((1 + t^2 - r^2)/2) e1.
 
     Uniform samples in B(e1, r) are filtered to B(0, t) and tested for
-    membership (distance tolerance 1e-12).  Deterministic probes join the
-    samples: the axis points (1 -+ r) e1 and, for d >= 2, the corner points
-    where the two boundary spheres meet.  Membership in the second candidate
+    membership (distance tolerance 1e-12).  All balls here are centered on
+    the e1 axis, so a sample e1 + rho u enters only through its axis
+    coordinate x_1 = 1 + rho u_0 and its distance y = rho sqrt(1 - u_0^2)
+    from the axis; it is drawn as (rho, u_0), like the samples of
+    mc_intersection_volume.  Deterministic probes join the samples: the axis
+    points (1 -+ r) e1 and e1 and, for d >= 2, the rim where the two boundary
+    spheres meet (one orbit, so one probe).  Witnesses are the rotated
+    representatives (x_1, y, 0, ..., 0).  Membership in the second candidate
     ball centered at (1 - r) e1 is recorded alongside but does not gate the
     verdict.
     """
+    if not 1 <= d <= MAX_DIMENSION:
+        raise UsageError(f"d must lie in [1, {MAX_DIMENSION}], got {d}")
+    if not (math.isfinite(r) and math.isfinite(t)):
+        raise UsageError(f"r and t must be finite, got r={r}, t={t}")
     if not 0.0 < r <= 1.0:
         raise UsageError(f"r must lie in (0, 1], got {r}")
     if not (t > 0.0 and t + r > 1.0):
         raise UsageError(f"t must be positive with t + r > 1, got t={t}, r={r}")
-    rng = np.random.default_rng(mc.seed)
-    pts = sample_in_ball(rng, mc.n_samples, d, radius=r)
-    pts[:, 0] += 1.0
-    probes = [np.zeros(d), np.zeros(d), np.zeros(d)]
-    probes[0][0] = 1.0 - r
-    probes[1][0] = 1.0 + r
-    probes[2][0] = 1.0
-    if d >= 2:
-        s = (t * t + 1.0 - r * r) / 2.0
-        y2 = t * t - s * s
-        if y2 >= 0.0:
-            for sign in (1.0, -1.0):
-                q = np.zeros(d)
-                q[0] = s
-                q[1] = sign * math.sqrt(y2)
-                probes.append(q)
-    pts = np.vstack([pts, np.array(probes)])
-    kept = np.linalg.norm(pts, axis=1) <= t + _MEMBERSHIP_TOL
-    inside = pts[kept]
+    rho, u0 = _ball_draws(np.random.default_rng(mc.seed), mc.n_samples, d)
+    rho *= r
+    center = (1.0 + t * t - r * r) / 2.0
+    probes = [(1.0 - r, 0.0), (1.0 + r, 0.0), (1.0, 0.0)]
+    rim2 = t * t - center * center
+    if d >= 2 and rim2 >= 0.0:
+        probes.append((center, math.sqrt(rim2)))
+    probe_x1, probe_y = zip(*probes)
+    x1 = np.append(1.0 + rho * u0, probe_x1)
+    # (1 - u_0)(1 + u_0) does not cancel near the axis, as 1 - u_0^2 would
+    y = np.append(rho * np.sqrt((1.0 - u0) * (1.0 + u0)), probe_y)
+    kept = np.hypot(x1, y) <= t + _MEMBERSHIP_TOL
+    x1, y = x1[kept], y[kept]
 
-    center_main = (1.0 + t * t - r * r) / 2.0
-    delta = inside.copy()
-    delta[:, 0] -= center_main
-    dist_main = np.linalg.norm(delta, axis=1)
+    dist_main = np.hypot(x1 - center, y)
     viol_main = dist_main - r * t
+    viol_second = np.hypot(x1 - (1.0 - r), y) - r * t
 
-    delta2 = inside.copy()
-    delta2[:, 0] -= 1.0 - r
-    dist_second = np.linalg.norm(delta2, axis=1)
-    viol_second = dist_second - r * t
+    def point(i):
+        return ((float(x1[i]), float(y[i])) + (0.0,) * (d - 2))[:d]
 
     i_worst = int(np.argmax(viol_main))
     worst = float(viol_main[i_worst])
-    witness = tuple(float(x) for x in inside[i_worst]) + (float(dist_main[i_worst]),)
-    n_main = int(np.count_nonzero(viol_main > _MEMBERSHIP_TOL))
-    n_second = int(np.count_nonzero(viol_second > _MEMBERSHIP_TOL))
     j_worst = int(np.argmax(viol_second))
     return _report(
         "lens-enclosure",
         worst,
         _MEMBERSHIP_TOL,
-        witness,
+        point(i_worst) + (float(dist_main[i_worst]),),
         f"d={d}, r={r}, t={t}, {mc.n_samples} samples + {len(probes)} probes, seed={mc.seed}",
         {
-            "violating_samples": n_main,
-            "kept_samples": int(inside.shape[0]),
-            "secondary_center_violations": n_second,
+            "violating_samples": int(np.count_nonzero(viol_main > _MEMBERSHIP_TOL)),
+            "kept_samples": int(x1.size),
+            "secondary_center_violations": int(np.count_nonzero(viol_second > _MEMBERSHIP_TOL)),
             "secondary_worst_violation": float(viol_second[j_worst]),
-            "secondary_witness": tuple(float(x) for x in inside[j_worst]),
+            "secondary_witness": point(j_worst),
         },
     )
 
@@ -539,7 +528,9 @@ def check_random_ball_domination(
     """Rotation-reduction audit: random admissible balls (center z anywhere,
     radius rho, with x within lam*rho of z) must not beat the axis-reduced
     supremum.  Each sampled average is computed through the axis reduction
-    with center distance |z|."""
+    with center distance |z|.  At lam > 0 the offset z - R e1 is drawn as
+    its radius and axis cosine (_ball_draws), which give |z| directly; at
+    lam = 0 nothing but rho is drawn."""
     opt = opt or OptimizerSettings()
     if not (R > 0.0 and math.isfinite(R)):
         raise UsageError(f"R must be positive, got {R}")
@@ -554,10 +545,10 @@ def check_random_ball_domination(
     if lam == 0.0:
         z_norm = np.full(n, R)
     else:
-        offs = sample_in_ball(rng, n, d, radius=1.0)  # unit ball offsets, scaled per sample
-        z = offs * (lam * rho)[:, None]
-        z[:, 0] += R
-        z_norm = np.linalg.norm(z, axis=1)
+        # z = R e1 + s u with s = lam rho r, (r, u_0) uniform in the unit ball
+        r, u0 = _ball_draws(rng, n, d)
+        s = lam * rho * r
+        z_norm = np.hypot(R + s * u0, s * np.sqrt((1.0 - u0) * (1.0 + u0)))
     decomp = indicator_decomposition(g)
     radii_k = np.array([r for r, _ in decomp])
     coeff_k = np.array([a for _, a in decomp])

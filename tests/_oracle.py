@@ -6,11 +6,17 @@ it with their own scalar case split.  ballmax.geometry has one cap formula
 and one lens case split, both on numpy arrays: the cap is a closed form up to
 d = 6 and scipy's betainc complement above.  The tests pin those kernels
 against this module, and this module and the closed form against mpmath.
+
+sample_in_ball draws uniform points of a ball the textbook way, from d
+normal coordinates; it is the reference law for the (radius, axis cosine)
+draws of ballmax.verify.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ballmax.geometry import GeometryDomainError, unit_ball_volume
 
@@ -111,3 +117,13 @@ def lens_volume_ref(d: int, c: float, rho1: float, rho2: float) -> float:
     h1 = min(max(rho1 - x1, 0.0), 2.0 * rho1)
     h2 = min(max(rho2 - (c - x1), 0.0), 2.0 * rho2)
     return cap_volume_ref(d, rho1, h1) + cap_volume_ref(d, rho2, h2)
+
+
+def sample_in_ball(rng, n: int, d: int, radius: float = 1.0) -> np.ndarray:
+    """n points uniform in B(0, radius): isotropic direction, radius u^(1/d)."""
+    x = rng.standard_normal((n, d))
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    x /= norms
+    r = radius * rng.random(n) ** (1.0 / d)
+    return x * r[:, None]

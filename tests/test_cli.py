@@ -290,6 +290,45 @@ def test_negative_seed_and_bad_mc_counts_are_usage_errors(capsys, args):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--d", "0"],
+        ["--d", "31"],
+        ["--t-grid", "inf"],
+        ["--r-grid", "nan"],
+        ["--r-grid", "0.5", "--t-grid", "nan"],
+        ["--r-grid", "0.3", "--t-grid", "0.5"],  # no pair with t + r > 1
+        ["--d-set", ","],  # no dimension
+    ],
+)
+def test_verify_lens_enclosure_domain_errors(capsys, args):
+    assert main(["verify", "lens-enclosure", "--n-samples", "1000", *args]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [["homothety", "--d-set", ","], ["domination", "--R-set", ","]])
+def test_verify_with_no_check_to_run_is_usage_error(capsys, args):
+    assert main(["verify", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: verify")
+
+
+def test_verify_lens_enclosure_runs_each_grid_pair_once(tmp_path):
+    # the default t grid, min(1, 1.1 - r) and 1, repeats t = 1 at r <= 0.1;
+    # a repeated value in a given grid is also run once
+    out = tmp_path / "v.json"
+    for extra, want in (
+        ([], [(0.05, 1.0)]),
+        (["--t-grid", "0.98,1.0,0.98"], [(0.05, 0.98), (0.05, 1.0)]),
+    ):
+        args = ["verify", "lens-enclosure", "--d", "2", "--r-grid", "0.05,0.05", "--n-samples", "1000"]
+        assert main(args + extra + ["--out", str(out)]) == 0
+        got = [rep["samples_or_grid"].split(", ")[1:3] for rep in json.loads(out.read_text())]
+        assert got == [[f"r={r}", f"t={t}"] for r, t in want]
+
+
 def test_bad_grid_exit_two(unitball, capsys):
     code = main(
         ["scan", "--d", "1", "--lambda", "1", "--profile", unitball, "--R-grid", "oops"]

@@ -1,11 +1,12 @@
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from ballmax import verify
-from ballmax.geometry import GeometryDomainError, intersection_volume
+from ballmax.geometry import GeometryDomainError, intersection_volume, lens_volume_array
 from ballmax.maximal import OptimizerSettings, UsageError
 from ballmax.profiles import OperatorConfig, StepProfile, random_profile
 from ballmax.verify import (
@@ -19,8 +20,8 @@ from ballmax.verify import (
     check_random_ball_domination,
     check_shrink_overlap_inequality,
     mc_intersection_volume,
-    sample_in_ball,
 )
+from _oracle import sample_in_ball
 
 UNIT_BALL = StepProfile(((1.0, 1.0),))
 
@@ -309,6 +310,46 @@ def test_lens_enclosure_usage_errors():
         check_lens_enclosure(2, 1.5, 0.8, McConfig(1, 2000))
     with pytest.raises(UsageError):
         check_lens_enclosure(2, 0.3, 0.5, McConfig(1, 2000))  # t + r <= 1
+    for d, r, t in ((0, 0.5, 0.8), (31, 0.5, 0.8), (2, math.nan, 0.8), (2, 0.5, math.nan), (2, 0.5, math.inf)):
+        with pytest.raises(UsageError):
+            check_lens_enclosure(d, r, t, McConfig(1, 2000))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_lens_enclosure_keeps_the_exact_share_of_samples(d):
+    # The samples kept in B(0, t) are a binomial draw with the exact share
+    # |B(e1, r) ^ B(0, t)| / |B(e1, r)|; it lies in their Wilson interval at
+    # level 1e-6.  d >= 7 is left out: there the betainc cap kernel is off
+    # (at d = 30, r = 0.3, t = 1 it gives 0.20237 against 0.21801).
+    n = 100_000
+    z = NormalDist().inv_cdf(1.0 - 1e-6 / 2)
+    for r, t in ((0.5, 0.8), (0.3, 1.0), (0.9, 0.6), (1.0, 1.0), (0.2, 1.15)):
+        rep = check_lens_enclosure(d, r, t, McConfig(60 + d, n))
+        # the axis probes at |x| = 1 - r, 1, 1 + r, and at d >= 2 the rim
+        # probe, which lies on |x| = t in every case here
+        probes = sum(x <= t + 1e-12 for x in (1.0 - r, 1.0, 1.0 + r)) + (d >= 2)
+        lo, hi = verify._hit_interval(rep.extra["kept_samples"] - probes, n, z)
+        share = float(lens_volume_array(d, 1.0, r, t)) / (verify.unit_ball_volume(d) * r ** d)
+        assert lo <= share <= hi, (r, t)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 30])
+def test_lens_enclosure_witnesses_are_rotated_points_of_the_lens(d):
+    e1 = np.eye(d)[0]
+    for r, t in ((0.5, 0.8), (0.1, 1.111), (0.9, 1.5), (1.0, 1.0)):
+        rep = check_lens_enclosure(d, r, t, McConfig(5, 20_000))
+        *x, dist = rep.witness
+        center = (1.0 + t * t - r * r) / 2.0
+        assert dist == pytest.approx(math.dist(x, center * e1), rel=1e-14)
+        assert rep.worst_violation == dist - r * t
+        for p in (np.array(x), np.array(rep.extra["secondary_witness"])):
+            assert p.shape == (d,)
+            assert np.linalg.norm(p) <= t + 1e-12
+            assert np.linalg.norm(p - e1) <= r + 1e-12
+            assert np.all(p[2:] == 0.0)
+        # three axis probes, and one rim probe where the two spheres meet
+        rim = d >= 2 and 1.0 - r <= t <= 1.0 + r
+        assert rep.samples_or_grid.endswith(f"+ {3 + rim} probes, seed=5")
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +532,17 @@ def test_domination_random_profile():
     g = random_profile(14, 5, 3)
     rep = check_random_ball_domination(g, OperatorConfig(3, 0.5), 2.0, McConfig(5, 5_000))
     assert rep.passed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 30])
+def test_domination_witness_is_admissible(d):
+    # the witness center lies within lam * rho of R e1; at lam = 0 it is R e1
+    for lam, R, seed in ((0.0, 1.5, 1), (0.25, 0.7, 2), (0.5, 5.0, 3), (1.0, 2.0, 4)):
+        rep = check_random_ball_domination(
+            UNIT_BALL, OperatorConfig(d, lam), R, McConfig(seed, 5_000)
+        )
+        z_norm, rho, _, _ = rep.witness
+        assert abs(z_norm - R) <= lam * rho * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
