@@ -166,7 +166,7 @@ def radial_scan(
         raise UsageError("R_grid must be positive and strictly increasing")
     from .maximal import _supremum_batch
 
-    vals, _, _, _, warns, _ = _supremum_batch(g, cfg, R, region, opt)
+    vals, _, _, _, warns = _supremum_batch(g, cfg, R, region, opt)
     entries = tuple((float(r), float(m)) for r, m in zip(R, vals))
     return RadialScan(entries, cfg, region, opt, warnings=warns)
 

@@ -30,8 +30,13 @@ are kept purely as audited diagnostics:
 
 * CENTERED_SHELL: centered balls with radius in [R, 2R], only meaningful at
   lam = 0.
-* UPPER_BAND: alpha in [beta, beta+1] (intersected with alpha in [0, 1]).
-* LOWER_BAND: alpha in [beta-1, beta] (intersected with alpha in [0, 1]).
+* UPPER_BAND: alpha in [beta, beta+1] (intersected with the full region).
+* LOWER_BAND: alpha in [beta-1, beta] (intersected with the full region).
+
+Each region is defined once, by its beta range and its alpha bounds at each
+beta, and membership and the search read only that.  A restricted region has
+a greatest beta and so a least radius, below which the ball volumes the search
+needs underflow; the search rejects such a radius (UsageError).
 
 The reported value is a lower bound of the region supremum by construction:
 every candidate evaluated is a genuine feasible ball average (plus the
@@ -145,55 +150,51 @@ class MaximalResult:
     alpha: float
     beta: float
     converged: bool
-    empty_region: bool = False
     warnings: tuple[str, ...] = ()
+
+
+def _beta_range(region: RegionKind, lam: float):
+    """Least and greatest beta of the region: the only check of lam against it."""
+    if not 0.0 <= lam <= 1.0:
+        raise UsageError(f"lambda must lie in [0, 1], got {lam}")
+    if region is RegionKind.FULL:
+        return 0.0, math.inf
+    if region is RegionKind.CENTERED_SHELL:
+        if lam != 0.0:
+            raise UsageError("the centered-shell region is only defined at lambda = 0")
+        return 1.0, 2.0
+    if region is RegionKind.UPPER_BAND:
+        return 0.0, 1.0
+    if region is RegionKind.LOWER_BAND:
+        return 1.0 / (1.0 + lam), 2.0
+    raise UsageError(f"unknown region {region!r}")
+
+
+def _alpha_bounds(region: RegionKind, lam: float, beta):
+    """Least and greatest feasible alpha at each beta (scalar or array) of the
+    region's range; every region lies on or above the cut alpha = 1 - lam*beta."""
+    cut = 1.0 - lam * beta
+    if region is RegionKind.FULL:
+        return np.maximum(0.0, cut), 1.0
+    if region is RegionKind.CENTERED_SHELL:
+        return (np.ones_like(beta),) * 2
+    if region is RegionKind.UPPER_BAND:
+        return np.maximum(beta, cut), np.minimum(1.0, beta + 1.0)
+    return np.maximum(np.maximum(0.0, beta - 1.0), cut), np.minimum(beta, 1.0)
 
 
 def feasible(region: RegionKind, lam: float, p: BallParams) -> bool:
     """Exact membership of (alpha, beta) in the region variant."""
-    if not 0.0 <= lam <= 1.0:
-        raise UsageError(f"lambda must lie in [0, 1], got {lam}")
-    a, b = p.alpha, p.beta
-    if region is RegionKind.FULL:
-        return 0.0 <= a <= 1.0 and lam * b + a >= 1.0
-    if region is RegionKind.CENTERED_SHELL:
-        if lam != 0.0:
-            raise UsageError("the centered-shell region is only defined at lambda = 0")
-        return a == 1.0 and 1.0 <= b <= 2.0
-    if region is RegionKind.UPPER_BAND:
-        return b <= a <= b + 1.0 and 0.0 <= a <= 1.0 and lam * b + a >= 1.0
-    if region is RegionKind.LOWER_BAND:
-        return max(0.0, b - 1.0) <= a <= min(b, 1.0) and lam * b + a >= 1.0
-    raise UsageError(f"unknown region {region!r}")
+    blo, bhi = _beta_range(region, lam)
+    lo, hi = _alpha_bounds(region, lam, p.beta)
+    return bool(blo <= p.beta <= bhi and lo <= p.alpha <= hi)
 
 
 def _least_offset(region: RegionKind, lam: float, beta: np.ndarray) -> np.ndarray:
-    """Smallest feasible alpha per beta (array).  Where rounding empties the
-    interval (hi < lo by an ulp at a region edge) the upper bound is used, so
-    the ball stays inside the region."""
-    if region is RegionKind.FULL:
-        return np.maximum(0.0, 1.0 - lam * beta)
-    if region is RegionKind.CENTERED_SHELL:
-        return np.ones_like(beta)
-    if region is RegionKind.UPPER_BAND:
-        lo = np.maximum(beta, 1.0 - lam * beta)
-        hi = np.minimum(1.0, beta + 1.0)
-    elif region is RegionKind.LOWER_BAND:
-        lo = np.maximum(np.maximum(0.0, beta - 1.0), 1.0 - lam * beta)
-        hi = np.minimum(beta, 1.0)
-    else:  # pragma: no cover
-        raise UsageError(f"unknown region {region!r}")
+    """Smallest feasible alpha per beta (array); where rounding empties the
+    interval by an ulp at a region edge, the greatest."""
+    lo, hi = _alpha_bounds(region, lam, beta)
     return np.minimum(lo, hi)
-
-
-def _beta_range(region: RegionKind, lam: float):
-    if region is RegionKind.FULL:
-        return 0.0, math.inf
-    if region is RegionKind.CENTERED_SHELL:
-        return 1.0, 2.0
-    if region is RegionKind.UPPER_BAND:
-        return 0.0, 1.0
-    return 1.0 / (1.0 + lam), 2.0
 
 
 def average_over_ball(g: StepProfile, d: int, R: float, p: BallParams) -> float:
@@ -261,18 +262,13 @@ def _candidate_betas(region: RegionKind, lam: float, R: np.ndarray, radii_k: np.
     n = R.size
     ratio = radii_k[None, :] / R[:, None]  # (n, K)
     cands = [np.full((n, 1), 1.0 / (1.0 + lam))]
-    if region in (RegionKind.FULL, RegionKind.UPPER_BAND, RegionKind.LOWER_BAND):
-        # boundary curve alpha = 1 - lam*beta: inner/outer edge meets r_k
-        cands.append((1.0 + ratio) / (1.0 + lam))
-        cands.append((1.0 - ratio) / (1.0 + lam))
-        if lam < 1.0:
-            cands.append((ratio - 1.0) / (1.0 - lam))
-        if lam > 0.0:
-            cands.append(ratio)  # centered branch alpha = 0
-    if region is RegionKind.CENTERED_SHELL or lam == 0.0:
-        # centered balls: edges at R(1 -+ beta)
-        cands.append(np.abs(1.0 - ratio))
-        cands.append(1.0 + ratio)
+    # curve alpha = 1 - lam*beta (the shell's, at lam = 0): inner/outer edge meets r_k
+    cands.append((1.0 + ratio) / (1.0 + lam))
+    cands.append((1.0 - ratio) / (1.0 + lam))
+    if lam < 1.0:
+        cands.append((ratio - 1.0) / (1.0 - lam))
+    if lam > 0.0:
+        cands.append(ratio)  # centered branch alpha = 0
     if region is RegionKind.LOWER_BAND:
         cands.append((1.0 + ratio) / 2.0)  # branch alpha = beta - 1
     if region is RegionKind.UPPER_BAND:
@@ -282,19 +278,16 @@ def _candidate_betas(region: RegionKind, lam: float, R: np.ndarray, radii_k: np.
 
 def _supremum_batch(g, cfg, R, region, opt):
     """Search every radius of R.  Returns per-radius arrays (value, alpha,
-    beta, empty region), the warnings tuple, and the per-radius converged
-    array."""
+    beta, converged) and the warnings tuple."""
     R = np.atleast_1d(np.asarray(R, dtype=float))
     if R.ndim != 1:
         raise UsageError("radii must form a one-dimensional array")
+    d, lam = cfg.d, cfg.lam
+    blo_region, bhi_region = _beta_range(region, lam)
     if R.size == 0:
-        none = np.zeros(0, dtype=bool)
-        return np.zeros(0), np.zeros(0), np.zeros(0), none, (), none
+        return np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), ()
     if not np.all(np.isfinite(R)) or np.any(R <= 0.0):
         raise UsageError("every radius must be positive and finite")
-    d, lam = cfg.d, cfg.lam
-    if region is RegionKind.CENTERED_SHELL and lam != 0.0:
-        raise UsageError("the centered-shell region is only defined at lambda = 0")
 
     decomp = indicator_decomposition(g)
     radii_k = np.array([r for r, _ in decomp])
@@ -339,17 +332,21 @@ def _supremum_batch(g, cfg, R, region, opt):
         vals = (lens @ coeff_k) / (omega * rad ** d)
         return consider(idx, vals, alphas, betas), vals
 
-    # Shrinking-ball limit: alpha = 1, beta -> 0 stays feasible for the full
-    # region (lam*beta + 1 >= 1) and for the upper band (alpha = 1 >= beta for
-    # small beta); its value is the profile level at R.
-    if region in (RegionKind.FULL, RegionKind.UPPER_BAND):
+    # Shrinking-ball limit alpha = 1, beta -> 0: in the closure of every region
+    # whose beta range starts at 0; its value is the profile level at R.
+    if blo_region == 0.0:
         shrink = levels_at(g, R).astype(float)
         consider(rows, shrink[:, None], np.ones((n, 1)), np.zeros((n, 1)))
 
-    blo_region, bhi_region = _beta_range(region, lam)
     blo_opt = max(blo_region, _BETA_FLOOR)
     # per radius, the floor keeps the least ball's volume a normal double
-    blo = np.maximum(blo_opt, (_LEAST_VOLUME / omega) ** (1.0 / d) / R)
+    least_rad = (_LEAST_VOLUME / omega) ** (1.0 / d)
+    blo = np.maximum(blo_opt, least_rad / R)
+    if np.logical_or.reduce(blo > bhi_region):
+        raise UsageError(
+            f"R = {float(R.min())!r} lies below {float(least_rad / bhi_region)!r}, the least "
+            f"radius of the {region.value} region at d = {d}: smaller balls' volumes underflow"
+        )
 
     # Explicit candidates (includes the minimal ball and the ball just
     # covering the whole support).
@@ -360,13 +357,12 @@ def _supremum_batch(g, cfg, R, region, opt):
         cands = np.concatenate([cands, np.tile(extra, (n, 1)), blo[:, None]], axis=1)
     consider_boundary(rows, np.minimum(np.maximum(cands, blo[:, None]), bhi_region))
 
-    # Truncate the beta range using the mass bound; the incumbent is positive
-    # by now (the minimal ball always meets the support).
+    # Truncate the beta range using the mass bound, within the region; the
+    # incumbent is positive by now (the minimal ball always meets the support).
     finite_best = np.maximum(best_val, _TINY)
     with np.errstate(over="ignore"):
         cut = _mass_cutoff(norm, omega, d, R, finite_best)
-    bhi = np.minimum(bhi_region, cut)
-    bhi = np.maximum(bhi, blo * (1.0 + 1e-9))
+    bhi = np.minimum(np.maximum(cut, blo * (1.0 + 1e-9)), bhi_region)
 
     if d == 1:
         # In one dimension the overlap of each profile step with a ball on
@@ -420,17 +416,11 @@ def _supremum_batch(g, cfg, R, region, opt):
 
 
 def _finish(g, best_val, best_a, best_b, converged):
-    empty = ~np.isfinite(best_val)
-    warnings = []
-    if np.any(empty):
-        best_val[empty] = 0.0
-        warnings.append("empty feasible region after truncation; value reported as 0")
-    if not converged.all():
-        warnings.append(_UNCONVERGED)
+    warnings = () if converged.all() else (_UNCONVERGED,)
     # averages of g never exceed its top level; the clamp strips the last
     # bits of rounding noise from near-containment lens evaluations
     best_val = np.minimum(np.maximum(best_val, 0.0), g.top_level)
-    return best_val, best_a, best_b, empty, tuple(warnings), converged
+    return best_val, best_a, best_b, converged, warnings
 
 
 def maximal_value_batch(
@@ -455,13 +445,12 @@ def maximal_value_detailed(
 ) -> MaximalResult:
     """maximal_value plus the located argmax and convergence flags."""
     opt = opt or OptimizerSettings()
-    vals, a, b, empty, warns, converged = _supremum_batch(g, cfg, [R], region, opt)
+    vals, a, b, converged, warns = _supremum_batch(g, cfg, [R], region, opt)
     return MaximalResult(
         value=float(vals[0]),
         alpha=float(a[0]),
         beta=float(b[0]),
         converged=bool(converged[0]),
-        empty_region=bool(empty[0]),
         warnings=warns,
     )
 

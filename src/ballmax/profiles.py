@@ -173,9 +173,14 @@ def l1_norm(g: StepProfile, d: int) -> float:
     omega = unit_ball_volume(d)
     total = 0.0
     prev = 0.0
-    for r, v in g.breakpoints:
-        total += v * omega * (r ** d - prev ** d)
-        prev = r
+    try:
+        for r, v in g.breakpoints:
+            total += v * omega * (r ** d - prev ** d)
+            prev = r
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ProfileError(f"the profile's mass overflows a double in d = {d}")
     return total
 
 

@@ -446,6 +446,8 @@ def check_centered_shell_gap(
     opt = opt or OptimizerSettings()
     cfg = OperatorConfig(d, 0.0)
     R = np.asarray(list(R_samples), dtype=float)
+    if R.size == 0:
+        raise UsageError("verify centered-shell-gap: R_samples is empty")
     full = maximal_value_batch(g, cfg, R, RegionKind.FULL, opt)
     shell = maximal_value_batch(g, cfg, R, RegionKind.CENTERED_SHELL, opt)
     scale = np.maximum(full, 1e-300)
@@ -481,6 +483,8 @@ def check_band_regions(
     """
     opt = opt or OptimizerSettings()
     R = np.asarray(list(R_samples), dtype=float)
+    if R.size == 0:
+        raise UsageError("verify band-regions: R_samples is empty")
     full = maximal_value_batch(g, cfg, R, RegionKind.FULL, opt)
     upper = maximal_value_batch(g, cfg, R, RegionKind.UPPER_BAND, opt)
     lower = maximal_value_batch(g, cfg, R, RegionKind.LOWER_BAND, opt)

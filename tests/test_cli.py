@@ -8,7 +8,8 @@ import pytest
 
 import ballmax
 from ballmax.cli import CliError, emit, main, parse_grid
-from ballmax.profiles import StepProfile, random_profile, serialize_profile
+from ballmax.maximal import OptimizerSettings, maximal_value_detailed
+from ballmax.profiles import OperatorConfig, StepProfile, random_profile, serialize_profile
 
 UNIT_BALL_DOC = serialize_profile(StepProfile(((1.0, 1.0),)))
 
@@ -105,6 +106,38 @@ def test_eval_tiny_radius_at_d30(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out.startswith("m = ")
+
+
+def test_eval_search_settings_reach_the_search(tmp_path, capsys):
+    g = random_profile(64, 6, 3)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_profile(g))
+    R = 2.0 * g.support_radius
+    out = tmp_path / "row.csv"
+    args = ["eval", "--d", "3", "--lambda", "0.5", "--profile", str(path), "--R", repr(R)]
+    assert main(args + ["--beta-grid", "12", "--rel-tol", "1e-5", "--out", str(out)]) == 0
+    res = maximal_value_detailed(
+        g, OperatorConfig(3, 0.5), R, opt=OptimizerSettings(beta_grid=12, rel_tol=1e-5)
+    )
+    row = ",".join(f"{x:.12g}" for x in (R, res.value, res.alpha, res.beta))
+    assert out.read_bytes().decode() == f"R,m,alpha,beta\r\n{row}\r\n"
+    capsys.readouterr()
+    assert main(args + ["--beta-grid", "7"]) == 2
+    assert capsys.readouterr().err == "error: grid counts must be at least 8\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "scan"])
+def test_unconverged_search_prints_a_warning_and_exits_zero(tmp_path, capsys, command):
+    # rel_tol far below rounding: no window goes flat before it collapses
+    g = random_profile(64, 6, 3)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_profile(g))
+    R = repr(2.0 * g.support_radius)
+    where = ["--R", R] if command == "eval" else ["--R-grid", R]
+    args = [command, "--d", "3", "--lambda", "0.5", "--profile", str(path), *where]
+    assert main(args + ["--rel-tol", "1e-300"]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: refinement did not reach rel_tol before its window collapsed\n"
 
 
 def test_eval_writes_table(tmp_path, unitball):
@@ -236,6 +269,28 @@ def test_sweep_failed_cell_exits_one(tmp_path, unitball, capsys, monkeypatch):
     assert all(",nan," in line for line in lines[5:])
 
 
+@pytest.mark.parametrize(
+    "levels, args",
+    [
+        # the profile's mass overflows a double
+        ('[{"r":1e11,"v":1}]', ["eval", "--d", "30", "--lambda", "0", "--R", "1"]),
+        ('[{"r":1e11,"v":1}]', ["constant", "--d", "30", "--lambda", "0", "--t-grid", "0.5"]),
+        ('[{"r":1e200,"v":1}]', ["eval", "--d", "2", "--lambda", "0", "--R", "1"]),
+        # below the least radius of a restricted region
+        ('[{"r":1,"v":1}]', ["eval", "--d", "30", "--lambda", "0", "--R", "1e-12",
+                             "--region", "centered-shell"]),
+    ],
+)
+def test_profile_mass_and_region_radius_are_usage_errors(tmp_path, capsys, levels, args):
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"levels":{levels}}}')
+    assert main(args + ["--profile", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert ("least radius" in err[0]) == ("--region" in args)
+
+
 @pytest.mark.parametrize("R", ["0", "-1"])
 def test_verify_nonpositive_R_is_usage_error(capsys, R):
     code = main(["verify", "domination", "--d", "1", "--R", R, "--n-samples", "100"])
@@ -309,10 +364,42 @@ def test_verify_lens_enclosure_domain_errors(capsys, args):
     assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("args", [["homothety", "--d-set", ","], ["domination", "--R-set", ","]])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["homothety", "--d-set", ","],
+        ["domination", "--R-set", ","],
+        ["centered-shell", "--R-set", ","],
+        ["bands", "--R-set", ","],
+    ],
+)
 def test_verify_with_no_check_to_run_is_usage_error(capsys, args):
     assert main(["verify", *args]) == 2
     assert capsys.readouterr().err.startswith("error: verify")
+
+
+@pytest.mark.parametrize(
+    "check, name, keys, witness_len",
+    [
+        ("centered-shell", "centered-shell-gap", ["R", "full", "centered_shell"], 3),
+        ("bands", "band-regions", ["R", "full", "upper_band", "lower_band"], 4),
+    ],
+)
+def test_verify_region_audits_report_rows_and_witness(tmp_path, capsys, check, name, keys, witness_len):
+    # the unit ball's known region gaps fail these audits, so both exit 1
+    out = tmp_path / "v.json"
+    args = ["verify", check, "--d-set", "1,2", "--R-set", "0.9,2", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.count(f"FAILED {name}: ") == 2
+    reports = json.loads(out.read_text())
+    assert [rep["name"] for rep in reports] == [name, name]
+    for rep in reports:
+        assert not rep["passed"] and len(rep["witness"]) == witness_len
+        assert rep["witness"][0] in (0.9, 2.0)
+        assert [list(row) for row in rep["extra"]["rows"]] == [keys, keys]
+        assert [row["R"] for row in rep["extra"]["rows"]] == [0.9, 2.0]
+    if check == "bands":
+        assert all(rep["witness"][1] in ("upper-band", "lower-band") for rep in reports)
 
 
 def test_verify_lens_enclosure_runs_each_grid_pair_once(tmp_path):

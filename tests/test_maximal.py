@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,7 +204,6 @@ def test_maximal_value_detailed_reports_argmax():
     assert res.alpha == pytest.approx(0.25, abs=1e-4)
     assert res.beta == pytest.approx(0.75, abs=1e-4)
     assert res.converged
-    assert not res.empty_region
 
 
 def test_maximal_value_batch_matches_scalar():
@@ -233,9 +233,9 @@ def test_maximal_value_batch_is_bitwise_independent(d):
 
 def _same_search(a, b):
     # two _supremum_batch results agree bit for bit: value, alpha, beta,
-    # empty flags, warnings and converged flags
+    # converged flags and warnings
     return all((x.view(np.int64) == y.view(np.int64)).all() for x, y in zip(a[:3], b[:3])) and (
-        (a[3] == b[3]).all() and a[4] == b[4] and (a[5] == b[5]).all()
+        (a[3] == b[3]).all() and a[4] == b[4]
     )
 
 
@@ -249,7 +249,7 @@ def test_converged_flag_is_per_radius(monkeypatch):
         g = random_profile(60 + d, 6, d)
         Rs = g.support_radius * np.geomspace(0.05, 10.0, 24)
         cfg = OperatorConfig(d, 0.5)
-        vals, _, _, _, warns, converged = maximal._supremum_batch(
+        vals, _, _, converged, warns = maximal._supremum_batch(
             g, cfg, Rs, RegionKind.FULL, opt
         )
         for R, v, flag in zip(Rs, vals, converged):
@@ -300,6 +300,33 @@ def test_tiny_radius_keeps_the_ball_volume_normal(R):
         res = maximal_value_detailed(g, OperatorConfig(30, lam), R)
         assert res.converged and res.warnings == ()
         assert res.value == g.top_level
+
+
+@pytest.mark.parametrize("d", [2, 30])
+@pytest.mark.parametrize(
+    "region", [RegionKind.CENTERED_SHELL, RegionKind.UPPER_BAND, RegionKind.LOWER_BAND]
+)
+def test_restricted_search_stays_in_its_region(d, region):
+    # At tiny radii the floor that keeps the least ball's volume normal
+    # passes the region's greatest beta.  Such a radius is rejected, and the
+    # message names the least radius searched; every other radius reports a
+    # ball of its region (or the shrinking-ball limit).
+    g = random_profile(5, 6, d)
+    cfg = OperatorConfig(d, 0.0)
+    rejected = []
+    for R in np.geomspace(1e-300, 1.0, 61).tolist():
+        try:
+            res = maximal_value_detailed(g, cfg, R, region)
+        except UsageError as exc:
+            rejected.append(float(re.search(r"lies below (\S+),", str(exc)).group(1)))
+            continue
+        assert res.beta == 0.0 or feasible(region, 0.0, BallParams(res.alpha, res.beta)), R
+    assert rejected and len(set(rejected)) == 1
+    least = rejected[0]
+    res = maximal_value_detailed(g, cfg, least, region)
+    assert res.beta == 0.0 or feasible(region, 0.0, BallParams(res.alpha, res.beta))
+    with pytest.raises(UsageError, match="least radius"):
+        maximal_value_detailed(g, cfg, math.nextafter(least, 0.0), region)
 
 
 def test_maximal_value_rejects_bad_radius():

@@ -114,6 +114,14 @@ def test_l1_norm_two_step_direct_sum():
     assert l1_norm(TWO_STEP, 1) == pytest.approx(6.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("r, v, d", [(1e11, 1.0, 30), (1e200, 1.0, 2), (1e150, 1e300, 2)])
+def test_l1_norm_that_overflows_is_profile_error(r, v, d):
+    # r^d overflows in the first two cases, the product with the level in
+    # the third; the mass of a profile must be a finite double
+    with pytest.raises(ProfileError, match=f"d = {d}$"):
+        l1_norm(StepProfile(((r, v),)), d)
+
+
 @given(profiles(), st.integers(1, 6))
 def test_l1_norm_matches_decomposition(g, d):
     direct = l1_norm(g, d)
