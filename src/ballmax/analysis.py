@@ -25,13 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import maximal
 from .geometry import unit_ball_volume
-from .maximal import (
-    OptimizerSettings,
-    RegionKind,
-    UsageError,
-    maximal_value_batch,
-)
+from .maximal import OptimizerSettings, RegionKind, UsageError
 from .profiles import (
     OperatorConfig,
     StepProfile,
@@ -164,9 +160,7 @@ def radial_scan(
         return RadialScan((), cfg, region, opt)
     if np.any(R <= 0.0) or np.any(np.diff(R) <= 0.0):
         raise UsageError("R_grid must be positive and strictly increasing")
-    from .maximal import _supremum_batch
-
-    vals, _, _, _, warns = _supremum_batch(g, cfg, R, region, opt)
+    vals, _, _, _, warns = maximal._supremum_batch(g, cfg, R, region, opt)
     entries = tuple((float(r), float(m)) for r, m in zip(R, vals))
     return RadialScan(entries, cfg, region, opt, warnings=warns)
 
@@ -189,8 +183,9 @@ def _level_set_bracket(g, cfg, ts):
     ts = np.asarray(ts, dtype=float)
     r_k = g.support_radius
     norm = l1_norm(g, cfg.d)
-    levels = np.array(g.levels)
-    lo = np.array(g.radii)[np.sum(levels[None, :] > ts[:, None], axis=1) - 1] * _INSIDE
+    steps = g.arrays
+    # the levels end in 0, which no t exceeds
+    lo = steps.radii[np.sum(steps.levels[None, :] > ts[:, None], axis=1) - 1] * _INSIDE
     hi = np.array([level_set_radius_bound(cfg, norm, t) for t in ts])
     cover = hi * _INSIDE - r_k
     lo = np.where(cover >= cfg.lam * r_k, np.maximum(lo, cover), lo)
@@ -204,15 +199,17 @@ def _level_set_radii(g, cfg, ts, opt):
     Every bracket is known before any search (_level_set_bracket).
     Regula falsi on log m - log t against log R, with Anderson-Bjorck
     steps, then narrows every bracket to relative width 1e-6, one batched
-    operator call per step.
+    operator call per step.  One AnalysisWarning counts unconverged radii.
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
     lo, hi = _level_set_bracket(g, cfg, ts)
     log_t = np.log(ts)
+    unconverged = [0]
 
     def mval(R):
-        m = maximal_value_batch(g, cfg, R, RegionKind.FULL, opt)
+        m, _, _, converged, _ = maximal._supremum_batch(g, cfg, R, RegionKind.FULL, opt)
+        unconverged[0] += R.size - np.count_nonzero(converged)
         return m, np.log(np.maximum(m, _TINY))
 
     ends, inv = np.unique(np.concatenate([lo, hi]), return_inverse=True)
@@ -259,6 +256,13 @@ def _level_set_radii(g, cfg, ts, opt):
             f"t={ts[i]:g}: level-set radius not resolved to relative width "
             f"{_CROSSING_REL_WIDTH:g} in {_CROSSING_MAX_STEPS} steps (bracket "
             f"[{lo[i]:.9g}, {hi[i]:.9g}]); midpoint reported",
+            AnalysisWarning,
+            stacklevel=4,
+        )
+    if unconverged[0]:
+        _warnings.warn(
+            f"level-set search: unconverged at {unconverged[0]} of its radii "
+            f"({maximal._UNCONVERGED})",
             AnalysisWarning,
             stacklevel=4,
         )

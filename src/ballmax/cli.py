@@ -25,6 +25,7 @@ from .profiles import (
     OperatorConfig,
     ProfileError,
     StepProfile,
+    l1_norm,
     parse_profile,
     random_profile,
 )
@@ -291,11 +292,13 @@ def _cmd_sweep(ns, opt) -> int:
         def suite(d):
             return [random_profile(ns.seed + i, ns.k_max, d) for i in range(ns.count)]
     else:
-        loaded = [_load_profile(p) for p in ns.profiles.split(",") if p]
-        if not loaded:
+        suite = [_load_profile(p) for p in ns.profiles.split(",") if p]
+        if not suite:
             raise CliError("no profiles given")
-        def suite(d):
-            return loaded
+        # a mass that overflows is a usage error, as in eval, not a failed cell
+        for d in d_set:
+            for g in suite:
+                l1_norm(g, d)
     result = analysis.sweep(d_set, lambda_set, suite, opt, t_points=ns.t_points)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -34,9 +34,14 @@ are kept purely as audited diagnostics:
 * LOWER_BAND: alpha in [beta-1, beta] (intersected with the full region).
 
 Each region is defined once, by its beta range and its alpha bounds at each
-beta, and membership and the search read only that.  A restricted region has
-a greatest beta and so a least radius, below which the ball volumes the search
-needs underflow; the search rejects such a radius (UsageError).
+beta, and membership and the search read only that; no alpha interval of the
+range is empty.  A restricted region has a greatest beta and so a least
+radius, below which the ball volumes the search needs underflow; the search
+rejects such a radius (UsageError).
+
+Every ball average (the search's, average_over_ball's and the domination
+audit's) is one function, _ball_averages: a lens sum over the profile's
+indicator steps (StepProfile.arrays), over the ball volume.
 
 The reported value is a lower bound of the region supremum by construction:
 every candidate evaluated is a genuine feasible ball average (plus the
@@ -53,13 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _lens_array, unit_ball_volume
-from .profiles import (
-    OperatorConfig,
-    StepProfile,
-    indicator_decomposition,
-    l1_norm,
-    levels_at,
-)
+from .profiles import OperatorConfig, StepProfile, l1_norm, levels_at
 
 __all__ = [
     "UsageError",
@@ -166,13 +165,18 @@ def _beta_range(region: RegionKind, lam: float):
     if region is RegionKind.UPPER_BAND:
         return 0.0, 1.0
     if region is RegionKind.LOWER_BAND:
-        return 1.0 / (1.0 + lam), 2.0
+        # the first float with 1 - lam*beta <= beta (rounding may miss 1/(1+lam))
+        least = 1.0 / (1.0 + lam)
+        while 1.0 - lam * least > least:
+            least = math.nextafter(least, 2.0)
+        return least, 2.0
     raise UsageError(f"unknown region {region!r}")
 
 
 def _alpha_bounds(region: RegionKind, lam: float, beta):
     """Least and greatest feasible alpha at each beta (scalar or array) of the
-    region's range; every region lies on or above the cut alpha = 1 - lam*beta."""
+    region's range, never an empty interval; every region lies on or above the
+    cut alpha = 1 - lam*beta."""
     cut = 1.0 - lam * beta
     if region is RegionKind.FULL:
         return np.maximum(0.0, cut), 1.0
@@ -190,27 +194,26 @@ def feasible(region: RegionKind, lam: float, p: BallParams) -> bool:
     return bool(blo <= p.beta <= bhi and lo <= p.alpha <= hi)
 
 
-def _least_offset(region: RegionKind, lam: float, beta: np.ndarray) -> np.ndarray:
-    """Smallest feasible alpha per beta (array); where rounding empties the
-    interval by an ulp at a region edge, the greatest."""
-    lo, hi = _alpha_bounds(region, lam, beta)
-    return np.minimum(lo, hi)
-
-
 def average_over_ball(g: StepProfile, d: int, R: float, p: BallParams) -> float:
     """Average of g over the ball with center offset alpha*R and radius
     beta*R, as a finite sum of exact lens volumes (one lens-kernel call)."""
     if not (R > 0.0 and math.isfinite(R)):
         raise UsageError(f"R must be positive, got {R}")
-    omega = unit_ball_volume(d)
-    decomp = indicator_decomposition(g)
-    radii_k = np.array([r for r, _ in decomp])
-    coeff_k = np.array([a for _, a in decomp])
-    rad = p.beta * R
-    lens = _lens_array(
-        d, omega, np.full(radii_k.shape, p.alpha * R), radii_k, np.full(radii_k.shape, rad)
-    )
-    return float(lens @ coeff_k) / (omega * rad ** d)
+    return float(_ball_averages(g, d, unit_ball_volume(d), p.alpha * R, p.beta * R))
+
+
+def _ball_averages(g: StepProfile, d: int, omega: float, c, rad):
+    """Averages of g over the balls of radius rad centered at distance c (one
+    shape, or scalars).  The kernel's (..., K) arrays, one entry per ball and
+    step, are built with copyto: a call pays no broadcasting or checks."""
+    steps = g.arrays
+    shape = np.shape(rad) + steps.step_radii.shape
+    cc, rho1, rho2 = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.copyto(cc, np.asarray(c)[..., None])
+    np.copyto(rho1, steps.step_radii)
+    np.copyto(rho2, np.asarray(rad)[..., None])
+    lens = _lens_array(d, omega, cc, rho1, rho2)
+    return (lens @ steps.step_coeffs) / (omega * rad ** d)
 
 
 def _mass_cutoff(norm, omega, d, R, best):
@@ -289,9 +292,7 @@ def _supremum_batch(g, cfg, R, region, opt):
     if not np.all(np.isfinite(R)) or np.any(R <= 0.0):
         raise UsageError("every radius must be positive and finite")
 
-    decomp = indicator_decomposition(g)
-    radii_k = np.array([r for r, _ in decomp])
-    coeff_k = np.array([a for _, a in decomp])
+    radii_k = g.arrays.step_radii
     omega = unit_ball_volume(d)
     norm = l1_norm(g, d)
     n = R.size
@@ -318,18 +319,10 @@ def _supremum_batch(g, cfg, R, region, opt):
         return top
 
     def consider_boundary(idx, betas):
-        # one ball per beta, at the least feasible offset; the kernel gets
-        # one (len(idx), m, K) entry per radius, beta and profile step
-        alphas = _least_offset(region, lam, betas)
+        # one ball per beta, at the least feasible offset
+        alphas = _alpha_bounds(region, lam, betas)[0]
         r_col = R[idx, None]
-        rad = betas * r_col
-        shape = betas.shape + radii_k.shape
-        c, rho1, rho2 = np.empty(shape), np.empty(shape), np.empty(shape)
-        np.copyto(c, (alphas * r_col)[..., None])
-        np.copyto(rho1, radii_k)
-        np.copyto(rho2, rad[..., None])
-        lens = _lens_array(d, omega, c, rho1, rho2)
-        vals = (lens @ coeff_k) / (omega * rad ** d)
+        vals = _ball_averages(g, d, omega, alphas * r_col, betas * r_col)
         return consider(idx, vals, alphas, betas), vals
 
     # Shrinking-ball limit alpha = 1, beta -> 0: in the closure of every region
@@ -352,7 +345,7 @@ def _supremum_batch(g, cfg, R, region, opt):
     # covering the whole support).
     cands = _candidate_betas(region, lam, R, radii_k)
     if d == 1:
-        # the branch switches of _least_offset and the low end of the range
+        # the branch switches of the least offset and the low end of the range
         extra = [1.0, 2.0 / (1.0 + lam)] + ([1.0 / lam] if lam > 0.0 else [])
         cands = np.concatenate([cands, np.tile(extra, (n, 1)), blo[:, None]], axis=1)
     consider_boundary(rows, np.minimum(np.maximum(cands, blo[:, None]), bhi_region))

@@ -7,7 +7,9 @@ nonincreasing functions.  Annuli are half open, [r_{k-1}, r_k), so point
 evaluation is fixed at breakpoints; the convention is irrelevant to any
 integral.
 
-Profiles are immutable after construction; all operations are pure.
+Profiles are immutable after construction; all operations are pure.  Every
+reader of a profile's numbers in bulk uses its one array form, built once
+(StepProfile.arrays).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,15 @@ def _as_number(value, field: str) -> float:
     if not math.isfinite(out):
         raise ProfileError(f"{field}: expected a finite number, got {value!r}")
     return out
+
+
+class StepArrays(NamedTuple):
+    """Read-only array form of a StepProfile (see StepProfile.arrays)."""
+
+    radii: np.ndarray  # r_1 < ... < r_K
+    levels: np.ndarray  # v_1 >= ... >= v_K, then 0 beyond the support
+    step_radii: np.ndarray  # r_k of each indicator step, flat runs collapsed
+    step_coeffs: np.ndarray  # its coefficient a_k = v_k - v_{k+1} > 0
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,17 @@ class StepProfile:
     @property
     def top_level(self) -> float:
         return self.breakpoints[0][1]
+
+    @functools.cached_property
+    def arrays(self) -> StepArrays:
+        """The profile as read-only arrays, built on first use."""
+        radii = np.array(self.radii)
+        levels = np.array(self.levels + (0.0,))
+        drops = levels[:-1] - levels[1:]
+        out = StepArrays(radii, levels, radii[drops > 0.0], drops[drops > 0.0])
+        for a in out:
+            a.flags.writeable = False
+        return out
 
 
 def parse_profile(text: str) -> StepProfile:
@@ -147,24 +170,14 @@ def profile_digest(g: StepProfile) -> str:
     return hashlib.sha256(serialize_profile(g).encode("utf-8")).hexdigest()[:12]
 
 
-@functools.lru_cache(maxsize=4096)
-def _decomposition_cached(breakpoints: tuple[tuple[float, float], ...]):
-    out = []
-    for k, (r, v) in enumerate(breakpoints):
-        v_next = breakpoints[k + 1][1] if k + 1 < len(breakpoints) else 0.0
-        a = v - v_next
-        if a > 0.0:
-            out.append((r, a))
-    return tuple(out)
-
-
 def indicator_decomposition(g: StepProfile) -> tuple[tuple[float, float], ...]:
     """Write g as sum of a_k * (indicator of the ball of radius r_k).
 
     Coefficients are the level drops v_k - v_{k+1}; zero drops (flat runs)
     are collapsed away.
     """
-    return _decomposition_cached(g.breakpoints)
+    steps = g.arrays
+    return tuple(zip(steps.step_radii.tolist(), steps.step_coeffs.tolist()))
 
 
 def l1_norm(g: StepProfile, d: int) -> float:
@@ -188,10 +201,7 @@ def evaluate(g: StepProfile, radius: float) -> float:
     """Level of g at the given radius (half-open annuli; 0 beyond support)."""
     if not (radius >= 0.0 and math.isfinite(radius)):
         raise ProfileError(f"radius must be nonnegative and finite, got {radius}")
-    for r, v in g.breakpoints:
-        if radius < r:
-            return v
-    return 0.0
+    return float(levels_at(g, radius))
 
 
 def levels_at(g: StepProfile, radii) -> np.ndarray:
@@ -199,10 +209,8 @@ def levels_at(g: StepProfile, radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if np.any(radii < 0.0) or not np.all(np.isfinite(radii)):
         raise ProfileError("radii must be nonnegative and finite")
-    edges = np.array(g.radii)
-    vals = np.append(np.array(g.levels), 0.0)
-    idx = np.searchsorted(edges, radii, side="right")
-    return vals[idx]
+    steps = g.arrays
+    return steps.levels[np.searchsorted(steps.radii, radii, side="right")]
 
 
 def normalized_indicator(r: float, d: int) -> StepProfile:

@@ -46,10 +46,11 @@ from .maximal import (
     OptimizerSettings,
     RegionKind,
     UsageError,
+    _ball_averages,
     maximal_value_batch,
     maximal_value_detailed,
 )
-from .profiles import OperatorConfig, StepProfile, indicator_decomposition
+from .profiles import OperatorConfig, StepProfile
 
 __all__ = [
     "McConfig",
@@ -67,8 +68,8 @@ __all__ = [
 _MEMBERSHIP_TOL = 1e-12
 _EXACT_TOL = 1e-12
 _HOMOTHETY_TOL = 1e-10
-# samples per draw chunk of mc_intersection_volume; a few arrays of this
-# length stay in cache
+# samples (or balls) per chunk of mc_intersection_volume (and
+# check_random_ball_domination); a few arrays of this length stay in cache
 _MC_CHUNK = 16_384
 # family-wise false-alarm level of check_mc_geometry over all its tuples
 _MC_FALSE_ALARM = 1e-3
@@ -553,11 +554,10 @@ def check_random_ball_domination(
         r, u0 = _ball_draws(rng, n, d)
         s = lam * rho * r
         z_norm = np.hypot(R + s * u0, s * np.sqrt((1.0 - u0) * (1.0 + u0)))
-    decomp = indicator_decomposition(g)
-    radii_k = np.array([r for r, _ in decomp])
-    coeff_k = np.array([a for _, a in decomp])
-    lens = lens_volume_array(d, z_norm[:, None], radii_k, rho[:, None])
-    averages = (lens @ coeff_k) / (unit_ball_volume(d) * rho ** d)
+    omega, averages = unit_ball_volume(d), np.empty(n)
+    for start in range(0, n, _MC_CHUNK):
+        at = slice(start, start + _MC_CHUNK)
+        averages[at] = _ball_averages(g, d, omega, z_norm[at], rho[at])
     viol = (averages - m_star) / max(m_star, 1e-300)
     i = int(np.argmax(viol))
     return _report(

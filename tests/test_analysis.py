@@ -1,10 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from ballmax import analysis
+from ballmax import analysis, maximal
 from ballmax.analysis import (
     AnalysisWarning,
     ConstantEstimate,
@@ -121,17 +122,18 @@ def test_superlevel_matches_scan_and_bisection_oracle(lam):
 
 
 def test_weak_constant_radius_budget(monkeypatch):
-    # radii per cell, and supremum searches (maximal_value_batch calls) over
+    # radii per cell, and supremum searches (_supremum_batch calls) over
     # all 24 cells: the covering-ball ends close most far-field brackets in
     # a few steps
     counts, calls = [], [0]
+    search = maximal._supremum_batch
 
     def counting(g, cfg, R, *args, **kwargs):
         counts[-1] += np.size(R)
         calls[0] += 1
-        return maximal_value_batch(g, cfg, R, *args, **kwargs)
+        return search(g, cfg, R, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "maximal_value_batch", counting)
+    monkeypatch.setattr(maximal, "_supremum_batch", counting)
     for d in (2, 3):
         for i in range(4):
             g = random_profile(BASE_SEED + i, 6, d)
@@ -156,14 +158,15 @@ def test_superlevel_warns_when_steps_run_out(monkeypatch):
     g, cfg = random_profile(BASE_SEED, 6, 2), OperatorConfig(2, 0.5)
     t = default_t_grid(g, 4)[1]
     calls = []
+    search = maximal._supremum_batch
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return maximal_value_batch(*args, **kwargs)
+        return search(*args, **kwargs)
 
     # premise: this level set needs more than one step (one call evaluates
     # the bracket ends, then one call per step)
-    monkeypatch.setattr(analysis, "maximal_value_batch", counting)
+    monkeypatch.setattr(maximal, "_supremum_batch", counting)
     superlevel_measure(g, cfg, t)
     assert len(calls) > 2
     monkeypatch.setattr(analysis, "_CROSSING_MAX_STEPS", 1)
@@ -176,6 +179,19 @@ def test_superlevel_resolves_without_warning():
         warnings.simplefilter("error", AnalysisWarning)
         g = random_profile(BASE_SEED, 6, 2)
         weak_constant_estimate(g, OperatorConfig(2, 0.5), default_t_grid(g, 8), SUITE_OPT)
+
+
+def test_unconverged_searches_warn_once_with_their_count():
+    # at d = 10 the small-cap kernel noise leaves one searched radius of this
+    # cell unconverged; the level-set solver says so once
+    g = random_profile(9003, 6, 10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AnalysisWarning)
+        weak_constant_estimate(g, OperatorConfig(10, 0.0), default_t_grid(g, 12))
+    messages = [str(w.message) for w in caught if w.category is AnalysisWarning]
+    assert len(messages) == 1
+    pattern = r"level-set search: unconverged at 1 of its radii \(.*rel_tol.*\)"
+    assert re.fullmatch(pattern, messages[0])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 30])

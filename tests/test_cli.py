@@ -279,12 +279,15 @@ def test_sweep_failed_cell_exits_one(tmp_path, unitball, capsys, monkeypatch):
         # below the least radius of a restricted region
         ('[{"r":1,"v":1}]', ["eval", "--d", "30", "--lambda", "0", "--R", "1e-12",
                              "--region", "centered-shell"]),
+        # a loaded sweep profile whose mass overflows in one of its dimensions
+        ('[{"r":1e11,"v":1}]', ["sweep", "--d-set", "2,30", "--lambda-set", "0"]),
     ],
 )
 def test_profile_mass_and_region_radius_are_usage_errors(tmp_path, capsys, levels, args):
     path = tmp_path / "g.json"
     path.write_text(f'{{"levels":{levels}}}')
-    assert main(args + ["--profile", str(path)]) == 2
+    flag = "--profiles" if args[0] == "sweep" else "--profile"
+    assert main(args + [flag, str(path)]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -307,12 +307,24 @@ def test_tiny_radius_keeps_the_ball_volume_normal(R):
     "region", [RegionKind.CENTERED_SHELL, RegionKind.UPPER_BAND, RegionKind.LOWER_BAND]
 )
 def test_restricted_search_stays_in_its_region(d, region):
+    _search_stays_in_its_region(d, region, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 30])
+@pytest.mark.parametrize("lam", [0.3, 0.5])
+def test_lower_band_search_stays_in_its_region(d, lam):
+    # at both lam, 1/(1 + lam) rounds so that the cut 1 - lam*beta lies an
+    # ulp above it: that ball is outside the band, which starts a float up
+    _search_stays_in_its_region(d, RegionKind.LOWER_BAND, lam)
+
+
+def _search_stays_in_its_region(d, region, lam):
     # At tiny radii the floor that keeps the least ball's volume normal
     # passes the region's greatest beta.  Such a radius is rejected, and the
     # message names the least radius searched; every other radius reports a
     # ball of its region (or the shrinking-ball limit).
     g = random_profile(5, 6, d)
-    cfg = OperatorConfig(d, 0.0)
+    cfg = OperatorConfig(d, lam)
     rejected = []
     for R in np.geomspace(1e-300, 1.0, 61).tolist():
         try:
@@ -320,11 +332,11 @@ def test_restricted_search_stays_in_its_region(d, region):
         except UsageError as exc:
             rejected.append(float(re.search(r"lies below (\S+),", str(exc)).group(1)))
             continue
-        assert res.beta == 0.0 or feasible(region, 0.0, BallParams(res.alpha, res.beta)), R
+        assert res.beta == 0.0 or feasible(region, lam, BallParams(res.alpha, res.beta)), R
     assert rejected and len(set(rejected)) == 1
     least = rejected[0]
     res = maximal_value_detailed(g, cfg, least, region)
-    assert res.beta == 0.0 or feasible(region, 0.0, BallParams(res.alpha, res.beta))
+    assert res.beta == 0.0 or feasible(region, lam, BallParams(res.alpha, res.beta))
     with pytest.raises(UsageError, match="least radius"):
         maximal_value_detailed(g, cfg, math.nextafter(least, 0.0), region)
 

@@ -142,6 +142,38 @@ def test_decomposition_examples():
 
 
 # ---------------------------------------------------------------------------
+# array form
+# ---------------------------------------------------------------------------
+
+def test_array_form_is_read_only_and_built_once():
+    g = StepProfile(((1.0, 3.0), (2.0, 3.0), (4.0, 1.0)))
+    steps = g.arrays
+    assert g.arrays is steps
+    for a in steps:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # the flat run on [0, 2) is one step
+    assert steps.step_radii.tolist() == [2.0, 4.0]
+    assert steps.step_coeffs.tolist() == [2.0, 1.0]
+
+
+@given(profiles())
+def test_array_form_matches_the_breakpoints(g):
+    steps = g.arrays
+    assert steps.radii.tolist() == list(g.radii)
+    assert steps.levels.tolist() == list(g.levels) + [0.0]
+    # level drops, flat runs collapsed
+    drops = tuple(
+        (r, v - v_next)
+        for (r, v), v_next in zip(g.breakpoints, g.levels[1:] + (0.0,))
+        if v > v_next
+    )
+    assert indicator_decomposition(g) == drops
+    assert tuple(zip(steps.step_radii.tolist(), steps.step_coeffs.tolist())) == drops
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
@@ -167,6 +199,17 @@ def test_levels_at_matches_evaluate():
     arr = levels_at(TWO_STEP, radii)
     for r, v in zip(radii, arr):
         assert v == evaluate(TWO_STEP, float(r))
+
+
+@given(profiles())
+def test_evaluate_and_levels_at_agree_at_and_between_breakpoints(g):
+    r = list(g.radii)
+    inner = [0.0] + [(a + b) / 2.0 for a, b in zip([0.0] + r, r)]
+    beyond = [math.nextafter(r[-1], math.inf), 2.0 * r[-1], 1e300]
+    radii = inner + r + beyond
+    want = [g.top_level] + list(g.levels) + list(g.levels[1:]) + [0.0] * 4
+    assert levels_at(g, radii).tolist() == want
+    assert [evaluate(g, x) for x in radii] == want
 
 
 # ---------------------------------------------------------------------------
