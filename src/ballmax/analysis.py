@@ -318,8 +318,8 @@ def weak_constant_estimate(
     """Ratios t * mu(t) / ||g||_1 over a threshold grid and their maximum."""
     opt = opt or OptimizerSettings()
     ts = [float(t) for t in t_grid]
-    if not ts or any(t <= 0.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise UsageError("t_grid must be positive and strictly increasing")
+    if not (ts and all(a < b for a, b in zip(ts, ts[1:])) and 0.0 < ts[0] and ts[-1] < math.inf):
+        raise UsageError("t_grid must be positive, finite and strictly increasing")
     norm = l1_norm(g, cfg.d)
     mus = _measure_for_thresholds(g, cfg, ts, opt)
     per_t = tuple((t, mu, t * mu / norm) for t, mu in zip(ts, mus))
@@ -343,8 +343,8 @@ def sharpness_experiment(
     opt = opt or OptimizerSettings()
     rs = [float(r) for r in r_seq]
     ts = [float(t) for t in t_seq]
-    if any(r <= 0.0 for r in rs) or any(t <= 0.0 for t in ts):
-        raise UsageError("radii and thresholds must be positive")
+    if any(r <= 0.0 for r in rs) or not all(0.0 < t < math.inf for t in ts):
+        raise UsageError("radii must be positive, thresholds positive and finite")
     bound = (1.0 + cfg.lam) ** cfg.d
     rows = []
     for r in rs:

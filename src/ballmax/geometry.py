@@ -165,9 +165,10 @@ def _cap_array(d: int, omega: float, rho: np.ndarray, h: np.ndarray) -> np.ndarr
             cs *= 1.0 + _horner(wallis, w)
         small = theta - cs
         small /= math.pi
-        tail = _horner(series, theta * theta)
-        tail *= theta ** (d - 1)
-        small = np.where(theta < switch, tail, small)
+        thin = theta < switch
+        if np.logical_or.reduce(thin, axis=None):
+            theta = theta[thin]
+            small[thin] = _horner(series, theta * theta) * theta ** (d - 1)
     small *= full
     return np.where(h <= rho, small, full - small)
 
@@ -184,7 +185,7 @@ def _lens_array(
     contain = c <= np.abs(rho1 - rho2)
     out = np.where(contain, omega * np.minimum(rho1, rho2) ** d, 0.0)
     lens = (~contain) & (c < rho1 + rho2)
-    if lens.any():
+    if np.logical_or.reduce(lens, axis=None):
         cc = c[lens]
         r1 = rho1[lens]
         r2 = rho2[lens]

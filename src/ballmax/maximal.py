@@ -17,11 +17,12 @@ curve is (A beta + B) / beta between the kinks, so there the search
 evaluates only the kinks, the branch switches of the curve, the ends of the
 beta range and the shrinking-ball limit, and is exact up to rounding.  In
 higher dimensions it adds one geometric sweep in beta and a window around the
-incumbent that narrows each round; a radius stops once its window is flat
-(its values spread by at most rel_tol), whatever the other radii of a batch
-do, so a radius gets the same value alone or in a batch.  The window never
-reaches below the betas whose balls miss the support, which far outside the
-support leaves a narrow range.
+incumbent that narrows to its point spacing each round (33 points up to
+d = 6, nine above); a radius stops once its window is flat (its values
+spread by at most rel_tol), whatever the other radii of a batch do, so a
+radius gets the same value alone or in a batch.  The window never reaches
+below the betas whose balls miss the support, which far outside the support
+leaves a narrow range.
 
 The ground-truth region is RegionKind.FULL (alpha in [0, 1],
 lam*beta + alpha >= 1, which is exactly the rotated form of "x in lam*B"
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _lens_array, unit_ball_volume
+from .geometry import _QUIET_DIM, _lens_array, unit_ball_volume
 from .profiles import OperatorConfig, StepProfile, l1_norm, levels_at
 
 __all__ = [
@@ -109,10 +110,11 @@ class OptimizerSettings:
     first refinement window: two sweep steps either side of the incumbent.
     The window stays above the betas whose balls on the least-offset curve
     miss the support, so far outside the support it starts no wider than
-    the betas that remain.  A radius stops refining once a round's values
-    spread by at most rel_tol relative to its incumbent; one whose window
-    has shrunk below float resolution before it went flat is reported
-    unconverged.
+    the betas that remain.  Each round evaluates 33 points and narrows the
+    window 16x up to d = 6, and 9 points narrowing 4x above.  A radius stops
+    refining once a round's values spread by at most rel_tol relative to its
+    incumbent; one whose window has shrunk below float resolution before it
+    went flat is reported unconverged.
 
     alpha_grid and refine_rounds have no effect: the search evaluates one
     ball per beta, at the least feasible offset, and a window narrows until
@@ -228,12 +230,14 @@ def _mass_cutoff(norm, omega, d, R, best):
 # Supremum search
 # ---------------------------------------------------------------------------
 
-# refinement offsets in log beta, in units of the window half-width
+# refinement offsets in log beta, in units of the window half-width: 33 up to
+# geometry._QUIET_DIM, where the kernel is exact and a round costs little per
+# point, and nine above, where its small-cap noise picks the spike a window finds
 _REFINE_STEPS = np.linspace(-1.0, 1.0, 9)[None, :]
-_REFINE_SPACING = _REFINE_STEPS[0, 1] - _REFINE_STEPS[0, 0]
-# Each round narrows a window 4x and a collapsed window is flat, so a radius
-# stops within about 32 rounds; this cap only ends the loop on a NaN
-# objective, whose spread is never flat.
+_QUIET_REFINE_STEPS = np.linspace(-1.0, 1.0, 33)[None, :]
+# Each round narrows a window at least 4x and a collapsed window is flat, so
+# a radius stops within about 32 rounds; this cap only ends the loop on a
+# NaN objective, whose spread is never flat.
 _MAX_ROUNDS = 60
 # The least beta searched; at tiny radii the search raises it so that the
 # least ball's volume stays a normal double.
@@ -296,40 +300,25 @@ def _supremum_batch(g, cfg, R, region, opt):
     omega = unit_ball_volume(d)
     norm = l1_norm(g, d)
     n = R.size
-
-    best_val = np.full(n, -np.inf)
-    best_a = np.full(n, np.nan)
-    best_b = np.full(n, np.nan)
-    rows = np.arange(n)
+    r_col = R[:, None]
 
     # Every step below is elementwise in the radius, so a radius gets the
     # same bits whether it is searched alone or in a batch.
-    def consider(idx, vals, alphas, betas):
-        # fold each row's best candidate into the incumbents of radii idx;
-        # returns the row maxima
-        top = np.maximum.reduce(vals, axis=1)
-        better = top > best_val[idx]
-        if np.logical_or.reduce(better):
-            k = better.nonzero()[0]
-            j = vals[k].argmax(axis=1)
-            up = idx[k]
-            best_val[up] = top[k]
-            best_a[up] = alphas[k, j]
-            best_b[up] = betas[k, j]
-        return top
-
-    def consider_boundary(idx, betas):
-        # one ball per beta, at the least feasible offset
+    def fold(val, beta, betas, r_col):
+        # one ball per beta, at the least feasible offset; a row's first best
+        # replaces an incumbent it beats.  Returns (value, beta, maxima, values)
         alphas = _alpha_bounds(region, lam, betas)[0]
-        r_col = R[idx, None]
         vals = _ball_averages(g, d, omega, alphas * r_col, betas * r_col)
-        return consider(idx, vals, alphas, betas), vals
+        at = np.arange(vals.shape[0]), vals.argmax(axis=1)
+        top = vals[at]
+        better = top > val
+        return np.where(better, top, val), np.where(better, betas[at], beta), top, vals
 
-    # Shrinking-ball limit alpha = 1, beta -> 0: in the closure of every region
-    # whose beta range starts at 0; its value is the profile level at R.
-    if blo_region == 0.0:
-        shrink = levels_at(g, R).astype(float)
-        consider(rows, shrink[:, None], np.ones((n, 1)), np.zeros((n, 1)))
+    # Shrinking-ball limit alpha = 1, beta -> 0 (reported as beta = 0): in the
+    # closure of every region whose beta range starts at 0; its value is the
+    # profile level at R.
+    best_val = levels_at(g, R) if blo_region == 0.0 else np.full(n, -np.inf)
+    best_b = np.full(n, 0.0 if blo_region == 0.0 else np.nan)
 
     blo_opt = max(blo_region, _BETA_FLOOR)
     # per radius, the floor keeps the least ball's volume a normal double
@@ -348,13 +337,13 @@ def _supremum_batch(g, cfg, R, region, opt):
         # the branch switches of the least offset and the low end of the range
         extra = [1.0, 2.0 / (1.0 + lam)] + ([1.0 / lam] if lam > 0.0 else [])
         cands = np.concatenate([cands, np.tile(extra, (n, 1)), blo[:, None]], axis=1)
-    consider_boundary(rows, np.minimum(np.maximum(cands, blo[:, None]), bhi_region))
+    betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_region)
+    best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
 
     # Truncate the beta range using the mass bound, within the region; the
     # incumbent is positive by now (the minimal ball always meets the support).
-    finite_best = np.maximum(best_val, _TINY)
     with np.errstate(over="ignore"):
-        cut = _mass_cutoff(norm, omega, d, R, finite_best)
+        cut = _mass_cutoff(norm, omega, d, R, np.maximum(best_val, _TINY))
     bhi = np.minimum(np.maximum(cut, blo * (1.0 + 1e-9)), bhi_region)
 
     if d == 1:
@@ -363,8 +352,8 @@ def _supremum_batch(g, cfg, R, region, opt):
         # (A beta + B) / beta between consecutive candidates: monotone, with
         # its supremum at a candidate, an end of [blo, bhi] or the
         # shrinking-ball limit.  The search is exact up to rounding.
-        consider_boundary(rows, bhi[:, None])
-        return _finish(g, best_val, best_a, best_b, np.ones(n, dtype=bool))
+        best_val, best_b = fold(best_val, best_b, bhi[:, None], r_col)[:2]
+        return _finish(g, region, lam, best_val, best_b, np.ones(n, dtype=bool))
 
     # One geometric sweep in beta, in one kernel call.  Where the floor does
     # not bind, math.log keeps the bits (np.log differs in the last bit at a
@@ -372,47 +361,55 @@ def _supremum_batch(g, cfg, R, region, opt):
     log_lo = np.where(blo > blo_opt, np.log(blo), math.log(blo_opt))
     log_span = np.log(bhi) - log_lo
     t = _unit_grid(4 * opt.beta_grid)
-    consider_boundary(rows, np.exp(log_lo[:, None] + log_span[:, None] * t[None, :]))
+    betas = np.exp(log_lo[:, None] + log_span[:, None] * t[None, :])
+    best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
 
     # Local refinement around the incumbent.  A radius stops once its window
-    # is flat: its nine values spread by at most rel_tol relative to the
-    # incumbent.  live, log_w, lo and hi hold the radii still refining, their
-    # half-widths and their beta ranges; only those radii are evaluated.  A
-    # window that has collapsed (its end points are one float) is flat
-    # without evidence; such a radius is reported unconverged.  Below lo
-    # every ball on the least-offset curve misses the support
-    # (alpha - beta >= 1 - (1 + lam) beta > r_K / R) and averages 0, so the
-    # window stays in [lo, bhi].  It starts two sweep steps wide on either
-    # side, or as wide as that range, and each round narrows to the last
-    # round's point spacing.
+    # is flat: the round's values spread by at most rel_tol relative to the
+    # incumbent.  live holds the radii still refining, and val, beta, lo, hi,
+    # log_w and r_col their incumbents, beta ranges, half-widths and radii;
+    # only those radii are evaluated.  A window that has collapsed (its end
+    # points are one float) is flat without evidence; such a radius is
+    # reported unconverged.  Below lo every ball on the least-offset curve
+    # misses the support (alpha - beta >= 1 - (1 + lam) beta > r_K / R) and
+    # averages 0, so the window stays in [lo, bhi].  It starts two sweep
+    # steps wide on either side, or as wide as that range, and each round
+    # narrows to the last round's point spacing.
     lo = np.minimum(np.maximum(blo, (1.0 - radii_k[-1] / R) / (1.0 + lam)), bhi)
     log_w = np.minimum(2.0 * log_span / (t.size - 1), np.log(bhi / lo))
-    live, hi = rows, bhi
+    steps = _QUIET_REFINE_STEPS if d <= _QUIET_DIM else _REFINE_STEPS
+    live, val, beta, hi = np.arange(n), best_val, best_b, bhi
     converged = np.zeros(n, dtype=bool)
     for _ in range(_MAX_ROUNDS):
         # fmax maps a missing incumbent (NaN) to lo
-        center_b = np.minimum(np.fmax(best_b[live], lo), hi)[:, None]
-        bref = center_b * np.exp(log_w[:, None] * _REFINE_STEPS)
-        top, vals = consider_boundary(
-            live, np.minimum(np.maximum(bref, lo[:, None]), hi[:, None])
-        )
+        center = np.minimum(np.fmax(beta, lo), hi)[:, None]
+        bref = center * np.exp(log_w[:, None] * steps)
+        betas = np.minimum(np.maximum(bref, lo[:, None]), hi[:, None])
+        val, beta, top, vals = fold(val, beta, betas, r_col)
         spread = top - np.minimum.reduce(vals, axis=1)
-        flat = spread <= opt.rel_tol * np.maximum(np.abs(best_val[live]), _TINY)
+        flat = spread <= opt.rel_tol * np.maximum(np.abs(val), _TINY)
         if np.logical_or.reduce(flat):
-            converged[live[flat & (bref[:, 0] < bref[:, -1])]] = True
+            done = live[flat]
+            best_val[done], best_b[done] = val[flat], beta[flat]
+            converged[done] = bref[flat, 0] < bref[flat, -1]
             keep = ~flat
-            live, log_w, lo, hi = live[keep], log_w[keep], lo[keep], hi[keep]
+            live, val, beta, lo, hi, log_w, r_col = (
+                x[keep] for x in (live, val, beta, lo, hi, log_w, r_col)
+            )
             if live.size == 0:
                 break
-        log_w = log_w * _REFINE_SPACING
-    return _finish(g, best_val, best_a, best_b, converged)
+        log_w = log_w * (steps[0, 1] - steps[0, 0])
+    best_val[live], best_b[live] = val, beta
+    return _finish(g, region, lam, best_val, best_b, converged)
 
 
-def _finish(g, best_val, best_a, best_b, converged):
+def _finish(g, region, lam, best_val, best_b, converged):
     warnings = () if converged.all() else (_UNCONVERGED,)
     # averages of g never exceed its top level; the clamp strips the last
     # bits of rounding noise from near-containment lens evaluations
     best_val = np.minimum(np.maximum(best_val, 0.0), g.top_level)
+    # each ball sits at its beta's least offset: alpha = 1 for the limit, beta = 0
+    best_a = _alpha_bounds(region, lam, best_b)[0]
     return best_val, best_a, best_b, converged, warnings
 
 
@@ -462,9 +459,10 @@ def maximal_value(
     refinement points around the incumbent, and (for regions whose closure
     admits it) the shrinking-ball limit with value g(R).  Refinement starts
     two sweep steps either side of the incumbent, kept above the betas whose
-    balls miss the support, narrows to the point spacing each round, and
-    stops once a round's nine values spread by at most rel_tol relative to
-    the incumbent.  At d = 1 the kinks, the curve's branch switches, the
+    balls miss the support, narrows to the point spacing each round (33
+    points up to d = 6, nine above), and stops once a round's values spread
+    by at most rel_tol relative to the incumbent.  The reported alpha is the
+    least offset of the reported beta.  At d = 1 the kinks, the curve's branch switches, the
     ends of the mass-truncated beta range and the shrinking-ball limit are
     the only candidates; the average is monotone between them, so the value
     is exact up to rounding.

@@ -344,13 +344,13 @@ def check_lens_enclosure(d: int, r: float, t: float, mc: McConfig) -> CheckRepor
     membership (distance tolerance 1e-12).  All balls here are centered on
     the e1 axis, so a sample e1 + rho u enters only through its axis
     coordinate x_1 = 1 + rho u_0 and its distance y = rho sqrt(1 - u_0^2)
-    from the axis; it is drawn as (rho, u_0), like the samples of
-    mc_intersection_volume.  Deterministic probes join the samples: the axis
-    points (1 -+ r) e1 and e1 and, for d >= 2, the rim where the two boundary
-    spheres meet (one orbit, so one probe).  Witnesses are the rotated
-    representatives (x_1, y, 0, ..., 0).  Membership in the second candidate
-    ball centered at (1 - r) e1 is recorded alongside but does not gate the
-    verdict.
+    from the axis.  The samples are those of mc_intersection_volume, checked
+    in its chunks (_mc_draws), not one batch of n_samples draws.  The
+    deterministic probes follow as a last batch: the axis points (1 -+ r) e1
+    and e1 and, for d >= 2, the rim where the two boundary spheres meet (one
+    orbit, so one probe).  Witnesses are the rotated representatives
+    (x_1, y, 0, ..., 0).  Membership in the second candidate ball centered at
+    (1 - r) e1 is recorded alongside but does not gate the verdict.
     """
     if not 1 <= d <= MAX_DIMENSION:
         raise UsageError(f"d must lie in [1, {MAX_DIMENSION}], got {d}")
@@ -360,42 +360,51 @@ def check_lens_enclosure(d: int, r: float, t: float, mc: McConfig) -> CheckRepor
         raise UsageError(f"r must lie in (0, 1], got {r}")
     if not (t > 0.0 and t + r > 1.0):
         raise UsageError(f"t must be positive with t + r > 1, got t={t}, r={r}")
-    rho, u0 = _ball_draws(np.random.default_rng(mc.seed), mc.n_samples, d)
-    rho *= r
     center = (1.0 + t * t - r * r) / 2.0
     probes = [(1.0 - r, 0.0), (1.0 + r, 0.0), (1.0, 0.0)]
     rim2 = t * t - center * center
     if d >= 2 and rim2 >= 0.0:
         probes.append((center, math.sqrt(rim2)))
-    probe_x1, probe_y = zip(*probes)
-    x1 = np.append(1.0 + rho * u0, probe_x1)
-    # (1 - u_0)(1 + u_0) does not cancel near the axis, as 1 - u_0^2 would
-    y = np.append(rho * np.sqrt((1.0 - u0) * (1.0 + u0)), probe_y)
-    kept = np.hypot(x1, y) <= t + _MEMBERSHIP_TOL
-    x1, y = x1[kept], y[kept]
 
-    dist_main = np.hypot(x1 - center, y)
-    viol_main = dist_main - r * t
-    viol_second = np.hypot(x1 - (1.0 - r), y) - r * t
+    def batches():
+        for rho, u0 in _mc_draws(d, r, mc):
+            # (1 - u_0)(1 + u_0) does not cancel near the axis, as 1 - u_0^2 would
+            yield 1.0 + rho * u0, rho * np.sqrt((1.0 - u0) * (1.0 + u0))
+        yield np.array(probes).T
 
-    def point(i):
-        return ((float(x1[i]), float(y[i])) + (0.0,) * (d - 2))[:d]
+    def point(x1, y):
+        return ((float(x1), float(y)) + (0.0,) * (d - 2))[:d]
 
-    i_worst = int(np.argmax(viol_main))
-    worst = float(viol_main[i_worst])
-    j_worst = int(np.argmax(viol_second))
+    kept = violating = secondary = 0
+    # the first worst (violation, witness) of each ball
+    main = second = (-math.inf, ())
+    for x1, y in batches():
+        inside = np.hypot(x1, y) <= t + _MEMBERSHIP_TOL
+        x1, y = x1[inside], y[inside]
+        dist_main = np.hypot(x1 - center, y)
+        viol_main = dist_main - r * t
+        viol_second = np.hypot(x1 - (1.0 - r), y) - r * t
+        kept += x1.size
+        violating += int(np.count_nonzero(viol_main > _MEMBERSHIP_TOL))
+        secondary += int(np.count_nonzero(viol_second > _MEMBERSHIP_TOL))
+        if x1.size:
+            i, j = int(np.argmax(viol_main)), int(np.argmax(viol_second))
+            if viol_main[i] > main[0]:
+                main = (float(viol_main[i]), point(x1[i], y[i]) + (float(dist_main[i]),))
+            if viol_second[j] > second[0]:
+                second = (float(viol_second[j]), point(x1[j], y[j]))
     return _report(
         "lens-enclosure",
-        worst,
+        main[0],
         _MEMBERSHIP_TOL,
-        point(i_worst) + (float(dist_main[i_worst]),),
+        main[1],
         f"d={d}, r={r}, t={t}, {mc.n_samples} samples + {len(probes)} probes, seed={mc.seed}",
         {
-            "violating_samples": int(np.count_nonzero(viol_main > _MEMBERSHIP_TOL)),
-            "kept_samples": int(x1.size),
-            "secondary_center_violations": int(np.count_nonzero(viol_second > _MEMBERSHIP_TOL)),
-            "secondary_worst_violation": float(viol_second[j_worst]),
-            "secondary_witness": point(j_worst),
+            "violating_samples": violating,
+            "kept_samples": kept,
+            "secondary_center_violations": secondary,
+            "secondary_worst_violation": second[0],
+            "secondary_witness": second[1],
         },
     )
 

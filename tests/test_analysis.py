@@ -287,6 +287,14 @@ def test_weak_constant_requires_increasing_grid():
         weak_constant_estimate(UNIT_BALL, OperatorConfig(1, 1.0), [])
 
 
+@pytest.mark.parametrize("t_grid", [[0.1, math.inf], [math.nan], [0.1, math.nan], [-math.inf, 0.1]])
+def test_non_finite_thresholds_are_usage_errors(t_grid):
+    with pytest.raises(UsageError):
+        weak_constant_estimate(UNIT_BALL, OperatorConfig(1, 1.0), t_grid)
+    with pytest.raises(UsageError):
+        sharpness_experiment(OperatorConfig(1, 1.0), [1.0], t_grid)
+
+
 def test_constant_estimate_validates_ratio_sup():
     with pytest.raises(UsageError):
         ConstantEstimate(0.5, 0.1, ((0.1, 1.0, 0.9),), "x" * 12)

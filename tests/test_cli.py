@@ -419,6 +419,24 @@ def test_verify_lens_enclosure_runs_each_grid_pair_once(tmp_path):
         assert got == [[f"r={r}", f"t={t}"] for r, t in want]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["constant", "--t-grid", "0.1,inf"],
+        ["constant", "--t-grid", "nan"],
+        ["sharpness", "--r", "1", "--t-grid", "0.1,inf"],
+        ["sharpness", "--r", "1", "--t-grid", "nan"],
+    ],
+)
+def test_non_finite_thresholds_are_usage_errors(unitball, capsys, args):
+    if args[0] == "constant":
+        args = args + ["--profile", unitball]
+    assert main(args + ["--d", "1", "--lambda", "1"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_bad_grid_exit_two(unitball, capsys):
     code = main(
         ["scan", "--d", "1", "--lambda", "1", "--profile", unitball, "--R-grid", "oops"]

@@ -510,15 +510,19 @@ def test_each_lens_call_makes_at_most_one_betainc_call(monkeypatch):
     assert max(per_lens_call) <= 1
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_refinement_stops_within_rel_tol_of_a_dense_scan(d):
+@pytest.mark.parametrize(
+    "d, opt",
+    [(d, OptimizerSettings()) for d in (2, 3, 5)] + [(d, CRITERION_01) for d in (2, 3, 5)],
+    ids=["2", "3", "5", "2-criterion-01", "3-criterion-01", "5-criterion-01"],
+)
+def test_refinement_stops_within_rel_tol_of_a_dense_scan(d, opt):
     # A flat window is honest evidence: no least-offset ball within two
     # sweep steps of the reported beta (2,001 scalar-path averages) beats
     # the reported value by more than rel_tol.  The sweep step is taken at
     # the mass cutoff of the reported value, which is at most the search's;
     # past it no ball can beat the reported value.  The far-field radii
     # (3 to 60 r_K) check the window floored where balls miss the support.
-    opt = OptimizerSettings()
+    # The criterion-01 settings are those of the sweep.
     steps = 4 * opt.beta_grid - 1
     scanned = 0
     for lam in (0.0, 0.5, 1.0):
@@ -542,8 +546,9 @@ def test_refinement_stops_within_rel_tol_of_a_dense_scan(d):
 
 
 def test_refinement_work_budget(monkeypatch):
-    # median lens-kernel calls per d >= 2 radius at the default settings:
-    # candidates, one sweep and the refinement rounds
+    # lens-kernel calls per d >= 2 radius at the default settings:
+    # candidates, one sweep and the refinement rounds.  Up to d = 6 a round
+    # narrows 16x, so a radius takes at most six calls there.
     lens, calls = maximal._lens_array, [0]
 
     def counting_lens(*args):
@@ -551,22 +556,46 @@ def test_refinement_work_budget(monkeypatch):
         return lens(*args)
 
     monkeypatch.setattr(maximal, "_lens_array", counting_lens)
-    per_radius = []
+    per_radius = {}
     for d in (2, 3, 5, 10, 30):
         for lam in (0.0, 0.5, 1.0):
             g = random_profile(90 + d, 6, d)
             for R in g.support_radius * np.geomspace(0.05, 5.0, 8):
                 calls[0] = 0
                 maximal_value_detailed(g, OperatorConfig(d, lam), float(R))
-                per_radius.append(calls[0])
-    assert np.median(per_radius) <= 9
+                per_radius.setdefault(d, []).append(calls[0])
+    assert np.median(sum(per_radius.values(), [])) <= 9
+    assert max(max(per_radius[d]) for d in (2, 3, 5)) <= 6
+
+
+def test_reported_alpha_is_the_least_offset_of_the_reported_beta():
+    # the search reports only beta; alpha is the region's least offset
+    # there, and 1 for the shrinking-ball limit (beta = 0)
+    limits = 0
+    for d in (1, 2, 3, 10):
+        g = random_profile(300 + d, 6, d)
+        Rs = g.support_radius * np.geomspace(0.02, 60.0, 24)
+        for lam in (0.0, 0.5, 1.0):
+            cfg = OperatorConfig(d, lam)
+            regions = [RegionKind.FULL, RegionKind.UPPER_BAND, RegionKind.LOWER_BAND]
+            if lam == 0.0:
+                regions.append(RegionKind.CENTERED_SHELL)
+            for region in regions:
+                search = maximal._supremum_batch(g, cfg, Rs, region, OptimizerSettings())
+                for alpha, beta in zip(search[1].tolist(), search[2].tolist()):
+                    if beta == 0.0:
+                        assert alpha == 1.0
+                        limits += 1
+                    else:
+                        assert alpha == _least_offset(region, lam, beta), (d, lam, region, beta)
+    assert limits > 0
 
 
 # ---------------------------------------------------------------------------
 # d = 1: the search is exact at its candidate betas
 # ---------------------------------------------------------------------------
 
-def _least_offset_1d(region, lam, beta):
+def _least_offset(region, lam, beta):
     """Least alpha of each region's definition (see feasible), scalar."""
     if region is RegionKind.FULL:
         return max(0.0, 1.0 - lam * beta)
@@ -610,7 +639,7 @@ def test_one_dimensional_search_matches_dense_scan(case):
     res = maximal_value_detailed(g, OperatorConfig(1, lam), R, region)
     assert res.converged and res.warnings == ()
     scan = [
-        average_over_ball(g, 1, R, BallParams(_least_offset_1d(region, lam, b), b))
+        average_over_ball(g, 1, R, BallParams(_least_offset(region, lam, b), b))
         for b in np.geomspace(*_beta_span(region, lam, g, R), 20_000).tolist()
     ]
     if region in (RegionKind.FULL, RegionKind.UPPER_BAND):
