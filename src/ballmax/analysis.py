@@ -12,6 +12,10 @@ weak-type ratio t * mu(t) / ||g||_1 is then maximized over a threshold grid;
 for radial nonincreasing profiles its supremum over all t is (1 + lam)^d,
 which the sharpness experiment approaches with normalized ball indicators.
 
+This module owns the weak-(1,1) verdict: the bound (weak_bound), the slack
+a ratio may exceed it by (bound_holds) and the per-threshold table every
+command emits (threshold_rows).
+
 Because the operator values are lower bounds of the true suprema and the
 crossing radii are refined to relative width 1e-6, every reported ratio is a
 lower estimate of the true ratio up to that refinement error.
@@ -63,6 +67,7 @@ _MIN_LOG_STEP = 0.3 * _CROSSING_REL_WIDTH
 _INSIDE = 1.0 - 1e-9
 _TINY = 1e-300  # floor under operator values before taking the log
 _MU_MONOTONE_SLACK = 1e-5
+_BOUND_SLACK = 1e-9  # a ratio this far above the bound still meets it
 
 
 class AnalysisWarning(UserWarning):
@@ -119,6 +124,26 @@ class SweepResult:
     warnings: tuple[str, ...] = ()
 
 
+def weak_bound(cfg: OperatorConfig) -> float:
+    """The paper's least weak-(1,1) constant (1 + lam)^d."""
+    return (1.0 + cfg.lam) ** cfg.d
+
+
+def bound_holds(ratio: float, bound: float) -> bool:
+    """Whether a weak ratio meets the bound up to _BOUND_SLACK; NaN does not."""
+    return ratio <= bound + _BOUND_SLACK
+
+
+def threshold_rows(cfg: OperatorConfig, digest: str, per_t) -> list[dict]:
+    """One table row per (t, mu, ratio) of per_t, with the bound and margin."""
+    bound = weak_bound(cfg)
+    head = {"d": cfg.d, "lambda": cfg.lam, "profile_digest": digest}
+    return [
+        {**head, "t": t, "mu": mu, "ratio": ratio, "bound": bound, "margin": bound - ratio}
+        for t, mu, ratio in per_t
+    ]
+
+
 def level_set_radius_bound(cfg: OperatorConfig, norm: float, t: float) -> float:
     """Radius beyond which the mass bound forces operator values below t:
     ((1+lam)^d * norm / (omega_d * t))^(1/d).
@@ -134,7 +159,7 @@ def level_set_radius_bound(cfg: OperatorConfig, norm: float, t: float) -> float:
     if not (t > 0.0 and norm > 0.0):
         raise UsageError("t and norm must be positive")
     omega = unit_ball_volume(cfg.d)
-    return ((1.0 + cfg.lam) ** cfg.d * norm / (omega * t)) ** (1.0 / cfg.d)
+    return (weak_bound(cfg) * norm / (omega * t)) ** (1.0 / cfg.d)
 
 
 def default_t_grid(g: StepProfile, n: int = 12) -> tuple[float, ...]:
@@ -345,7 +370,7 @@ def sharpness_experiment(
     ts = [float(t) for t in t_seq]
     if any(r <= 0.0 for r in rs) or not all(0.0 < t < math.inf for t in ts):
         raise UsageError("radii must be positive, thresholds positive and finite")
-    bound = (1.0 + cfg.lam) ** cfg.d
+    bound = weak_bound(cfg)
     rows = []
     for r in rs:
         g = normalized_indicator(r, cfg.d)
@@ -372,17 +397,16 @@ def sweep(
     for cells that succeed), and its message is added to the warnings.
     """
     opt = opt or OptimizerSettings()
-    d_list = [int(d) for d in d_set]
     lam_list = [float(lam) for lam in lambda_set]
     cells = []
     rows = []
     warn_list = []
     nan = float("nan")
-    for d in d_list:
+    for d in d_set:
         profiles = list(suite(d)) if callable(suite) else list(suite)
         for lam in lam_list:
             cfg = OperatorConfig(d, lam)
-            bound = (1.0 + lam) ** d
+            bound = weak_bound(cfg)
             for g in profiles:
                 digest = profile_digest(g)
                 ts = default_t_grid(g, t_points)
@@ -395,7 +419,7 @@ def sweep(
                     ratio_sup, per_t = nan, tuple((t, nan, nan) for t in ts)
                 cells.append(
                     {
-                        "d": d,
+                        "d": cfg.d,
                         "lambda": lam,
                         "profile_digest": digest,
                         "ratio_sup": ratio_sup,
@@ -404,17 +428,5 @@ def sweep(
                         "error": error,
                     }
                 )
-                for t, mu, ratio in per_t:
-                    rows.append(
-                        {
-                            "d": d,
-                            "lambda": lam,
-                            "profile_digest": digest,
-                            "t": t,
-                            "mu": mu,
-                            "ratio": ratio,
-                            "bound": bound,
-                            "margin": bound - ratio,
-                        }
-                    )
+                rows.extend(threshold_rows(cfg, digest, per_t))
     return SweepResult(tuple(cells), tuple(rows), tuple(warn_list))

@@ -3,7 +3,9 @@ emission, deterministic seeding, exit codes.
 
 Exit status: 0 on success, 1 when a verification check fails, a weak-type
 bound is violated or a sweep cell fails (mathematical content only), 2 for
-usage and validation problems.  Warnings go to stderr; identical
+usage and validation problems.  The bound, its slack and the threshold table
+come from analysis (weak_bound, bound_holds, threshold_rows); this module
+only maps bound_holds to exit codes.  Warnings go to stderr; identical
 configuration and seed produce byte-identical output files.
 """
 
@@ -31,7 +33,6 @@ from .profiles import (
 )
 
 DEFAULT_SEED = 20240817
-_BOUND_SLACK = 1e-9
 
 _REGIONS = {r.value: r for r in RegionKind}
 
@@ -73,6 +74,14 @@ def parse_grid(text: str) -> list[float]:
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise CliError(f"bad grid '{text}': {exc}") from None
+
+
+def parse_dimensions(text: str) -> list[int]:
+    """A dimension list in grid syntax; every entry must be an integer."""
+    values = parse_grid(text)
+    if not all(v.is_integer() for v in values):
+        raise CliError(f"bad dimension list '{text}': entries must be integers")
+    return [int(v) for v in values]
 
 
 def _fmt_number(value) -> str:
@@ -255,38 +264,24 @@ def _cmd_constant(ns, opt) -> int:
     g = _load_profile(ns.profile)
     ts = sorted(parse_grid(ns.t_grid))
     est = analysis.weak_constant_estimate(g, cfg, ts, opt)
-    bound = (1.0 + cfg.lam) ** cfg.d
-    rows = [
-        {
-            "d": cfg.d,
-            "lambda": cfg.lam,
-            "profile_digest": est.profile_digest,
-            "t": t,
-            "mu": mu,
-            "ratio": ratio,
-            "bound": bound,
-            "margin": bound - ratio,
-        }
-        for t, mu, ratio in est.per_t
-    ]
-    emit(rows, ns.fmt, ns.out)
+    emit(analysis.threshold_rows(cfg, est.profile_digest, est.per_t), ns.fmt, ns.out)
+    bound = analysis.weak_bound(cfg)
     print(
         f"ratio_sup = {est.ratio_sup:.9g} at t = {est.argmax_t:.6g} (bound {bound:.9g})",
         file=sys.stderr,
     )
-    return 0 if est.ratio_sup <= bound + _BOUND_SLACK else 1
+    return 0 if analysis.bound_holds(est.ratio_sup, bound) else 1
 
 
 def _cmd_sharpness(ns, opt) -> int:
     cfg = OperatorConfig(ns.d, ns.lam)
     rows = analysis.sharpness_experiment(cfg, parse_grid(ns.r_seq), parse_grid(ns.t_grid), opt)
     emit(rows, ns.fmt, ns.out)
-    bound = (1.0 + cfg.lam) ** cfg.d
-    return 0 if all(row["ratio"] <= bound + _BOUND_SLACK for row in rows) else 1
+    return 0 if all(analysis.bound_holds(row["ratio"], row["bound"]) for row in rows) else 1
 
 
 def _cmd_sweep(ns, opt) -> int:
-    d_set = [int(x) for x in parse_grid(ns.d_set)]
+    d_set = parse_dimensions(ns.d_set)
     lambda_set = parse_grid(ns.lambda_set)
     if ns.profiles == "random":
         def suite(d):
@@ -300,6 +295,8 @@ def _cmd_sweep(ns, opt) -> int:
             for g in suite:
                 l1_norm(g, d)
     result = analysis.sweep(d_set, lambda_set, suite, opt, t_points=ns.t_points)
+    if not result.cells:
+        raise CliError("sweep: no cell to run, a dimension, lambda or profile list is empty")
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     emit(list(result.rows), ns.fmt, ns.out)
@@ -309,7 +306,7 @@ def _cmd_sweep(ns, opt) -> int:
         if cell["error"] is not None:
             bad += 1
             print(f"CELL FAILED: {where}: {cell['error']}", file=sys.stderr)
-        elif cell["ratio_sup"] > cell["bound"] + _BOUND_SLACK:
+        elif not analysis.bound_holds(cell["ratio_sup"], cell["bound"]):
             bad += 1
             print(
                 f"BOUND VIOLATED: {where} ratio_sup={cell['ratio_sup']:.9g} "
@@ -331,7 +328,7 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
         raise CliError(f"--R must be positive, got {ns.R:g}")
     mc = verify.McConfig(ns.seed, ns.n_samples)
     if ns.d_set:
-        d_list = [int(x) for x in parse_grid(ns.d_set)]
+        d_list = parse_dimensions(ns.d_set)
     else:
         d_list = [ns.d if ns.d is not None else 2]
     g = _load_profile(ns.profile) if ns.profile else StepProfile(((1.0, 1.0),))

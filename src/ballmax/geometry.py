@@ -240,7 +240,11 @@ def cap_volume_array(d: int, rho, h) -> np.ndarray:
     """Vectorized cap volume; inputs broadcast, heights clipped to [0, 2*rho]."""
     d = _check_dimension(d)
     rho, h = np.broadcast_arrays(np.asarray(rho, float), np.asarray(h, float))
-    return _cap_array(d, unit_ball_volume(d), rho, np.minimum(np.maximum(h, 0.0), 2.0 * rho))
+    # the closed form works in place, which a 0-d array does not allow
+    shape = rho.shape
+    rho, h = np.atleast_1d(rho, h)
+    h = np.minimum(np.maximum(h, 0.0), 2.0 * rho)
+    return _cap_array(d, unit_ball_volume(d), rho, h).reshape(shape)
 
 
 def lens_volume_array(d: int, c, rho1, rho2) -> np.ndarray:

@@ -359,6 +359,14 @@ def test_sweep_bound_arithmetic():
     assert result.cells[0]["bound"] == pytest.approx(2.25)
 
 
+def test_bound_holds_within_the_slack_only():
+    bound = analysis.weak_bound(OperatorConfig(2, 0.5))
+    assert bound == 2.25
+    assert analysis.bound_holds(bound + 0.5e-9, bound)
+    assert not analysis.bound_holds(bound + 2e-9, bound)
+    assert not analysis.bound_holds(math.nan, bound)
+
+
 def test_sweep_keeps_failed_cell(monkeypatch):
     real = analysis.weak_constant_estimate
 

@@ -7,9 +7,17 @@ import sys
 import pytest
 
 import ballmax
+from ballmax import analysis
 from ballmax.cli import CliError, emit, main, parse_grid
 from ballmax.maximal import OptimizerSettings, maximal_value_detailed
-from ballmax.profiles import OperatorConfig, StepProfile, random_profile, serialize_profile
+from ballmax.profiles import (
+    OperatorConfig,
+    StepProfile,
+    parse_profile,
+    profile_digest,
+    random_profile,
+    serialize_profile,
+)
 
 UNIT_BALL_DOC = serialize_profile(StepProfile(((1.0, 1.0),)))
 
@@ -246,8 +254,6 @@ def test_sweep_random_suite(tmp_path):
 
 
 def test_sweep_failed_cell_exits_one(tmp_path, unitball, capsys, monkeypatch):
-    from ballmax import analysis
-
     real = analysis.weak_constant_estimate
 
     def failing(g, cfg, t_grid, opt=None):
@@ -267,6 +273,48 @@ def test_sweep_failed_cell_exits_one(tmp_path, unitball, capsys, monkeypatch):
     lines = out.read_bytes().decode().strip().split("\r\n")
     assert len(lines) == 1 + 2 * 4
     assert all(",nan," in line for line in lines[5:])
+
+
+def _estimate_above_bound(excess):
+    """A weak_constant_estimate stand-in whose largest ratio is
+    (1 + lambda)^d + excess, at the first threshold."""
+
+    def estimate(g, cfg, t_grid, opt=None):
+        top = (1.0 + cfg.lam) ** cfg.d + excess
+        per_t = tuple((t, 1.0, top - i) for i, t in enumerate(t_grid))
+        return analysis.ConstantEstimate(top, per_t[0][0], per_t, profile_digest(g))
+
+    return estimate
+
+
+@pytest.mark.parametrize("excess, code", [(2e-9, 1), (0.5e-9, 0)])
+@pytest.mark.parametrize("command", ["constant", "sharpness", "sweep"])
+def test_bound_verdict_allows_only_the_slack(unitball, capsys, monkeypatch, command, excess, code):
+    # a ratio above the bound by more than 1e-9 is a violation (exit 1)
+    monkeypatch.setattr(analysis, "weak_constant_estimate", _estimate_above_bound(excess))
+    args = {
+        "constant": ["constant", "--profile", unitball, "--t-grid", "0.1,0.2"],
+        "sharpness": ["sharpness", "--r", "1", "--t-grid", "0.1,0.2"],
+        "sweep": ["sweep", "--profiles", unitball, "--t-points", "2"],
+    }[command]
+    shape = ["--d-set", "2", "--lambda-set", "0.5"] if command == "sweep" else ["--d", "2", "--lambda", "0.5"]
+    assert main(args + shape) == code
+    err = capsys.readouterr().err
+    if command == "sweep":
+        assert ("BOUND VIOLATED: d=2 lambda=0.5 " in err) == (code == 1)
+
+
+def test_constant_and_sweep_write_the_same_threshold_table(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_profile(random_profile(11, 4, 2)))
+    ts = analysis.default_t_grid(parse_profile(path.read_text()), 4)
+    a, b = tmp_path / "constant.csv", tmp_path / "sweep.csv"
+    shape = ["--d", "2", "--lambda", "0.5"]
+    t_grid = ",".join(map(repr, ts))
+    assert main(["constant", *shape, "--profile", str(path), "--t-grid", t_grid, "--out", str(a)]) == 0
+    sweep = ["sweep", "--d-set", "2", "--lambda-set", "0.5", "--profiles", str(path), "--t-points", "4"]
+    assert main(sweep + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -362,6 +410,30 @@ def test_negative_seed_and_bad_mc_counts_are_usage_errors(capsys, args):
 )
 def test_verify_lens_enclosure_domain_errors(capsys, args):
     assert main(["verify", "lens-enclosure", "--n-samples", "1000", *args]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a dimension that is not an integer, not finite or not a number
+        ["sweep", "--d-set", "2.7", "--lambda-set", "0", "--count", "1"],
+        ["sweep", "--d-set", "inf", "--lambda-set", "0", "--count", "1"],
+        ["sweep", "--d-set", "nan", "--lambda-set", "0", "--count", "1"],
+        ["verify", "homothety", "--d-set", "1.5"],
+        ["verify", "homothety", "--d-set", "inf"],
+        ["verify", "homothety", "--d-set", "nan"],
+        # a sweep with no cell to check
+        ["sweep", "--d-set", "1", "--lambda-set", "0", "--count", "0"],
+        ["sweep", "--d-set", "1", "--lambda-set", "0", "--count", "-2"],
+        ["sweep", "--d-set", ",", "--lambda-set", "0"],
+        ["sweep", "--d-set", "1", "--lambda-set", ","],
+    ],
+)
+def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, args):
+    assert main(args) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")

@@ -350,6 +350,15 @@ def test_scalar_wrappers_are_the_kernels_bitwise(d):
             intersection_volume(d, *bad)
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+def test_cap_volume_array_accepts_scalars(d):
+    # a 0-d result, the scalar wrapper's value bit for bit, on both sides of
+    # the closed-form dimensions
+    got = cap_volume_array(d, 1.0, 0.5)
+    assert got.shape == ()
+    assert got.view(np.int64) == np.float64(cap_volume(d, 1.0, 0.5)).view(np.int64)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 30])
 def test_lens_kernel_is_exactly_two_caps(d):
     # The lens kernel evaluates the two caps of every lens entry in one
