@@ -15,14 +15,19 @@ the supremum sits at the least feasible offset, and the search runs over
 beta alone, on that boundary curve.  In one dimension the average along the
 curve is (A beta + B) / beta between the kinks, so there the search
 evaluates only the kinks, the branch switches of the curve, the ends of the
-beta range and the shrinking-ball limit, and is exact up to rounding.  In
-higher dimensions it adds one geometric sweep in beta and a window around the
-incumbent that narrows to its point spacing each round (33 points up to
-d = 6, nine above); a radius stops once its window is flat (its values
-spread by at most rel_tol), whatever the other radii of a batch do, so a
-radius gets the same value alone or in a batch.  The window never reaches
-below the betas whose balls miss the support, which far outside the support
-leaves a narrow range.
+beta range and the shrinking-ball limit, in one kernel call, and is exact up
+to rounding.  In higher dimensions it adds one geometric sweep in beta and a
+window around the incumbent that narrows to its point spacing each round (33
+points up to d = 6, nine above); a radius stops once its window is flat (its
+values spread by at most rel_tol), whatever the other radii of a batch do, so
+a radius gets the same value alone or in a batch.  Up to d = 6 the sweep
+spans only the betas where the average can move: from where the ball first
+meets a breakpoint (below, it averages the level g(R)) where the range
+starts at 0, to where it holds the support (beyond, its average falls) in
+the full region.  That range is known before any value, so the sweep shares
+the candidates' kernel call.  The window never reaches below the betas whose
+balls miss the support, which far outside the support leaves a narrow
+range, nor past the mass cutoff of the incumbent.
 
 The ground-truth region is RegionKind.FULL (alpha in [0, 1],
 lam*beta + alpha >= 1, which is exactly the rotated form of "x in lam*B"
@@ -108,13 +113,17 @@ class OptimizerSettings:
 
     beta_grid sets the one geometric sweep of 4 * beta_grid betas and the
     first refinement window: two sweep steps either side of the incumbent.
-    The window stays above the betas whose balls on the least-offset curve
-    miss the support, so far outside the support it starts no wider than
-    the betas that remain.  Each round evaluates 33 points and narrows the
-    window 16x up to d = 6, and 9 points narrowing 4x above.  A radius stops
-    refining once a round's values spread by at most rel_tol relative to its
-    incumbent; one whose window has shrunk below float resolution before it
-    went flat is reported unconverged.
+    Up to d = 6 the sweep spans the structural range, where the ball
+    average can move (from the ball's first breakpoint where the region's
+    range starts at 0, to the ball that holds the support in the full
+    region), in the candidates' kernel call; above, it runs from 1e-6 to the
+    mass cutoff of the candidates' best value.  The window stays above the
+    betas whose balls on the least-offset curve miss the support, so far
+    outside the support it starts no wider than the betas that remain.  Each
+    round evaluates 33 points and narrows the window 16x up to d = 6, and 9
+    points narrowing 4x above.  A radius stops refining once a round's values
+    spread by at most rel_tol relative to its incumbent; one whose window has
+    shrunk to float resolution before it went flat is reported unconverged.
 
     alpha_grid and refine_rounds have no effect: the search evaluates one
     ball per beta, at the least feasible offset, and a window narrows until
@@ -226,6 +235,20 @@ def _mass_cutoff(norm, omega, d, R, best):
     return (norm / (omega * best)) ** (1.0 / d) / R
 
 
+def _steady_beta(lam, R, radii_k):
+    """Least beta, per radius of R, at which the ball with center offset
+    (1 - lam*beta) R and radius beta R meets a breakpoint, or 1 / (1 + lam).
+
+    Its ends R - (1 + lam) beta R and R + (1 - lam) beta R leave the point R,
+    so below this beta the ball lies inside or outside each step and
+    averages the level g(R).  Up to 1 / (1 + lam) the ball is the least
+    offset one of every region whose beta range starts at 0."""
+    gap = 1.0 - radii_k[None, :] / R[:, None]
+    with np.errstate(divide="ignore"):
+        meet = np.abs(gap) / np.where(gap >= 0.0, 1.0 + lam, 1.0 - lam)
+    return np.minimum(meet.min(axis=1), 1.0 / (1.0 + lam))
+
+
 # ---------------------------------------------------------------------------
 # Supremum search
 # ---------------------------------------------------------------------------
@@ -334,10 +357,47 @@ def _supremum_batch(g, cfg, R, region, opt):
     # covering the whole support).
     cands = _candidate_betas(region, lam, R, radii_k)
     if d == 1:
-        # the branch switches of the least offset and the low end of the range
+        # In one dimension the overlap of each profile step with a ball on
+        # the boundary curve is piecewise linear in beta, so the average is
+        # (A beta + B) / beta between consecutive candidates: monotone, with
+        # its supremum at a candidate, an end of the beta range or the
+        # shrinking-ball limit.  The candidates add the branch switches of the
+        # least offset and the range's ends; past the largest candidate the
+        # ball holds the support and its average falls.  The search is exact
+        # up to rounding.
         extra = [1.0, 2.0 / (1.0 + lam)] + ([1.0 / lam] if lam > 0.0 else [])
+        extra += [bhi_region] if bhi_region < math.inf else []
         cands = np.concatenate([cands, np.tile(extra, (n, 1)), blo[:, None]], axis=1)
+        betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_region)
+        best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
+        return _finish(g, region, lam, best_val, best_b, np.ones(n, dtype=bool))
     betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_region)
+
+    # Below lo every ball on the least-offset curve misses the support
+    # (alpha - beta >= 1 - (1 + lam) beta > r_K / R) and averages 0.
+    ratio_k = radii_k[-1] / R
+    lo = np.maximum(blo, (1.0 - ratio_k) / (1.0 + lam))
+    t = _unit_grid(4 * opt.beta_grid)
+    quiet, end = d <= _QUIET_DIM, bhi_region
+    if quiet:
+        # One geometric sweep over the betas where the average can move, known
+        # before any value, so it shares the candidates' kernel call.  Where
+        # the range starts at 0 it starts where the ball first meets a
+        # breakpoint: below that its average is the level g(R), the
+        # shrinking-ball incumbent.  In the full region it ends where the ball
+        # holds the support: beyond that its average,
+        # norm / (omega_d (beta R)^d), falls.  The upper band keeps the top
+        # of its range; the lower band and the centered shell keep both
+        # ends, since a lens already exists where their ranges start.
+        if blo_region == 0.0:
+            lo = np.maximum(lo, _steady_beta(lam, R, radii_k))
+        if region is RegionKind.FULL:
+            end = np.maximum(ratio_k, (1.0 + ratio_k) / (1.0 + lam))
+        end = np.maximum(end, lo)
+        log_lo = np.log(lo)
+        log_span = np.log(end) - log_lo
+        sweep = np.exp(log_lo[:, None] + log_span[:, None] * t[None, :])
+        betas = np.concatenate([betas, sweep], axis=1)
     best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
 
     # Truncate the beta range using the mass bound, within the region; the
@@ -346,41 +406,40 @@ def _supremum_batch(g, cfg, R, region, opt):
         cut = _mass_cutoff(norm, omega, d, R, np.maximum(best_val, _TINY))
     bhi = np.minimum(np.maximum(cut, blo * (1.0 + 1e-9)), bhi_region)
 
-    if d == 1:
-        # In one dimension the overlap of each profile step with a ball on
-        # the boundary curve is piecewise linear in beta, so the average is
-        # (A beta + B) / beta between consecutive candidates: monotone, with
-        # its supremum at a candidate, an end of [blo, bhi] or the
-        # shrinking-ball limit.  The search is exact up to rounding.
-        best_val, best_b = fold(best_val, best_b, bhi[:, None], r_col)[:2]
-        return _finish(g, region, lam, best_val, best_b, np.ones(n, dtype=bool))
-
-    # One geometric sweep in beta, in one kernel call.  Where the floor does
-    # not bind, math.log keeps the bits (np.log differs in the last bit at a
-    # few arguments).
-    log_lo = np.where(blo > blo_opt, np.log(blo), math.log(blo_opt))
-    log_span = np.log(bhi) - log_lo
-    t = _unit_grid(4 * opt.beta_grid)
-    betas = np.exp(log_lo[:, None] + log_span[:, None] * t[None, :])
-    best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
+    if not quiet:
+        # Above geometry._QUIET_DIM the sweep runs from the beta floor to the
+        # mass cutoff in a kernel call of its own, which keeps the noisy
+        # kernel's values as they were.  Where the floor does not bind,
+        # math.log keeps the bits (np.log differs in the last bit at a few
+        # arguments).
+        log_lo = np.where(blo > blo_opt, np.log(blo), math.log(blo_opt))
+        log_span = np.log(bhi) - log_lo
+        betas = np.exp(log_lo[:, None] + log_span[:, None] * t[None, :])
+        best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
 
     # Local refinement around the incumbent.  A radius stops once its window
     # is flat: the round's values spread by at most rel_tol relative to the
     # incumbent.  live holds the radii still refining, and val, beta, lo, hi,
     # log_w and r_col their incumbents, beta ranges, half-widths and radii;
-    # only those radii are evaluated.  A window that has collapsed (its end
-    # points are one float) is flat without evidence; such a radius is
-    # reported unconverged.  Below lo every ball on the least-offset curve
-    # misses the support (alpha - beta >= 1 - (1 + lam) beta > r_K / R) and
-    # averages 0, so the window stays in [lo, bhi].  It starts two sweep
+    # only those radii are evaluated.  A window that has shrunk to float
+    # resolution is flat without evidence; such a radius is reported
+    # unconverged.  Up to geometry._QUIET_DIM that is a window whose points
+    # are not distinct floats; above, where the noisy kernel keeps its flags
+    # as they were, one whose end points are one float.  The window stays in
+    # [lo, bhi]: no ball outside beats the incumbent.  It starts two sweep
     # steps wide on either side, or as wide as that range, and each round
-    # narrows to the last round's point spacing.
-    lo = np.minimum(np.maximum(blo, (1.0 - radii_k[-1] / R) / (1.0 + lam)), bhi)
+    # narrows to the last round's point spacing.  A radius whose window is
+    # empty (lo >= bhi), or whose balls from lo on all hold the support
+    # (lo >= end), has no ball left that could beat its incumbent, and is
+    # done before the first round.
     log_w = np.minimum(2.0 * log_span / (t.size - 1), np.log(bhi / lo))
-    steps = _QUIET_REFINE_STEPS if d <= _QUIET_DIM else _REFINE_STEPS
-    live, val, beta, hi = np.arange(n), best_val, best_b, bhi
-    converged = np.zeros(n, dtype=bool)
+    steps = _QUIET_REFINE_STEPS if quiet else _REFINE_STEPS
+    converged = lo >= np.minimum(bhi, end)
+    live = np.flatnonzero(~converged)
+    val, beta, lo, hi, log_w, r_col = (x[live] for x in (best_val, best_b, lo, bhi, log_w, r_col))
     for _ in range(_MAX_ROUNDS):
+        if live.size == 0:
+            break
         # fmax maps a missing incumbent (NaN) to lo
         center = np.minimum(np.fmax(beta, lo), hi)[:, None]
         bref = center * np.exp(log_w[:, None] * steps)
@@ -391,13 +450,12 @@ def _supremum_batch(g, cfg, R, region, opt):
         if np.logical_or.reduce(flat):
             done = live[flat]
             best_val[done], best_b[done] = val[flat], beta[flat]
-            converged[done] = bref[flat, 0] < bref[flat, -1]
+            pts = bref[flat] if quiet else bref[flat][:, [0, -1]]
+            converged[done] = np.logical_and.reduce(pts[:, 1:] > pts[:, :-1], axis=1)
             keep = ~flat
             live, val, beta, lo, hi, log_w, r_col = (
                 x[keep] for x in (live, val, beta, lo, hi, log_w, r_col)
             )
-            if live.size == 0:
-                break
         log_w = log_w * (steps[0, 1] - steps[0, 0])
     best_val[live], best_b[live] = val, beta
     return _finish(g, region, lam, best_val, best_b, converged)
@@ -457,14 +515,20 @@ def maximal_value(
     Every candidate lies on the least-offset boundary curve: the explicit
     kink candidates, one geometric sweep of 4 * beta_grid betas, the
     refinement points around the incumbent, and (for regions whose closure
-    admits it) the shrinking-ball limit with value g(R).  Refinement starts
-    two sweep steps either side of the incumbent, kept above the betas whose
-    balls miss the support, narrows to the point spacing each round (33
-    points up to d = 6, nine above), and stops once a round's values spread
-    by at most rel_tol relative to the incumbent.  The reported alpha is the
-    least offset of the reported beta.  At d = 1 the kinks, the curve's branch switches, the
-    ends of the mass-truncated beta range and the shrinking-ball limit are
-    the only candidates; the average is monotone between them, so the value
-    is exact up to rounding.
+    admits it) the shrinking-ball limit with value g(R).  Up to d = 6 the
+    sweep spans only the betas where the average can move, in the same
+    kernel call as the candidates: where the range starts at 0 it starts at
+    the ball's first breakpoint, below which the average is g(R), and in the
+    full region it ends at the ball that holds the support, beyond which the
+    average falls.  From d = 7 on it runs from 1e-6 to the mass cutoff, in a
+    call of its own.  Refinement starts two sweep steps either side of the
+    incumbent, kept above the betas whose balls miss the support, narrows to
+    the point spacing each round (33 points up to d = 6, nine above), and
+    stops once a round's values spread by at most rel_tol relative to the
+    incumbent.  The reported alpha is the least offset of the reported beta.
+    At d = 1 the kinks, the curve's branch switches, the ends of the beta
+    range and the shrinking-ball limit are the only candidates, in one
+    kernel call; the average is monotone between them, so the value is exact
+    up to rounding.
     """
     return maximal_value_detailed(g, cfg, R, region, opt).value

@@ -85,6 +85,16 @@ def test_superlevel_closed_forms_one_dimension():
     )
 
 
+def test_unit_ball_level_set_is_the_secant_root_of_its_bracket():
+    # d = 1, lam = 1: outside the unit ball m(R) = 2 / (R + 1), so
+    # R_t = 2/t - 1 and mu(t) = 4/t - 2.  The line through the final
+    # bracket's ends in (log R, log m) meets t to rounding; the bracket's
+    # midpoint is 1.5e-7 off.
+    for t in (0.05, 0.1, 0.2, 0.3, 0.45):
+        mu = superlevel_measure(UNIT_BALL, OperatorConfig(1, 1.0), t)
+        assert mu == pytest.approx(4.0 / t - 2.0, rel=1e-12, abs=0.0), t
+
+
 def test_superlevel_rejects_bad_threshold():
     with pytest.raises(UsageError):
         superlevel_measure(UNIT_BALL, OperatorConfig(1, 1.0), 0.0)

@@ -430,6 +430,8 @@ def test_verify_lens_enclosure_domain_errors(capsys, args):
         ["sweep", "--d-set", "1", "--lambda-set", "0", "--count", "-2"],
         ["sweep", "--d-set", ",", "--lambda-set", "0"],
         ["sweep", "--d-set", "1", "--lambda-set", ","],
+        # a sharpness run with no indicator radius
+        ["sharpness", "--r", ",", "--t-grid", "0.1", "--d", "1", "--lambda", "0"],
     ],
 )
 def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, args):

@@ -18,7 +18,7 @@ from ballmax.maximal import (
     maximal_value_batch,
     maximal_value_detailed,
 )
-from ballmax.profiles import OperatorConfig, StepProfile, evaluate, l1_norm, random_profile
+from ballmax.profiles import OperatorConfig, StepProfile, evaluate, l1_norm, levels_at, random_profile
 
 UNIT_BALL = StepProfile(((1.0, 1.0),))
 
@@ -546,9 +546,11 @@ def test_refinement_stops_within_rel_tol_of_a_dense_scan(d, opt):
 
 
 def test_refinement_work_budget(monkeypatch):
-    # lens-kernel calls per d >= 2 radius at the default settings:
-    # candidates, one sweep and the refinement rounds.  Up to d = 6 a round
-    # narrows 16x, so a radius takes at most six calls there.
+    # lens-kernel calls per d >= 2 radius at the default settings: the
+    # candidates and the sweep (one call up to d = 6, two above) and the
+    # refinement rounds.  Up to d = 6 the sweep spans only the betas where
+    # the average can move and a round narrows 16x, so a radius takes at
+    # most five calls there.
     lens, calls = maximal._lens_array, [0]
 
     def counting_lens(*args):
@@ -565,7 +567,44 @@ def test_refinement_work_budget(monkeypatch):
                 maximal_value_detailed(g, OperatorConfig(d, lam), float(R))
                 per_radius.setdefault(d, []).append(calls[0])
     assert np.median(sum(per_radius.values(), [])) <= 9
-    assert max(max(per_radius[d]) for d in (2, 3, 5)) <= 6
+    assert max(max(per_radius[d]) for d in (2, 3, 5)) <= 5
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_least_offset_average_is_fixed_outside_the_sweep_range(d):
+    # The two facts that bound the sweep where the beta range starts at 0.
+    # Below the beta where the least-offset ball first meets a breakpoint
+    # (maximal._steady_beta) it lies inside or outside each step and
+    # averages the level g(R).  In the full region, above the beta where it
+    # holds the support (written here per branch of the least offset), it
+    # averages ||g||_1 / (omega_d (beta R)^d).
+    omega = unit_ball_volume(d)
+    below = 0
+    for seed in range(3):
+        g = random_profile(700 + 10 * d + seed, 6, d)
+        r_k, norm = g.support_radius, l1_norm(g, d)
+        Rs = r_k * np.geomspace(0.05, 4.0, 9)
+        Rs[0] = g.arrays.step_radii[0]  # on a breakpoint the ball meets it at once
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            steady = maximal._steady_beta(lam, Rs, g.arrays.step_radii)
+            assert steady[0] == 0.0 and np.all(steady <= 1.0 / (1.0 + lam))
+            for R, b0 in zip(Rs.tolist(), steady.tolist()):
+                level = float(levels_at(g, R))
+                for b in (b0 * np.array([1e-3, 0.3, 0.9, 1.0 - 1e-9])).tolist():
+                    if b == 0.0:
+                        continue  # R on a breakpoint
+                    for region in (RegionKind.FULL, RegionKind.UPPER_BAND):
+                        avg = average_over_ball(g, d, R, BallParams(_least_offset(region, lam, b), b))
+                        assert avg == pytest.approx(level, rel=1e-12, abs=0.0), (R, lam, b, region)
+                        below += 1
+                if R >= lam * r_k:
+                    cover = (1.0 + r_k / R) / (1.0 + lam)  # branch alpha = 1 - lam beta
+                else:
+                    cover = max(1.0 / lam, r_k / R)  # centered branch alpha = 0
+                for b in (cover * np.array([1.0 + 1e-9, 1.5, 40.0])).tolist():
+                    avg = average_over_ball(g, d, R, BallParams(_least_offset(RegionKind.FULL, lam, b), b))
+                    assert avg == pytest.approx(norm / (omega * (b * R) ** d), rel=1e-12, abs=0.0), (R, lam, b)
+    assert below > 0
 
 
 def test_reported_alpha_is_the_least_offset_of_the_reported_beta():
