@@ -69,8 +69,10 @@ def unit_ball_volume(d: int) -> float:
 # That complement cancels for small caps (it reads 0 for the tiniest) and
 # makes the supremum search's objective noisy at some radii: at d = 30 a
 # searched value read 0.76% above the 50-digit average of its own ball.
-# The split goes once the benchmark's reference values no longer come from
-# that complement (the exact cap kernel item in ROADMAP.md).
+# This dimension selects only the cap formula and whether scipy is
+# imported; the supremum search does not read it.  The split goes once the
+# benchmark's reference values no longer come from that complement (the
+# exact cap kernel item in ROADMAP.md).
 _QUIET_DIM = 6
 # The even-d closed form switches to its Taylor series where the direct
 # form would lose more than four bits to cancellation.

@@ -12,22 +12,38 @@ For radial nonincreasing g the ball average does not increase as the center
 moves away from the origin (Riesz rearrangement: the convolution of two
 symmetric-decreasing functions is symmetric-decreasing).  So for each beta
 the supremum sits at the least feasible offset, and the search runs over
-beta alone, on that boundary curve.  In one dimension the average along the
-curve is (A beta + B) / beta between the kinks, so there the search
-evaluates only the kinks, the branch switches of the curve, the ends of the
-beta range and the shrinking-ball limit, in one kernel call, and is exact up
-to rounding.  In higher dimensions it adds one geometric sweep in beta and a
-window around the incumbent that narrows to its point spacing each round (33
-points up to d = 6, nine above); a radius stops once its window is flat (its
-values spread by at most rel_tol), whatever the other radii of a batch do, so
-a radius gets the same value alone or in a batch.  Up to d = 6 the sweep
-spans only the betas where the average can move: from where the ball first
-meets a breakpoint (below, it averages the level g(R)) where the range
-starts at 0, to where it holds the support (beyond, its average falls) in
-the full region.  That range is known before any value, so the sweep shares
-the candidates' kernel call.  The window never reaches below the betas whose
+beta alone, on that boundary curve; the reported alpha is the least offset
+of the reported beta.
+
+In one dimension the average along the curve is (A beta + B) / beta between
+the kinks, so there the search evaluates only the kinks, the branch switches
+of the curve, the ends of the beta range and the shrinking-ball limit, in
+one kernel call, and is exact up to rounding.
+
+In higher dimensions the first kernel call evaluates the explicit candidates
+(the kinks, the minimal ball and the ball covering the support) together
+with one geometric sweep of 4 * beta_grid betas over the range where the
+average can move.  That range is known before any value.  Where the beta
+range starts at 0 (the full region and the upper band) the sweep starts
+where the least-offset ball first meets a breakpoint: below that the ball
+lies inside or outside each step and averages the level g(R), the
+shrinking-ball incumbent.  In the full region it ends where the ball holds
+the support: beyond that its average, ||g||_1 / (omega_d (beta R)^d),
+falls.  The lower band and the centered shell keep their range's ends,
+since a lens already exists where their ranges start.  Outside that range
+every lens is empty or a whole ball, so both facts hold at every d whatever
+the cap kernel's accuracy.
+
+Refinement then puts 33 points in a window around the incumbent, two sweep
+steps either side at first, and each round narrows the window 16x, to the
+last round's point spacing.  The window never reaches below the betas whose
 balls miss the support, which far outside the support leaves a narrow
-range, nor past the mass cutoff of the incumbent.
+range, nor past the mass cutoff of the incumbent.  A radius stops once its
+window is flat (its values spread by at most rel_tol), whatever the other
+radii of a batch do, so a radius gets the same value alone or in a batch.
+One whose window points are no longer distinct floats before it went flat
+(kernel noise above rel_tol) is reported unconverged.  Each round is one
+kernel call.
 
 The ground-truth region is RegionKind.FULL (alpha in [0, 1],
 lam*beta + alpha >= 1, which is exactly the rotated form of "x in lam*B"
@@ -63,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _QUIET_DIM, _lens_array, unit_ball_volume
+from .geometry import _lens_array, unit_ball_volume
 from .profiles import OperatorConfig, StepProfile, l1_norm, levels_at
 
 __all__ = [
@@ -109,21 +125,13 @@ class BallParams:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Grid sizes and stopping tolerances for the supremum search (d >= 2).
+    """Grid sizes and stopping tolerances for the supremum search (d >= 2;
+    the module docstring describes the search).
 
-    beta_grid sets the one geometric sweep of 4 * beta_grid betas and the
-    first refinement window: two sweep steps either side of the incumbent.
-    Up to d = 6 the sweep spans the structural range, where the ball
-    average can move (from the ball's first breakpoint where the region's
-    range starts at 0, to the ball that holds the support in the full
-    region), in the candidates' kernel call; above, it runs from 1e-6 to the
-    mass cutoff of the candidates' best value.  The window stays above the
-    betas whose balls on the least-offset curve miss the support, so far
-    outside the support it starts no wider than the betas that remain.  Each
-    round evaluates 33 points and narrows the window 16x up to d = 6, and 9
-    points narrowing 4x above.  A radius stops refining once a round's values
-    spread by at most rel_tol relative to its incumbent; one whose window has
-    shrunk to float resolution before it went flat is reported unconverged.
+    beta_grid sets the geometric sweep of 4 * beta_grid betas and so the
+    first refinement window, two sweep steps either side of the incumbent.
+    rel_tol is the spread of a round's values, relative to the incumbent,
+    at which a radius stops refining.
 
     alpha_grid and refine_rounds have no effect: the search evaluates one
     ball per beta, at the least feasible offset, and a window narrows until
@@ -253,14 +261,13 @@ def _steady_beta(lam, R, radii_k):
 # Supremum search
 # ---------------------------------------------------------------------------
 
-# refinement offsets in log beta, in units of the window half-width: 33 up to
-# geometry._QUIET_DIM, where the kernel is exact and a round costs little per
-# point, and nine above, where its small-cap noise picks the spike a window finds
-_REFINE_STEPS = np.linspace(-1.0, 1.0, 9)[None, :]
-_QUIET_REFINE_STEPS = np.linspace(-1.0, 1.0, 33)[None, :]
-# Each round narrows a window at least 4x and a collapsed window is flat, so
-# a radius stops within about 32 rounds; this cap only ends the loop on a
-# NaN objective, whose spread is never flat.
+# refinement offsets in log beta, in units of the window half-width: a round
+# costs mostly the fixed cost of one kernel call, so it evaluates 33 points
+# and the window narrows 16x
+_REFINE_STEPS = np.linspace(-1.0, 1.0, 33)[None, :]
+# Each round narrows a window 16x and a collapsed window is flat, so a radius
+# stops within about 16 rounds; this cap only ends the loop on a NaN
+# objective, whose spread is never flat.
 _MAX_ROUNDS = 60
 # The least beta searched; at tiny radii the search raises it so that the
 # least ball's volume stays a normal double.
@@ -343,10 +350,9 @@ def _supremum_batch(g, cfg, R, region, opt):
     best_val = levels_at(g, R) if blo_region == 0.0 else np.full(n, -np.inf)
     best_b = np.full(n, 0.0 if blo_region == 0.0 else np.nan)
 
-    blo_opt = max(blo_region, _BETA_FLOOR)
     # per radius, the floor keeps the least ball's volume a normal double
     least_rad = (_LEAST_VOLUME / omega) ** (1.0 / d)
-    blo = np.maximum(blo_opt, least_rad / R)
+    blo = np.maximum(max(blo_region, _BETA_FLOOR), least_rad / R)
     if np.logical_or.reduce(blo > bhi_region):
         raise UsageError(
             f"R = {float(R.min())!r} lies below {float(least_rad / bhi_region)!r}, the least "
@@ -378,26 +384,24 @@ def _supremum_batch(g, cfg, R, region, opt):
     ratio_k = radii_k[-1] / R
     lo = np.maximum(blo, (1.0 - ratio_k) / (1.0 + lam))
     t = _unit_grid(4 * opt.beta_grid)
-    quiet, end = d <= _QUIET_DIM, bhi_region
-    if quiet:
-        # One geometric sweep over the betas where the average can move, known
-        # before any value, so it shares the candidates' kernel call.  Where
-        # the range starts at 0 it starts where the ball first meets a
-        # breakpoint: below that its average is the level g(R), the
-        # shrinking-ball incumbent.  In the full region it ends where the ball
-        # holds the support: beyond that its average,
-        # norm / (omega_d (beta R)^d), falls.  The upper band keeps the top
-        # of its range; the lower band and the centered shell keep both
-        # ends, since a lens already exists where their ranges start.
-        if blo_region == 0.0:
-            lo = np.maximum(lo, _steady_beta(lam, R, radii_k))
-        if region is RegionKind.FULL:
-            end = np.maximum(ratio_k, (1.0 + ratio_k) / (1.0 + lam))
-        end = np.maximum(end, lo)
-        log_lo = np.log(lo)
-        log_span = np.log(end) - log_lo
-        sweep = np.exp(log_lo[:, None] + log_span[:, None] * t[None, :])
-        betas = np.concatenate([betas, sweep], axis=1)
+    # One geometric sweep over the betas where the average can move, known
+    # before any value, so it shares the candidates' kernel call.  Where the
+    # range starts at 0 it starts where the ball first meets a breakpoint:
+    # below that its average is the level g(R), the shrinking-ball incumbent.
+    # In the full region it ends where the ball holds the support: beyond
+    # that its average, norm / (omega_d (beta R)^d), falls.  The upper band
+    # keeps the top of its range; the lower band and the centered shell keep
+    # both ends, since a lens already exists where their ranges start.
+    if blo_region == 0.0:
+        lo = np.maximum(lo, _steady_beta(lam, R, radii_k))
+    end = bhi_region
+    if region is RegionKind.FULL:
+        end = np.maximum(ratio_k, (1.0 + ratio_k) / (1.0 + lam))
+    end = np.maximum(end, lo)
+    log_lo = np.log(lo)
+    log_span = np.log(end) - log_lo
+    sweep = np.exp(log_lo[:, None] + log_span[:, None] * t[None, :])
+    betas = np.concatenate([betas, sweep], axis=1)
     best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
 
     # Truncate the beta range using the mass bound, within the region; the
@@ -406,34 +410,19 @@ def _supremum_batch(g, cfg, R, region, opt):
         cut = _mass_cutoff(norm, omega, d, R, np.maximum(best_val, _TINY))
     bhi = np.minimum(np.maximum(cut, blo * (1.0 + 1e-9)), bhi_region)
 
-    if not quiet:
-        # Above geometry._QUIET_DIM the sweep runs from the beta floor to the
-        # mass cutoff in a kernel call of its own, which keeps the noisy
-        # kernel's values as they were.  Where the floor does not bind,
-        # math.log keeps the bits (np.log differs in the last bit at a few
-        # arguments).
-        log_lo = np.where(blo > blo_opt, np.log(blo), math.log(blo_opt))
-        log_span = np.log(bhi) - log_lo
-        betas = np.exp(log_lo[:, None] + log_span[:, None] * t[None, :])
-        best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
-
     # Local refinement around the incumbent.  A radius stops once its window
     # is flat: the round's values spread by at most rel_tol relative to the
     # incumbent.  live holds the radii still refining, and val, beta, lo, hi,
     # log_w and r_col their incumbents, beta ranges, half-widths and radii;
-    # only those radii are evaluated.  A window that has shrunk to float
-    # resolution is flat without evidence; such a radius is reported
-    # unconverged.  Up to geometry._QUIET_DIM that is a window whose points
-    # are not distinct floats; above, where the noisy kernel keeps its flags
-    # as they were, one whose end points are one float.  The window stays in
-    # [lo, bhi]: no ball outside beats the incumbent.  It starts two sweep
-    # steps wide on either side, or as wide as that range, and each round
-    # narrows to the last round's point spacing.  A radius whose window is
-    # empty (lo >= bhi), or whose balls from lo on all hold the support
-    # (lo >= end), has no ball left that could beat its incumbent, and is
-    # done before the first round.
+    # only those radii are evaluated.  A window whose points are no longer
+    # distinct floats is flat without evidence; such a radius is reported
+    # unconverged.  The window stays in [lo, bhi]: no ball outside beats the
+    # incumbent.  It starts two sweep steps wide on either side, or as wide
+    # as that range, and each round narrows to the last round's point
+    # spacing.  A radius whose window is empty (lo >= bhi), or whose balls
+    # from lo on all hold the support (lo >= end), has no ball left that
+    # could beat its incumbent, and is done before the first round.
     log_w = np.minimum(2.0 * log_span / (t.size - 1), np.log(bhi / lo))
-    steps = _QUIET_REFINE_STEPS if quiet else _REFINE_STEPS
     converged = lo >= np.minimum(bhi, end)
     live = np.flatnonzero(~converged)
     val, beta, lo, hi, log_w, r_col = (x[live] for x in (best_val, best_b, lo, bhi, log_w, r_col))
@@ -442,7 +431,7 @@ def _supremum_batch(g, cfg, R, region, opt):
             break
         # fmax maps a missing incumbent (NaN) to lo
         center = np.minimum(np.fmax(beta, lo), hi)[:, None]
-        bref = center * np.exp(log_w[:, None] * steps)
+        bref = center * np.exp(log_w[:, None] * _REFINE_STEPS)
         betas = np.minimum(np.maximum(bref, lo[:, None]), hi[:, None])
         val, beta, top, vals = fold(val, beta, betas, r_col)
         spread = top - np.minimum.reduce(vals, axis=1)
@@ -450,13 +439,13 @@ def _supremum_batch(g, cfg, R, region, opt):
         if np.logical_or.reduce(flat):
             done = live[flat]
             best_val[done], best_b[done] = val[flat], beta[flat]
-            pts = bref[flat] if quiet else bref[flat][:, [0, -1]]
+            pts = bref[flat]
             converged[done] = np.logical_and.reduce(pts[:, 1:] > pts[:, :-1], axis=1)
             keep = ~flat
             live, val, beta, lo, hi, log_w, r_col = (
                 x[keep] for x in (live, val, beta, lo, hi, log_w, r_col)
             )
-        log_w = log_w * (steps[0, 1] - steps[0, 0])
+        log_w = log_w * (_REFINE_STEPS[0, 1] - _REFINE_STEPS[0, 0])
     best_val[live], best_b[live] = val, beta
     return _finish(g, region, lam, best_val, best_b, converged)
 
@@ -512,23 +501,9 @@ def maximal_value(
 ) -> float:
     """Lower-bounding estimate of the supremum of ball averages at radius R.
 
-    Every candidate lies on the least-offset boundary curve: the explicit
-    kink candidates, one geometric sweep of 4 * beta_grid betas, the
-    refinement points around the incumbent, and (for regions whose closure
-    admits it) the shrinking-ball limit with value g(R).  Up to d = 6 the
-    sweep spans only the betas where the average can move, in the same
-    kernel call as the candidates: where the range starts at 0 it starts at
-    the ball's first breakpoint, below which the average is g(R), and in the
-    full region it ends at the ball that holds the support, beyond which the
-    average falls.  From d = 7 on it runs from 1e-6 to the mass cutoff, in a
-    call of its own.  Refinement starts two sweep steps either side of the
-    incumbent, kept above the betas whose balls miss the support, narrows to
-    the point spacing each round (33 points up to d = 6, nine above), and
-    stops once a round's values spread by at most rel_tol relative to the
-    incumbent.  The reported alpha is the least offset of the reported beta.
-    At d = 1 the kinks, the curve's branch switches, the ends of the beta
-    range and the shrinking-ball limit are the only candidates, in one
-    kernel call; the average is monotone between them, so the value is exact
-    up to rounding.
+    Every value evaluated is a feasible ball average on the least-offset
+    boundary curve, or the shrinking-ball limit g(R) for regions whose
+    closure admits it; the module docstring describes the search.  At d = 1
+    the value is exact up to rounding.
     """
     return maximal_value_detailed(g, cfg, R, region, opt).value

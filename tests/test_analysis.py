@@ -192,15 +192,15 @@ def test_superlevel_resolves_without_warning():
 
 
 def test_unconverged_searches_warn_once_with_their_count():
-    # at d = 10 the small-cap kernel noise leaves one searched radius of this
-    # cell unconverged; the level-set solver says so once
+    # at d = 10 the small-cap kernel noise leaves three searched radii of
+    # this cell unconverged; the level-set solver says so once
     g = random_profile(9003, 6, 10)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AnalysisWarning)
         weak_constant_estimate(g, OperatorConfig(10, 0.0), default_t_grid(g, 12))
     messages = [str(w.message) for w in caught if w.category is AnalysisWarning]
     assert len(messages) == 1
-    pattern = r"level-set search: unconverged at 1 of its radii \(.*rel_tol.*\)"
+    pattern = r"level-set search: unconverged at 3 of its radii \(.*rel_tol.*\)"
     assert re.fullmatch(pattern, messages[0])
 
 

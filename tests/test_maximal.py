@@ -546,11 +546,10 @@ def test_refinement_stops_within_rel_tol_of_a_dense_scan(d, opt):
 
 
 def test_refinement_work_budget(monkeypatch):
-    # lens-kernel calls per d >= 2 radius at the default settings: the
-    # candidates and the sweep (one call up to d = 6, two above) and the
-    # refinement rounds.  Up to d = 6 the sweep spans only the betas where
-    # the average can move and a round narrows 16x, so a radius takes at
-    # most five calls there.
+    # lens-kernel calls per d >= 2 radius at the default settings: one for
+    # the candidates and the sweep, then one per refinement round.  The
+    # sweep spans only the betas where the average can move and a round
+    # narrows 16x, at every d, so a radius takes few calls.
     lens, calls = maximal._lens_array, [0]
 
     def counting_lens(*args):
@@ -566,11 +565,11 @@ def test_refinement_work_budget(monkeypatch):
                 calls[0] = 0
                 maximal_value_detailed(g, OperatorConfig(d, lam), float(R))
                 per_radius.setdefault(d, []).append(calls[0])
-    assert np.median(sum(per_radius.values(), [])) <= 9
-    assert max(max(per_radius[d]) for d in (2, 3, 5)) <= 5
+    assert all(np.median(per_radius[d]) <= 4 for d in per_radius), per_radius
+    assert max(max(per_radius[d]) for d in (2, 3, 5, 10)) <= 5, per_radius
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 30])
 def test_least_offset_average_is_fixed_outside_the_sweep_range(d):
     # The two facts that bound the sweep where the beta range starts at 0.
     # Below the beta where the least-offset ball first meets a breakpoint
