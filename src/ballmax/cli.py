@@ -339,9 +339,13 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
 
     if want("mc-geometry"):
         reports.append(verify.check_mc_geometry(ns.tuples, ns.d_max, mc))
+        if not reports[-1].extra["rows"]:
+            raise CliError("verify mc-geometry: no tuple to check, --tuples is 0")
     if want("homothety"):
         r_grid = parse_grid(ns.r_grid) if ns.r_grid else np.linspace(0.1, 1.0, 10).tolist()
         t_grid = parse_grid(ns.t_grid) if ns.t_grid else np.linspace(0.2, 2.0, 10).tolist()
+        if not (r_grid and t_grid):
+            raise CliError("verify homothety: no (r, t) grid point, a grid is empty")
         for d in d_list:
             reports.append(verify.check_homothety_identity(d, r_grid, t_grid))
     if want("shrink-overlap"):
@@ -351,6 +355,8 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
             reports.append(
                 verify.check_shrink_overlap_inequality(d, r_grid, t_grid, ns.assert_full_region)
             )
+            if not reports[-1].extra["rows"]:
+                raise CliError("verify shrink-overlap: no (r, t) pair has t > 0 and t + r > 1")
     if want("lens-enclosure"):
         r_grid = parse_grid(ns.r_grid) if ns.r_grid else [0.3, 0.5, 0.9]
         before = len(reports)
@@ -419,10 +425,7 @@ def main(argv=None) -> int:
         with _warnings.catch_warnings():
             _warnings.simplefilter("always", analysis.AnalysisWarning)
             return _COMMANDS[ns.command](ns, opt)
-    except (CliError, ProfileError, UsageError, GeometryDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, ProfileError, UsageError, GeometryDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -250,7 +250,13 @@ def _steady_beta(lam, R, radii_k):
     Its ends R - (1 + lam) beta R and R + (1 - lam) beta R leave the point R,
     so below this beta the ball lies inside or outside each step and
     averages the level g(R).  Up to 1 / (1 + lam) the ball is the least
-    offset one of every region whose beta range starts at 0."""
+    offset one of every region whose beta range starts at 0.
+
+    It is at most 1 / (1 + lam), which is at most the least beta of the lower
+    band and of the centered shell, so it moves only the lower end of a range
+    that starts at 0.  It is at least (1 - r_K / R) / (1 + lam), below which the
+    ball misses the support: for R > r_K that is the last breakpoint's term,
+    in the same float operations, and for R <= r_K it is not positive."""
     gap = 1.0 - radii_k[None, :] / R[:, None]
     with np.errstate(divide="ignore"):
         meet = np.abs(gap) / np.where(gap >= 0.0, 1.0 + lam, 1.0 - lam)
@@ -379,11 +385,6 @@ def _supremum_batch(g, cfg, R, region, opt):
         return _finish(g, region, lam, best_val, best_b, np.ones(n, dtype=bool))
     betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_region)
 
-    # Below lo every ball on the least-offset curve misses the support
-    # (alpha - beta >= 1 - (1 + lam) beta > r_K / R) and averages 0.
-    ratio_k = radii_k[-1] / R
-    lo = np.maximum(blo, (1.0 - ratio_k) / (1.0 + lam))
-    t = _unit_grid(4 * opt.beta_grid)
     # One geometric sweep over the betas where the average can move, known
     # before any value, so it shares the candidates' kernel call.  Where the
     # range starts at 0 it starts where the ball first meets a breakpoint:
@@ -392,8 +393,9 @@ def _supremum_batch(g, cfg, R, region, opt):
     # that its average, norm / (omega_d (beta R)^d), falls.  The upper band
     # keeps the top of its range; the lower band and the centered shell keep
     # both ends, since a lens already exists where their ranges start.
-    if blo_region == 0.0:
-        lo = np.maximum(lo, _steady_beta(lam, R, radii_k))
+    lo = np.maximum(blo, _steady_beta(lam, R, radii_k))
+    ratio_k = radii_k[-1] / R
+    t = _unit_grid(4 * opt.beta_grid)
     end = bhi_region
     if region is RegionKind.FULL:
         end = np.maximum(ratio_k, (1.0 + ratio_k) / (1.0 + lam))

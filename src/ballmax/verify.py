@@ -446,6 +446,42 @@ def check_homothety_identity(d: int, r_grid, t_grid) -> CheckReport:
     )
 
 
+def _region_audit(name, g, cfg, R_samples, regions, opt, grid, witness) -> CheckReport:
+    """Search the full region and each restricted region at every radius.
+
+    A restricted region may fall short of the full supremum: its worst
+    shortfall, relative to the full value, is the report's violation,
+    against twice the optimizer tolerance.  It must never exceed it:
+    extra["dominance_ok"] says whether every excess stays within that
+    tolerance.  The witness is witness(R, region, full, value) at the worst
+    shortfall, the first region listed on a tie; grid is the text before
+    the radius count."""
+    opt = opt or OptimizerSettings()
+    R = np.asarray(list(R_samples), dtype=float)
+    if R.size == 0:
+        raise UsageError(f"verify {name}: R_samples is empty")
+    full = maximal_value_batch(g, cfg, R, RegionKind.FULL, opt)
+    values = np.array([maximal_value_batch(g, cfg, R, region, opt) for region in regions])
+    scale = np.maximum(full, 1e-300)
+    shortfall = (full - values) / scale
+    dominance = float(np.max((values - full) / scale))
+    j, i = np.unravel_index(np.argmax(shortfall), shortfall.shape)
+    keys = ["R", "full", *(region.value.replace("-", "_") for region in regions)]
+    rows = [dict(zip(keys, row)) for row in np.column_stack((R, full, *values)).tolist()]
+    return _report(
+        name,
+        float(shortfall[j, i]),
+        2.0 * opt.rel_tol,
+        witness(float(R[i]), regions[j], float(full[i]), float(values[j, i])),
+        f"{grid}, {R.size} radii",
+        {
+            "rows": rows,
+            "dominance_ok": bool(dominance <= 2.0 * opt.rel_tol),
+            "worst_dominance_violation": dominance,
+        },
+    )
+
+
 def check_centered_shell_gap(
     g: StepProfile, d: int, R_samples, opt: OptimizerSettings | None = None
 ) -> CheckReport:
@@ -453,32 +489,10 @@ def check_centered_shell_gap(
     radius in [R, 2R]) against the full region.  A shortfall beyond twice the
     optimizer tolerance is a genuine gap of the restricted region; the known
     witness is the unit-ball indicator at R = 0.9 (5/9 against 1)."""
-    opt = opt or OptimizerSettings()
-    cfg = OperatorConfig(d, 0.0)
-    R = np.asarray(list(R_samples), dtype=float)
-    if R.size == 0:
-        raise UsageError("verify centered-shell-gap: R_samples is empty")
-    full = maximal_value_batch(g, cfg, R, RegionKind.FULL, opt)
-    shell = maximal_value_batch(g, cfg, R, RegionKind.CENTERED_SHELL, opt)
-    scale = np.maximum(full, 1e-300)
-    shortfall = (full - shell) / scale
-    dominance = (shell - full) / scale
-    i = int(np.argmax(shortfall))
-    rows = [
-        {"R": float(r), "full": float(f), "centered_shell": float(s)}
-        for r, f, s in zip(R, full, shell)
-    ]
-    return _report(
-        "centered-shell-gap",
-        float(shortfall[i]),
-        2.0 * opt.rel_tol,
-        (float(R[i]), float(full[i]), float(shell[i])),
-        f"d={d}, {R.size} radii",
-        {
-            "rows": rows,
-            "dominance_ok": bool(np.max(dominance) <= 2.0 * opt.rel_tol),
-            "worst_dominance_violation": float(np.max(dominance)),
-        },
+    regions = [RegionKind.CENTERED_SHELL]
+    return _region_audit(
+        "centered-shell-gap", g, OperatorConfig(d, 0.0), R_samples, regions, opt,
+        f"d={d}", lambda R, region, full, value: (R, full, value),
     )
 
 
@@ -491,44 +505,10 @@ def check_band_regions(
     The canonical regression row is the unit-ball indicator at d=1,
     lambda=0, R=2: upper band 1/4 versus full = lower band = 1/3.
     """
-    opt = opt or OptimizerSettings()
-    R = np.asarray(list(R_samples), dtype=float)
-    if R.size == 0:
-        raise UsageError("verify band-regions: R_samples is empty")
-    full = maximal_value_batch(g, cfg, R, RegionKind.FULL, opt)
-    upper = maximal_value_batch(g, cfg, R, RegionKind.UPPER_BAND, opt)
-    lower = maximal_value_batch(g, cfg, R, RegionKind.LOWER_BAND, opt)
-    scale = np.maximum(full, 1e-300)
-    short_u = (full - upper) / scale
-    short_l = (full - lower) / scale
-    dominance = np.maximum(upper - full, lower - full) / scale
-    worst = float(max(np.max(short_u), np.max(short_l)))
-    if np.max(short_u) >= np.max(short_l):
-        i = int(np.argmax(short_u))
-        witness = (float(R[i]), "upper-band", float(full[i]), float(upper[i]))
-    else:
-        i = int(np.argmax(short_l))
-        witness = (float(R[i]), "lower-band", float(full[i]), float(lower[i]))
-    rows = [
-        {
-            "R": float(r),
-            "full": float(f),
-            "upper_band": float(u),
-            "lower_band": float(lo),
-        }
-        for r, f, u, lo in zip(R, full, upper, lower)
-    ]
-    return _report(
-        "band-regions",
-        worst,
-        2.0 * opt.rel_tol,
-        witness,
-        f"d={cfg.d}, lambda={cfg.lam:g}, {R.size} radii",
-        {
-            "rows": rows,
-            "dominance_ok": bool(np.max(dominance) <= 2.0 * opt.rel_tol),
-            "worst_dominance_violation": float(np.max(dominance)),
-        },
+    regions = [RegionKind.UPPER_BAND, RegionKind.LOWER_BAND]
+    return _region_audit(
+        "band-regions", g, cfg, R_samples, regions, opt, f"d={cfg.d}, lambda={cfg.lam:g}",
+        lambda R, region, full, value: (R, region.value, full, value),
     )
 
 

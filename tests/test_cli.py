@@ -448,6 +448,12 @@ def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, args):
         ["domination", "--R-set", ","],
         ["centered-shell", "--R-set", ","],
         ["bands", "--R-set", ","],
+        # a check that runs but has nothing to check
+        ["homothety", "--t-grid", ","],
+        ["homothety", "--r-grid", ","],
+        ["shrink-overlap", "--t-grid", ","],
+        ["shrink-overlap", "--r-grid", "0.5", "--t-grid", "0.1"],
+        ["mc-geometry", "--tuples", "0"],
     ],
 )
 def test_verify_with_no_check_to_run_is_usage_error(capsys, args):

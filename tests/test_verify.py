@@ -7,7 +7,7 @@ import pytest
 
 from ballmax import verify
 from ballmax.geometry import GeometryDomainError, intersection_volume, lens_volume_array
-from ballmax.maximal import OptimizerSettings, UsageError
+from ballmax.maximal import OptimizerSettings, RegionKind, UsageError
 from ballmax.profiles import OperatorConfig, StepProfile, random_profile
 from ballmax.verify import (
     CheckReport,
@@ -508,6 +508,42 @@ def test_band_regions_dominance_on_random_profile():
     g = random_profile(9, 4, 2)
     rep = check_band_regions(g, OperatorConfig(2, 1.0), [0.5, 1.5, 4.0])
     assert rep.extra["dominance_ok"]
+
+
+def _plant_values(monkeypatch, values):
+    # every search returns the given values of its region
+    monkeypatch.setattr(
+        verify, "maximal_value_batch", lambda g, cfg, R, region, opt: np.array(values[region])
+    )
+
+
+def test_centered_shell_excess_fails_dominance(monkeypatch):
+    # the shell beats the full region by 2^-9 of its value at R = 2
+    _plant_values(
+        monkeypatch,
+        {RegionKind.FULL: [1.0, 0.5], RegionKind.CENTERED_SHELL: [0.75, 0.5 + 2.0**-10]},
+    )
+    rep = check_centered_shell_gap(UNIT_BALL, 2, [0.9, 2.0])
+    assert rep.witness == (0.9, 1.0, 0.75) and rep.worst_violation == 0.25
+    assert rep.extra["dominance_ok"] is False
+    assert rep.extra["worst_dominance_violation"] == 2.0**-9
+
+
+@pytest.mark.parametrize("planted", [RegionKind.UPPER_BAND, RegionKind.LOWER_BAND])
+def test_band_excess_fails_dominance_and_ties_name_the_upper_band(monkeypatch, planted):
+    # both bands fall 1/4 short at R = 0.9; one beats the full region by
+    # 2^-9 of its value at R = 2
+    values = {
+        RegionKind.FULL: [1.0, 0.5],
+        RegionKind.UPPER_BAND: [0.75, 0.5],
+        RegionKind.LOWER_BAND: [0.75, 0.5],
+    }
+    values[planted] = [0.75, 0.5 + 2.0**-10]
+    _plant_values(monkeypatch, values)
+    rep = check_band_regions(UNIT_BALL, OperatorConfig(2, 0.5), [0.9, 2.0])
+    assert rep.witness == (0.9, "upper-band", 1.0, 0.75) and rep.worst_violation == 0.25
+    assert rep.extra["dominance_ok"] is False
+    assert rep.extra["worst_dominance_violation"] == 2.0**-9
 
 
 # ---------------------------------------------------------------------------
