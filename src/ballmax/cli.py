@@ -355,8 +355,11 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
             reports.append(
                 verify.check_shrink_overlap_inequality(d, r_grid, t_grid, ns.assert_full_region)
             )
-            if not reports[-1].extra["rows"]:
-                raise CliError("verify shrink-overlap: no (r, t) pair has t > 0 and t + r > 1")
+            if reports[-1].witness is None:
+                raise CliError(
+                    "verify shrink-overlap: no (r, t) pair to assert, one needs t > 0 and "
+                    "t + r > 1, and t <= 1 without --assert-full-range"
+                )
     if want("lens-enclosure"):
         r_grid = parse_grid(ns.r_grid) if ns.r_grid else [0.3, 0.5, 0.9]
         before = len(reports)

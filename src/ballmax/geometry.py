@@ -220,6 +220,17 @@ def cap_volume(d: int, rho: float, h: float) -> float:
     return float(_cap_array(d, unit_ball_volume(d), _entry(rho), _entry(h))[0])
 
 
+def _check_lens(d, c: float, rho1: float, rho2: float) -> int:
+    # the domain of intersection_volume: an integer d in [1, MAX_DIMENSION],
+    # a finite c >= 0 and finite positive radii
+    d = _check_dimension(d)
+    if not (c >= 0.0 and math.isfinite(c)):
+        raise GeometryDomainError(f"center distance must be nonnegative, got {c}")
+    if not (rho1 > 0.0 and math.isfinite(rho1)) or not (rho2 > 0.0 and math.isfinite(rho2)):
+        raise GeometryDomainError(f"radii must be positive, got {rho1}, {rho2}")
+    return d
+
+
 def intersection_volume(d: int, c: float, rho1: float, rho2: float) -> float:
     """Volume of B(0, rho1) intersected with the ball of radius rho2 centered
     at distance c along the first axis.
@@ -229,11 +240,7 @@ def intersection_volume(d: int, c: float, rho1: float, rho2: float) -> float:
     respectively; the function is continuous across both boundaries), and
     otherwise a lens equal to two caps split at the radical hyperplane.
     """
-    d = _check_dimension(d)
-    if not (c >= 0.0 and math.isfinite(c)):
-        raise GeometryDomainError(f"center distance must be nonnegative, got {c}")
-    if not (rho1 > 0.0 and math.isfinite(rho1)) or not (rho2 > 0.0 and math.isfinite(rho2)):
-        raise GeometryDomainError(f"radii must be positive, got {rho1}, {rho2}")
+    d = _check_lens(d, c, rho1, rho2)
     lens = _lens_array(d, unit_ball_volume(d), _entry(c), _entry(rho1), _entry(rho2))
     return float(lens[0])
 

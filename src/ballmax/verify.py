@@ -10,22 +10,29 @@ Every check is reproducible bit for bit given its inputs and seed.
 
 Every Monte Carlo check draws a point r u (|u| = 1) of a ball as its radius
 r and axis cosine u_0 alone: each set the point is tested against is a ball
-centered on the e1 axis, so no d-dimensional point is built.  The lens
-oracle, mc_intersection_volume, counts a hit in B(c e1, rho2) when
-r (r - 2 c u_0) <= rho2^2 - c^2; check_lens_enclosure and
-check_random_ball_domination use the axis coordinate r u_0 and the distance
-r sqrt(1 - u_0^2) from the axis.  One function, _ball_draws, draws (r, u_0)
-from their exact joint law in the unit ball: r = U^(1/d), and u_0 by
-recursion on d.  At d = 1, u_0 is -1 or +1 with probability 1/2 each; at
-d = 2, u_0 = cos(pi V); at d >= 3, u_0 = V^(1/(d-2)) times an independent
-u_0 of dimension d - 2.  The last step is the generalised Archimedes fact:
-dropping two coordinates of a uniform point on S^(d-1) leaves a uniform
-point in B^(d-2) (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 33, 2005;
-Voelker, Gosmann and Stewart, "Efficiently sampling vectors and coordinates
-from the n-sphere and n-ball", 2017).  A sample costs about d/2 + 1 uniform
-draws and no normals.  check_mc_geometry accepts a lens volume when it lies
-in the Wilson score interval of the hit count, at a family-wise false-alarm
-level split over the tuples.
+centered on the e1 axis, so no d-dimensional point is built.
+check_lens_enclosure and check_random_ball_domination use the axis
+coordinate r u_0 and the distance r sqrt(1 - u_0^2) from the axis; they draw
+(r, u_0) from its exact joint law in the unit ball through _ball_draws:
+r = U^(1/d), and u_0 (_axis_cosines) by recursion on d.  At d = 1, u_0 is
+-1 or +1 with probability 1/2 each; at d = 2, u_0 = cos(pi V); at d >= 3,
+u_0 = V^(1/(d-2)) times an independent u_0 of dimension d - 2.  The last
+step is the generalised Archimedes fact: dropping two coordinates of a
+uniform point on S^(d-1) leaves a uniform point in B^(d-2) (Barthe, Guedon,
+Mendelson and Naor, Ann. Probab. 33, 2005; Voelker, Gosmann and Stewart,
+"Efficiently sampling vectors and coordinates from the n-sphere and n-ball",
+2017).  A sample costs about d/2 + 1 uniform draws and no normals.
+
+The lens oracle, mc_intersection_volume, counts a sample of B(0, rho1) as a
+hit in B(c e1, rho2) when r (r - 2 c u_0) <= rho2^2 - c^2.  By the triangle
+inequality the radius alone decides it outside the band
+|rho2 - c| < r <= c + rho2: below the band it hits for every u_0 when
+c <= rho2 and misses for every u_0 otherwise, above it it misses.  One
+multinomial draw splits the samples into below, band and above, which is
+the law of their radii; only the band samples draw a radius and an axis
+cosine.  check_mc_geometry accepts a lens volume when it lies in the Wilson
+score interval of the hit count, at a family-wise false-alarm level split
+over the tuples.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import numpy as np
 from .geometry import (
     GeometryDomainError,
     MAX_DIMENSION,
+    _check_lens,
     lens_volume_array,
     unit_ball_volume,
 )
@@ -68,8 +76,8 @@ __all__ = [
 _MEMBERSHIP_TOL = 1e-12
 _EXACT_TOL = 1e-12
 _HOMOTHETY_TOL = 1e-10
-# samples (or balls) per chunk of mc_intersection_volume (and
-# check_random_ball_domination); a few arrays of this length stay in cache
+# samples (or balls) per chunk of the Monte Carlo checks; a few arrays of
+# this length stay in cache
 _MC_CHUNK = 16_384
 # family-wise false-alarm level of check_mc_geometry over all its tuples
 _MC_FALSE_ALARM = 1e-3
@@ -131,13 +139,13 @@ def _report(name, worst, tol, witness, grid, extra=None) -> CheckReport:
     )
 
 
-def _ball_draws(rng, m: int, d: int):
-    """m points uniform in the unit d-ball, as their radius r and axis
-    cosine u_0 (see the module docstring).
+def _axis_cosines(rng, m: int, d: int) -> np.ndarray:
+    """m axis cosines u_0 of points uniform on the unit sphere S^(d-1) (see
+    the module docstring).
 
     Draw order: m uniforms V for each recursion step k = d - 2, d - 4, ...
     >= 1 (the factor V^(1/k)); m uniforms for the base (the sign at odd d,
-    cos(pi V) at even d); m uniforms U for r = U^(1/d)."""
+    cos(pi V) at even d)."""
     u0 = np.ones(m)
     for k in range(d - 2, 0, -2):
         u0 *= rng.random(m) ** (1.0 / k)
@@ -146,11 +154,19 @@ def _ball_draws(rng, m: int, d: int):
         np.copysign(u0, v - 0.5, out=u0)
     else:
         u0 *= np.cos(np.pi * v)
+    return u0
+
+
+def _ball_draws(rng, m: int, d: int):
+    """m points uniform in the unit d-ball, as their radius r and axis
+    cosine u_0: the draws of _axis_cosines, then m uniforms U for
+    r = U^(1/d)."""
+    u0 = _axis_cosines(rng, m, d)
     return rng.random(m) ** (1.0 / d), u0
 
 
 def _mc_draws(d: int, rho1: float, mc: McConfig):
-    """The (r, u_0) draws of mc_intersection_volume: _ball_draws on chunks of
+    """The (r, u_0) draws of check_lens_enclosure: _ball_draws on chunks of
     m = _MC_CHUNK samples (fewer in the last), r scaled by rho1."""
     rng = np.random.default_rng(mc.seed)
     for start in range(0, mc.n_samples, _MC_CHUNK):
@@ -169,22 +185,61 @@ def _lens_hits(r: np.ndarray, u0: np.ndarray, c: float, rho2: float) -> int:
     return int(np.count_nonzero(u0 <= rho2 * rho2 - c * c))
 
 
+def _band_ends(d: int, c: float, rho1: float, rho2: float) -> tuple[float, float]:
+    # the shares (r / rho1)^d of B(0, rho1) below the band ends |rho2 - c|
+    # and c + rho2, so r = rho1 U^(1/d) is in the band when lo <= U <= hi;
+    # each ratio is clipped to 1 before the power, which cannot overflow
+    lo = min(1.0, abs(rho2 - c) / rho1) ** d
+    return lo, min(1.0, (c + rho2) / rho1) ** d
+
+
+def _lens_samples(d: int, c: float, rho1: float, rho2: float, mc: McConfig):
+    """The lens oracle's samples: (decided hits, decided, band), where band
+    yields the (r, u_0) chunks of the samples in the band.
+
+    Draw order: one multinomial split of the n samples into below, band and
+    above (see the module docstring); then, per chunk of at most _MC_CHUNK
+    band samples, the uniforms V of r = rho1 (lo + (hi - lo) V)^(1/d) and
+    the uniforms of _axis_cosines.  The input is checked as
+    geometry.intersection_volume checks it (_check_lens)."""
+    d = _check_lens(d, c, rho1, rho2)
+    lo, hi = _band_ends(d, c, rho1, rho2)
+    rng = np.random.default_rng(mc.seed)
+    below, inside, above = rng.multinomial(mc.n_samples, [lo, hi - lo, 1.0 - hi]).tolist()
+
+    def band():
+        for start in range(0, inside, _MC_CHUNK):
+            m = min(_MC_CHUNK, inside - start)
+            r = rho1 * (lo + (hi - lo) * rng.random(m)) ** (1.0 / d)
+            yield r, _axis_cosines(rng, m, d)
+
+    return (below if c <= rho2 else 0), below + above, band()
+
+
+def _lens_counts(d: int, c: float, rho1: float, rho2: float, mc: McConfig) -> tuple[int, int]:
+    """The lens oracle's hit count and how many samples the radius decided."""
+    hits, decided, band = _lens_samples(d, c, rho1, rho2, mc)
+    return hits + sum(_lens_hits(r, u0, c, rho2) for r, u0 in band), decided
+
+
+def _volume_estimate(vol1: float, hits: int, n: int) -> tuple[float, float]:
+    p = hits / n
+    return vol1 * p, vol1 * math.sqrt(p * (1.0 - p) / n)
+
+
 def mc_intersection_volume(d: int, c: float, rho1: float, rho2: float, mc: McConfig):
     """Monte Carlo lens volume: uniform samples in B(0, rho1) tested for
     membership in the second ball.  Returns (estimate, standard error).
 
     No point is built: a sample r u (|u| = 1) is a hit when
-    r (r - 2 c u_0) <= rho2^2 - c^2, which needs only its radius r and first
-    direction coordinate u_0, drawn by _ball_draws (see the module
-    docstring).  _mc_draws fixes the chunks and _ball_draws the draw order,
-    so the seed fixes every bit."""
-    hits = sum(_lens_hits(r, u0, c, rho2) for r, u0 in _mc_draws(d, rho1, mc))
-    n = mc.n_samples
-    vol1 = unit_ball_volume(d) * rho1 ** d
-    p = hits / n
-    est = vol1 * p
-    se = vol1 * math.sqrt(p * (1.0 - p) / n)
-    return est, se
+    r (r - 2 c u_0) <= rho2^2 - c^2, and outside the band
+    |rho2 - c| < r <= c + rho2 its radius alone decides that (see the module
+    docstring).  The hit count is Binomial(n, p) with p the lens's share of
+    B(0, rho1), as if every sample were tested.  _lens_samples fixes the
+    draw order, so the seed fixes every bit.  Input outside the domain of
+    geometry.intersection_volume raises GeometryDomainError."""
+    hits, _ = _lens_counts(d, c, rho1, rho2, mc)
+    return _volume_estimate(unit_ball_volume(d) * rho1 ** d, hits, mc.n_samples)
 
 
 def _poisson_lower(k: int, z: float) -> float:
@@ -223,7 +278,8 @@ def check_mc_geometry(n_tuples: int, d_max: int, mc: McConfig) -> CheckReport:
     a relative 1e-12 for rounding.  Its z puts the family-wise false-alarm
     level _MC_FALSE_ALARM on all tuples together, split evenly over them
     (Bonferroni), and comes from statistics.NormalDist, so no scipy loads.
-    Each row carries its interval, as volumes, in mc_lo and mc_hi."""
+    Each row carries its interval, as volumes, in mc_lo and mc_hi, and in
+    decided the samples whose radius alone decided them."""
     if n_tuples < 0:
         raise UsageError(f"n_tuples must be non-negative, got {n_tuples}")
     if not 1 <= d_max <= MAX_DIMENSION:
@@ -249,13 +305,14 @@ def check_mc_geometry(n_tuples: int, d_max: int, mc: McConfig) -> CheckReport:
     witness = None
     rows = []
     for (d, c, rho1, rho2, seed), ex in zip(draws, exact.tolist()):
-        est, se = mc_intersection_volume(d, c, rho1, rho2, McConfig(seed, n))
+        hits, decided = _lens_counts(d, c, rho1, rho2, McConfig(seed, n))
         vol1 = unit_ball_volume(d) * rho1 ** d
-        lo, hi = _hit_interval(round(est / vol1 * n), n, z)
+        est, se = _volume_estimate(vol1, hits, n)
+        lo, hi = _hit_interval(hits, n, z)
         lo, hi = lo * vol1, hi * vol1
         viol = max(lo - ex, ex - hi) - _EXACT_TOL * max(1.0, ex)
         rows.append({"d": d, "c": c, "rho1": rho1, "rho2": rho2, "exact": ex, "mc": est, "se": se,
-                     "mc_lo": lo, "mc_hi": hi})
+                     "mc_lo": lo, "mc_hi": hi, "decided": decided})
         if viol > worst:
             worst = viol
             witness = (d, c, rho1, rho2, ex, est, se, lo, hi)
@@ -344,8 +401,8 @@ def check_lens_enclosure(d: int, r: float, t: float, mc: McConfig) -> CheckRepor
     membership (distance tolerance 1e-12).  All balls here are centered on
     the e1 axis, so a sample e1 + rho u enters only through its axis
     coordinate x_1 = 1 + rho u_0 and its distance y = rho sqrt(1 - u_0^2)
-    from the axis.  The samples are those of mc_intersection_volume, checked
-    in its chunks (_mc_draws), not one batch of n_samples draws.  The
+    from the axis.  The samples are drawn and checked in chunks
+    (_mc_draws), not as one batch of n_samples draws.  The
     deterministic probes follow as a last batch: the axis points (1 -+ r) e1
     and e1 and, for d >= 2, the rim where the two boundary spheres meet (one
     orbit, so one probe).  Witnesses are the rotated representatives
@@ -449,28 +506,28 @@ def check_homothety_identity(d: int, r_grid, t_grid) -> CheckReport:
 def _region_audit(name, g, cfg, R_samples, regions, opt, grid, witness) -> CheckReport:
     """Search the full region and each restricted region at every radius.
 
-    A restricted region may fall short of the full supremum: its worst
-    shortfall, relative to the full value, is the report's violation,
-    against twice the optimizer tolerance.  It must never exceed it:
-    extra["dominance_ok"] says whether every excess stays within that
-    tolerance.  The witness is witness(R, region, full, value) at the worst
-    shortfall, the first region listed on a tie; grid is the text before
-    the radius count."""
+    A restricted region may fall short of the full supremum but must never
+    exceed it.  The report's violation is the worst relative gap, full
+    minus region or region minus full, against twice the optimizer
+    tolerance, so a region that beats the full region fails the audit like
+    one that loses to it; extra["dominance_ok"] says whether every excess
+    stays within that tolerance.  The witness is witness(R, region, full,
+    value) at the worst gap, the first region listed on a tie; grid is the
+    text before the radius count."""
     opt = opt or OptimizerSettings()
     R = np.asarray(list(R_samples), dtype=float)
     if R.size == 0:
         raise UsageError(f"verify {name}: R_samples is empty")
     full = maximal_value_batch(g, cfg, R, RegionKind.FULL, opt)
     values = np.array([maximal_value_batch(g, cfg, R, region, opt) for region in regions])
-    scale = np.maximum(full, 1e-300)
-    shortfall = (full - values) / scale
-    dominance = float(np.max((values - full) / scale))
-    j, i = np.unravel_index(np.argmax(shortfall), shortfall.shape)
+    excess = (values - full) / np.maximum(full, 1e-300)
+    dominance = float(np.max(excess))
+    j, i = np.unravel_index(np.argmax(np.abs(excess)), excess.shape)
     keys = ["R", "full", *(region.value.replace("-", "_") for region in regions)]
     rows = [dict(zip(keys, row)) for row in np.column_stack((R, full, *values)).tolist()]
     return _report(
         name,
-        float(shortfall[j, i]),
+        abs(float(excess[j, i])),
         2.0 * opt.rel_tol,
         witness(float(R[i]), regions[j], float(full[i]), float(values[j, i])),
         f"{grid}, {R.size} radii",

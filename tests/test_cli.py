@@ -454,6 +454,8 @@ def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, args):
         ["shrink-overlap", "--t-grid", ","],
         ["shrink-overlap", "--r-grid", "0.5", "--t-grid", "0.1"],
         ["mc-geometry", "--tuples", "0"],
+        # every pair has t > 1, which only --assert-full-range asserts
+        ["shrink-overlap", "--t-grid", "1.5"],
     ],
 )
 def test_verify_with_no_check_to_run_is_usage_error(capsys, args):

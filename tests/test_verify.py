@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ballmax import verify
+from ballmax.cli import main
 from ballmax.geometry import GeometryDomainError, intersection_volume, lens_volume_array
 from ballmax.maximal import OptimizerSettings, RegionKind, UsageError
 from ballmax.profiles import OperatorConfig, StepProfile, random_profile
@@ -83,17 +84,21 @@ def test_check_mc_geometry_passes():
         assert row["mc_lo"] - slack <= row["exact"] <= row["mc_hi"] + slack
 
 
-def _explicit_hits(d, c, rho1, rho2, mc):
-    # the oracle's (r, u_0) draws as explicit points r (u_0, sqrt(1 - u_0^2), 0, ...)
-    # with a distance test
-    hits = 0
-    for r, u0 in verify._mc_draws(d, rho1, mc):
+def _explicit_counts(d, c, rho1, rho2, mc):
+    # the oracle's own band draws as explicit points r (u_0, sqrt(1 - u_0^2), 0, ...)
+    # with a distance test, plus the samples their radius decided
+    hits, decided, band = verify._lens_samples(d, c, rho1, rho2, mc)
+    drawn = 0
+    for r, u0 in band:
+        assert np.all((abs(rho2 - c) * (1 - 1e-12) <= r) & (r <= (c + rho2) * (1 + 1e-12)))
         pts = np.zeros((r.size, d))
         pts[:, 0] = r * u0 - c
         if d > 1:
             pts[:, 1] = r * np.sqrt(1.0 - u0 * u0)
         hits += int(np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= rho2 * rho2))
-    return hits
+        drawn += r.size
+    assert decided + drawn == mc.n_samples
+    return hits, decided
 
 
 @pytest.mark.parametrize(
@@ -111,12 +116,114 @@ def _explicit_hits(d, c, rho1, rho2, mc):
         (30, 0.3, 1.0, 1.0, 20_000),
     ],
 )
-def test_mc_hits_equal_the_explicit_distance_test(d, c, rho1, rho2, n):
+def test_mc_hits_equal_the_explicit_distance_test(monkeypatch, d, c, rho1, rho2, n):
     mc = McConfig(17 + d, n)
-    hits = _explicit_hits(d, c, rho1, rho2, mc)
+    hits, decided = _explicit_counts(d, c, rho1, rho2, mc)
+    # the radius decides every sample when the balls are disjoint or
+    # concentric and when the second ball holds the first
+    assert (decided == n) == (abs(rho2 - c) >= rho1 or c == 0.0)
+    cosines = []
+    axis_cosines = verify._axis_cosines
+
+    def counted_cosines(rng, m, d):
+        cosines.append(m)
+        return axis_cosines(rng, m, d)
+
+    monkeypatch.setattr(verify, "_axis_cosines", counted_cosines)
+    assert verify._lens_counts(d, c, rho1, rho2, mc) == (hits, decided)
+    assert sum(cosines) == n - decided  # no axis cosine for a decided sample
     vol1 = verify.unit_ball_volume(d) * rho1 ** d
     p = hits / n
     assert mc_intersection_volume(d, c, rho1, rho2, mc) == (vol1 * p, vol1 * math.sqrt(p * (1.0 - p) / n))
+
+
+@pytest.mark.parametrize(
+    "d, c, rho1, rho2",
+    [
+        (1, 0.3, 2.0, 0.8),  # c < rho2: hits below the band, misses above it
+        (2, 1.0, 2.0, 0.4),  # c > rho2: misses on both sides
+        (3, 0.3, 2.0, 0.8),
+        (4, 1.0, 2.0, 0.4),
+        (6, 0.7, 1.0, 1.1),  # the band reaches past rho1: no upper class
+        (10, 0.05, 1.5, 1.2),
+    ],
+)
+def test_mc_radius_decides_exactly_outside_the_band(d, c, rho1, rho2):
+    lo, hi = verify._band_ends(d, c, rho1, rho2)
+    rng = np.random.default_rng(d)
+    # random directions and the two axis directions, as explicit unit vectors
+    u = np.vstack([sample_in_ball(rng, 500, d), np.eye(d)[:1], -np.eye(d)[:1]])
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    ends = [(abs(rho2 - c), c <= rho2, -1.0)]
+    if c + rho2 < rho1:
+        ends.append((c + rho2, False, 1.0))
+    for end, verdict, out in ends:
+        for eps, decided in ((out * 1e-6, True), (-out * 1e-6, False)):
+            r = end * (1.0 + eps)
+            share = (r / rho1) ** d
+            assert (not lo <= share <= hi) == decided
+            dist2 = np.sum((r * u - c * np.eye(d)[0]) ** 2, axis=1)
+            hit = dist2 <= rho2 * rho2
+            if decided:
+                assert np.all(hit == verdict)
+            else:  # toward +e1 the point hits, toward -e1 it misses
+                assert hit[-2] and not hit[-1]
+
+
+def test_mc_oracle_errors_follow_the_binomial_law():
+    # z-scores (p_hat - p) / sqrt(p (1 - p) / n) against the exact lens over
+    # seeded partial overlaps at d = 1..6, whose band has one or both ends
+    # inside B(0, rho1)
+    rng = np.random.default_rng(2024)
+    n, z = 20_000, []
+    while len(z) < 400:
+        d = int(rng.integers(1, 7))
+        rho1, rho2 = (float(x) for x in rng.uniform(0.2, 2.0, 2))
+        c = float(rng.uniform(0.0, rho1 + rho2))
+        vol1 = verify.unit_ball_volume(d) * rho1 ** d
+        p = float(lens_volume_array(d, c, rho1, rho2)) / vol1
+        if not 0.05 <= p <= 0.95:
+            continue
+        est, _ = mc_intersection_volume(d, c, rho1, rho2, McConfig(len(z), n))
+        z.append((est / vol1 - p) / math.sqrt(p * (1.0 - p) / n))
+    z = np.array(z)
+    # N(0, 1) would put the mean or the standard deviation beyond 5 standard
+    # errors with probability below 1e-5
+    assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
+    assert abs(z.std() - 1.0) <= 5.0 / math.sqrt(2.0 * z.size)
+
+
+@pytest.mark.parametrize(
+    "d, c, rho1, rho2",
+    [
+        (2, 0.5, 1.0, -1.0),
+        (2, 0.5, 0.0, 1.0),
+        (2, 0.5, 1.0, 0.0),
+        (2, math.nan, 1.0, 1.0),
+        (2, -0.1, 1.0, 1.0),
+        (2, math.inf, 1.0, 1.0),
+        (2, 0.5, math.inf, 1.0),
+        (2, 0.5, 1.0, math.nan),
+        (0, 0.5, 1.0, 1.0),
+        (31, 0.5, 1.0, 1.0),
+        (2.0, 0.5, 1.0, 1.0),
+    ],
+)
+def test_mc_oracle_rejects_what_the_exact_lens_rejects(d, c, rho1, rho2):
+    with pytest.raises(GeometryDomainError):
+        intersection_volume(d, c, rho1, rho2)
+    with pytest.raises(GeometryDomainError):
+        mc_intersection_volume(d, c, rho1, rho2, McConfig(1, 1000))
+
+
+def test_check_mc_geometry_rows_record_the_decided_samples():
+    rows = check_mc_geometry(40, 6, McConfig(5, 10_000)).extra["rows"]
+    for row in rows:
+        assert 0 <= row["decided"] <= 10_000
+        # disjoint or nested balls: the radius settles every sample
+        if row["c"] >= row["rho1"] + row["rho2"] or abs(row["rho2"] - row["c"]) >= row["rho1"]:
+            assert row["decided"] == 10_000
+    assert any(0 < row["decided"] < 10_000 for row in rows)
 
 
 def _ks_statistic(a, b):
@@ -527,6 +634,21 @@ def test_centered_shell_excess_fails_dominance(monkeypatch):
     assert rep.witness == (0.9, 1.0, 0.75) and rep.worst_violation == 0.25
     assert rep.extra["dominance_ok"] is False
     assert rep.extra["worst_dominance_violation"] == 2.0**-9
+
+
+def test_centered_shell_excess_alone_fails_the_audit(monkeypatch, capsys):
+    # no shortfall anywhere; the shell beats the full region by 2^-9 at R = 2
+    _plant_values(
+        monkeypatch,
+        {RegionKind.FULL: [1.0, 0.5], RegionKind.CENTERED_SHELL: [1.0, 0.5 + 2.0**-10]},
+    )
+    rep = check_centered_shell_gap(UNIT_BALL, 2, [0.9, 2.0])
+    assert not rep.passed
+    assert rep.witness == (2.0, 0.5, 0.5 + 2.0**-10) and rep.worst_violation == 2.0**-9
+    assert rep.extra["dominance_ok"] is False
+    assert rep.extra["worst_dominance_violation"] == 2.0**-9
+    assert main(["verify", "centered-shell", "--d", "2", "--R-set", "0.9,2"]) == 1
+    assert capsys.readouterr().err.startswith("FAILED centered-shell-gap: ")
 
 
 @pytest.mark.parametrize("planted", [RegionKind.UPPER_BAND, RegionKind.LOWER_BAND])
