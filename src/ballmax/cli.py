@@ -5,8 +5,9 @@ Exit status: 0 on success, 1 when a verification check fails, a weak-type
 bound is violated or a sweep cell fails (mathematical content only), 2 for
 usage and validation problems.  The bound, its slack and the threshold table
 come from analysis (weak_bound, bound_holds, threshold_rows); this module
-only maps bound_holds to exit codes.  Warnings go to stderr; identical
-configuration and seed produce byte-identical output files.
+only maps bound_holds to exit codes.  Warnings go to stderr as
+"warning: <message>" lines; identical configuration and seed produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -252,6 +253,8 @@ def _cmd_scan(ns, opt) -> int:
     cfg = OperatorConfig(ns.d, ns.lam)
     g = _load_profile(ns.profile)
     grid = parse_grid(ns.r_grid)
+    if not grid:
+        raise CliError("scan: no radius to scan, --R-grid is empty")
     scan = analysis.radial_scan(g, cfg, grid, _REGIONS[ns.region], opt)
     for w in scan.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -339,13 +342,9 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
 
     if want("mc-geometry"):
         reports.append(verify.check_mc_geometry(ns.tuples, ns.d_max, mc))
-        if not reports[-1].extra["rows"]:
-            raise CliError("verify mc-geometry: no tuple to check, --tuples is 0")
     if want("homothety"):
         r_grid = parse_grid(ns.r_grid) if ns.r_grid else np.linspace(0.1, 1.0, 10).tolist()
         t_grid = parse_grid(ns.t_grid) if ns.t_grid else np.linspace(0.2, 2.0, 10).tolist()
-        if not (r_grid and t_grid):
-            raise CliError("verify homothety: no (r, t) grid point, a grid is empty")
         for d in d_list:
             reports.append(verify.check_homothety_identity(d, r_grid, t_grid))
     if want("shrink-overlap"):
@@ -355,11 +354,6 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
             reports.append(
                 verify.check_shrink_overlap_inequality(d, r_grid, t_grid, ns.assert_full_region)
             )
-            if reports[-1].witness is None:
-                raise CliError(
-                    "verify shrink-overlap: no (r, t) pair to assert, one needs t > 0 and "
-                    "t + r > 1, and t <= 1 without --assert-full-range"
-                )
     if want("lens-enclosure"):
         r_grid = parse_grid(ns.r_grid) if ns.r_grid else [0.3, 0.5, 0.9]
         before = len(reports)
@@ -371,7 +365,7 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
                     if not t + r <= 1.0:
                         reports.append(verify.check_lens_enclosure(d, r, t, mc))
         if len(reports) == before:
-            raise CliError("lens-enclosure: no (r, t) pair has t + r > 1")
+            raise CliError("verify lens-enclosure: no (r, t) pair has t + r > 1")
     if want("centered-shell"):
         R_set = parse_grid(ns.R_set) if ns.R_set else [0.5, 0.9, 2.0, 5.0]
         for d in d_list:
@@ -427,6 +421,7 @@ def main(argv=None) -> int:
         opt = _optimizer_from(ns)
         with _warnings.catch_warnings():
             _warnings.simplefilter("always", analysis.AnalysisWarning)
+            _warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             return _COMMANDS[ns.command](ns, opt)
     except (CliError, ProfileError, UsageError, GeometryDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

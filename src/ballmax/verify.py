@@ -1,10 +1,13 @@
 """Independent oracles and audits for the geometry and the region reductions.
 
-Each check returns a CheckReport: pass/fail against its stated tolerance,
-the worst violation found, and a witness.  The audits report what the
-sampled geometry actually does; several of the restricted-region and
-inclusion claims fail on documented parameter ranges, and those failures are
-recorded (with witnesses) rather than patched over.
+Each check returns a CheckReport: the worst violation found over what it
+asserts, its stated tolerance, and a witness where that worst violation lies.
+The verdict has one rule, CheckReport.passed: worst_violation <= tolerance.
+A check with nothing to assert raises UsageError ("verify <report name>:
+..."), so no report passes on nothing.  The audits report what the sampled
+geometry actually does; several of the restricted-region and inclusion
+claims fail on documented parameter ranges, and those failures are recorded
+(with witnesses) rather than patched over.
 
 Every check is reproducible bit for bit given its inputs and seed.
 
@@ -85,6 +88,11 @@ _MC_FALSE_ALARM = 1e-3
 _MC_FEW_HITS = 30
 
 
+def _is_integer(n) -> bool:
+    # an int or numpy integer, as geometry._check_dimension accepts; not a bool
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Seeded Monte Carlo budget."""
@@ -93,27 +101,28 @@ class McConfig:
     n_samples: int = 100_000
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise UsageError(f"seed must be non-negative, got {self.seed}")
-        if self.n_samples < 1000:
-            raise UsageError(f"n_samples must be at least 1000, got {self.n_samples}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
+        if not _is_integer(self.n_samples) or self.n_samples < 1000:
+            raise UsageError(f"n_samples must be an integer >= 1000, got {self.n_samples}")
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one audit: passed iff worst_violation <= tolerance."""
+    """Outcome of one audit: the worst violation over what it asserts (never
+    nothing), its tolerance and the witness tuple where the worst lies.  The
+    verdict is defined here alone: passed iff worst_violation <= tolerance."""
 
     name: str
-    passed: bool
     worst_violation: float
     tolerance: float
-    witness: tuple | None
+    witness: tuple
     samples_or_grid: str
     extra: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != (self.worst_violation <= self.tolerance):
-            raise UsageError("passed must equal worst_violation <= tolerance")
+    @property
+    def passed(self) -> bool:
+        return bool(self.worst_violation <= self.tolerance)
 
     def to_dict(self) -> dict:
         return {
@@ -121,22 +130,14 @@ class CheckReport:
             "passed": self.passed,
             "worst_violation": float(self.worst_violation),
             "tolerance": float(self.tolerance),
-            "witness": list(self.witness) if self.witness is not None else None,
+            "witness": list(self.witness),
             "samples_or_grid": self.samples_or_grid,
             "extra": self.extra,
         }
 
 
 def _report(name, worst, tol, witness, grid, extra=None) -> CheckReport:
-    return CheckReport(
-        name=name,
-        passed=bool(worst <= tol),
-        worst_violation=float(worst),
-        tolerance=float(tol),
-        witness=witness,
-        samples_or_grid=grid,
-        extra=extra or {},
-    )
+    return CheckReport(name, float(worst), float(tol), witness, grid, extra or {})
 
 
 def _axis_cosines(rng, m: int, d: int) -> np.ndarray:
@@ -280,10 +281,10 @@ def check_mc_geometry(n_tuples: int, d_max: int, mc: McConfig) -> CheckReport:
     (Bonferroni), and comes from statistics.NormalDist, so no scipy loads.
     Each row carries its interval, as volumes, in mc_lo and mc_hi, and in
     decided the samples whose radius alone decided them."""
-    if n_tuples < 0:
-        raise UsageError(f"n_tuples must be non-negative, got {n_tuples}")
-    if not 1 <= d_max <= MAX_DIMENSION:
-        raise UsageError(f"d_max must lie in [1, {MAX_DIMENSION}], got {d_max}")
+    if not _is_integer(n_tuples) or n_tuples < 1:
+        raise UsageError(f"verify mc-geometry: n_tuples must be a positive integer, got {n_tuples}")
+    if not _is_integer(d_max) or not 1 <= d_max <= MAX_DIMENSION:
+        raise UsageError(f"d_max must be an integer in [1, {MAX_DIMENSION}], got {d_max}")
     rng = np.random.default_rng(mc.seed)
     draws = []
     for _ in range(n_tuples):
@@ -300,10 +301,8 @@ def check_mc_geometry(n_tuples: int, d_max: int, mc: McConfig) -> CheckReport:
         at = dims == d
         exact[at] = lens_volume_array(int(d), *geo[at].T)
     n = mc.n_samples
-    z = NormalDist().inv_cdf(1.0 - _MC_FALSE_ALARM / (2 * max(n_tuples, 1)))
-    worst = -math.inf if n_tuples else 0.0
-    witness = None
-    rows = []
+    z = NormalDist().inv_cdf(1.0 - _MC_FALSE_ALARM / (2 * n_tuples))
+    rows, found = [], []
     for (d, c, rho1, rho2, seed), ex in zip(draws, exact.tolist()):
         hits, decided = _lens_counts(d, c, rho1, rho2, McConfig(seed, n))
         vol1 = unit_ball_volume(d) * rho1 ** d
@@ -313,9 +312,9 @@ def check_mc_geometry(n_tuples: int, d_max: int, mc: McConfig) -> CheckReport:
         viol = max(lo - ex, ex - hi) - _EXACT_TOL * max(1.0, ex)
         rows.append({"d": d, "c": c, "rho1": rho1, "rho2": rho2, "exact": ex, "mc": est, "se": se,
                      "mc_lo": lo, "mc_hi": hi, "decided": decided})
-        if viol > worst:
-            worst = viol
-            witness = (d, c, rho1, rho2, ex, est, se, lo, hi)
+        found.append((viol, (d, c, rho1, rho2, ex, est, se, lo, hi)))
+    # the first worst tuple
+    worst, witness = max(found, key=lambda f: f[0])
     return _report(
         "mc-geometry",
         worst,
@@ -327,12 +326,21 @@ def check_mc_geometry(n_tuples: int, d_max: int, mc: McConfig) -> CheckReport:
     )
 
 
-def _finite_radii(t) -> np.ndarray:
-    # the batched checks reject what the scalar lens API would reject
-    t = np.array(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise GeometryDomainError(f"radii must be finite, got {t[~np.isfinite(t)][0]}")
-    return t
+def _scaled_lens(d: int, r_grid, t_grid, keep):
+    """The (r, t) core of the two lens identities: every r must lie in
+    (0, 1], and the pairs that keep(r, t) selects, r-major, a finite t.
+    Returns their r and t columns and the left side r^d |B(e1,1) ^ B(0,t)|
+    of each, in one lens-kernel call."""
+    rs = [float(r) for r in r_grid]
+    for r in rs:
+        if not 0.0 < r <= 1.0:
+            raise UsageError(f"r must lie in (0, 1], got {r}")
+    pairs = [(r, t) for r in rs for t in (float(x) for x in t_grid) if keep(r, t)]
+    t_col = np.array([t for _, t in pairs])
+    if not np.isfinite(t_col).all():
+        raise GeometryDomainError(f"radii must be finite, got {t_col[~np.isfinite(t_col)][0]}")
+    scale = np.array([r ** d for r, _ in pairs])
+    return np.array([r for r, _ in pairs]), t_col, scale * lens_volume_array(d, 1.0, t_col, 1.0)
 
 
 def check_shrink_overlap_inequality(
@@ -345,43 +353,35 @@ def check_shrink_overlap_inequality(
     asserted on t <= 1 by default.  With assert_full_region the whole grid
     with t + r > 1 is asserted, which reproduces the documented failures at
     t > 1 (e.g. d=1, r=0.1, t=1.111: left side 0.1111 < right side 0.2).
+    Pairs with t <= 0 or t + r <= 1 are skipped; a grid with no pair to
+    assert raises UsageError.
     """
-    rs = sorted(float(x) for x in r_grid)
-    for r in rs:
-        if not 0.0 < r <= 1.0:
-            raise UsageError(f"r must lie in (0, 1], got {r}")
-    ts = sorted(float(x) for x in t_grid)
-    pairs = [(r, t) for r in rs for t in ts if not (t <= 0.0 or t + r <= 1.0)]
-    # the whole grid in one lens-kernel call per side
-    r_col = np.array([r for r, _ in pairs])
-    t_col = _finite_radii([t for _, t in pairs])
-    scale = np.array([r ** d for r, _ in pairs])
-    lhs = (scale * lens_volume_array(d, 1.0, t_col, 1.0)).tolist()
-    rhs = lens_volume_array(d, 1.0, t_col, r_col).tolist()
-    rows = []
-    worst = -math.inf
-    witness = None
-    beyond = []
-    first_violating_t: dict[float, float] = {}
-    for (r, t), left, right in zip(pairs, lhs, rhs):
+    r_col, t_col, lhs = _scaled_lens(
+        d, sorted(float(x) for x in r_grid), sorted(float(x) for x in t_grid),
+        lambda r, t: not (t <= 0.0 or t + r <= 1.0),
+    )
+    rhs = lens_volume_array(d, 1.0, t_col, r_col)
+    asserted = np.flatnonzero(assert_full_region | (t_col <= 1.0))
+    if not asserted.size:
+        raise UsageError(
+            "verify shrink-overlap-inequality: no (r, t) pair to assert, one needs t > 0 "
+            "and t + r > 1, and t <= 1 unless the full region is asserted"
+        )
+    rows, beyond, first_violating_t = [], [], {}
+    for r, t, left, right in zip(r_col.tolist(), t_col.tolist(), lhs.tolist(), rhs.tolist()):
         viol = right - left
         rows.append({"r": r, "t": t, "lhs": left, "rhs": right, "violation": viol})
-        asserted = assert_full_region or t <= 1.0
-        if asserted and viol > worst:
-            worst = viol
-            witness = (r, t, left, right)
         if viol > _EXACT_TOL:
             if t > 1.0:
                 beyond.append((r, t, left, right))
-            if r not in first_violating_t:
-                first_violating_t[r] = t
-    if worst == -math.inf:
-        worst = 0.0
+            first_violating_t.setdefault(r, t)
+    # the first worst asserted pair
+    w = rows[asserted[np.argmax((rhs - lhs)[asserted])]]
     return _report(
         "shrink-overlap-inequality",
-        worst,
+        w["violation"],
         _EXACT_TOL,
-        witness,
+        (w["r"], w["t"], w["lhs"], w["rhs"]),
         f"d={d}, {len(rows)} (r, t) pairs with t + r > 1"
         + ("" if assert_full_region else ", asserted on t <= 1"),
         {
@@ -409,8 +409,8 @@ def check_lens_enclosure(d: int, r: float, t: float, mc: McConfig) -> CheckRepor
     (x_1, y, 0, ..., 0).  Membership in the second candidate ball centered at
     (1 - r) e1 is recorded alongside but does not gate the verdict.
     """
-    if not 1 <= d <= MAX_DIMENSION:
-        raise UsageError(f"d must lie in [1, {MAX_DIMENSION}], got {d}")
+    if not _is_integer(d) or not 1 <= d <= MAX_DIMENSION:
+        raise UsageError(f"d must be an integer in [1, {MAX_DIMENSION}], got {d}")
     if not (math.isfinite(r) and math.isfinite(t)):
         raise UsageError(f"r and t must be finite, got r={r}, t={t}")
     if not 0.0 < r <= 1.0:
@@ -471,35 +471,26 @@ def check_homothety_identity(d: int, r_grid, t_grid) -> CheckReport:
     (B(e1,1), B(0,t)) about e1 by ratio r multiplies the overlap by r^d, i.e.
 
         r^d |B(e1,1) ^ B(0,t)| = |B(e1,r) ^ B((1-r) e1, r t)|.
+
+    An empty r or t grid raises UsageError.
     """
-    rs = [float(x) for x in r_grid]
-    for r in rs:
-        if not 0.0 < r <= 1.0:
-            raise UsageError(f"r must lie in (0, 1], got {r}")
     ts = [float(x) for x in t_grid]
     for t in ts:
         if t <= 0.0:
             raise UsageError(f"t must be positive, got {t}")
     # the whole grid, r-major, in one lens-kernel call per side
-    r_col = np.repeat(rs, len(ts))
-    t_col = np.tile(_finite_radii(ts), len(rs))
-    scale = np.repeat([r ** d for r in rs], len(ts))
-    lhs = scale * lens_volume_array(d, 1.0, t_col, 1.0)
+    r_col, t_col, lhs = _scaled_lens(d, r_grid, ts, lambda r, t: True)
+    if not t_col.size:
+        raise UsageError("verify homothety-identity: no (r, t) grid point, a grid is empty")
     rhs = lens_volume_array(d, r_col, r_col, r_col * t_col)
     err = np.abs(lhs - rhs)
-    count = err.size
-    worst = -math.inf
-    witness = None
-    if count:
-        i = int(np.argmax(err))
-        worst = float(err[i])
-        witness = (float(r_col[i]), float(t_col[i]), float(lhs[i]), float(rhs[i]))
+    i = int(np.argmax(err))
     return _report(
         "homothety-identity",
-        worst,
+        err[i],
         _HOMOTHETY_TOL,
-        witness,
-        f"d={d}, {count} (r, t) grid points",
+        (float(r_col[i]), float(t_col[i]), float(lhs[i]), float(rhs[i])),
+        f"d={d}, {err.size} (r, t) grid points",
     )
 
 

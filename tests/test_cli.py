@@ -148,6 +148,22 @@ def test_unconverged_search_prints_a_warning_and_exits_zero(tmp_path, capsys, co
     assert err == "warning: refinement did not reach rel_tol before its window collapsed\n"
 
 
+def test_analysis_warnings_print_as_warning_lines(tmp_path, capsys):
+    # a warning raised inside the library prints like the search warnings,
+    # as one "warning: " line, and in the order it was raised
+    g = random_profile(9003, 6, 10)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_profile(g))
+    ts = ",".join(repr(t) for t in analysis.default_t_grid(g, 12))
+    args = ["constant", "--d", "10", "--lambda", "0", "--profile", str(path), "--t-grid", ts]
+    assert main(args) == 0
+    assert capsys.readouterr().err == (
+        "warning: level-set search: unconverged at 3 of its radii (refinement did not reach "
+        "rel_tol before its window collapsed)\n"
+        "ratio_sup = 0.639865335 at t = 7.33515e-08 (bound 1)\n"
+    )
+
+
 def test_eval_writes_table(tmp_path, unitball):
     out = tmp_path / "row.json"
     code = main(
@@ -432,10 +448,12 @@ def test_verify_lens_enclosure_domain_errors(capsys, args):
         ["sweep", "--d-set", "1", "--lambda-set", ","],
         # a sharpness run with no indicator radius
         ["sharpness", "--r", ",", "--t-grid", "0.1", "--d", "1", "--lambda", "0"],
+        # a scan of a valid profile with no radius
+        ["scan", "--R-grid", ",", "--d", "1", "--lambda", "0", "--profile", "UNITBALL"],
     ],
 )
-def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, args):
-    assert main(args) == 2
+def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, unitball, args):
+    assert main([unitball if a == "UNITBALL" else a for a in args]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
@@ -456,6 +474,8 @@ def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, args):
         ["mc-geometry", "--tuples", "0"],
         # every pair has t > 1, which only --assert-full-range asserts
         ["shrink-overlap", "--t-grid", "1.5"],
+        # no pair has t + r > 1
+        ["lens-enclosure", "--t-grid", "0.1"],
     ],
 )
 def test_verify_with_no_check_to_run_is_usage_error(capsys, args):
@@ -485,6 +505,21 @@ def test_verify_region_audits_report_rows_and_witness(tmp_path, capsys, check, n
         assert [row["R"] for row in rep["extra"]["rows"]] == [0.9, 2.0]
     if check == "bands":
         assert all(rep["witness"][1] in ("upper-band", "lower-band") for rep in reports)
+
+
+def test_verify_output_is_strict_json(tmp_path, capsys):
+    # no NaN or Infinity reaches a report: every check asserts something, so
+    # every report has a finite worst violation and a witness list
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    out = tmp_path / "v.json"
+    args = ["verify", "all", "--d-set", "1,2,3", "--n-samples", "20000", "--tuples", "8"]
+    assert main(args + ["--out", str(out)]) == 1  # the known red checks
+    capsys.readouterr()
+    reports = json.loads(out.read_text(), parse_constant=reject)
+    assert len(reports) == 34
+    assert all(isinstance(rep["witness"], list) and rep["witness"] for rep in reports)
 
 
 def test_verify_lens_enclosure_runs_each_grid_pair_once(tmp_path):

@@ -62,17 +62,19 @@ def test_mc_config_validation():
         McConfig(1, 10)
     with pytest.raises(UsageError, match="seed"):
         McConfig(-1, 1000)
+    # an int or numpy integer, not a bool or a float
+    for seed, n in ((1, 1000.5), (1.5, 1000), (True, 1000), (1, 1e5)):
+        with pytest.raises(UsageError):
+            McConfig(seed, n)
+    assert McConfig(np.int64(3), np.int32(1000)).n_samples == 1000
 
 
-@pytest.mark.parametrize("n_tuples, d_max", [(-1, 6), (5, 0), (5, 31)])
+@pytest.mark.parametrize(
+    "n_tuples, d_max", [(-1, 6), (0, 6), (5, 0), (5, 31), (2.5, 6), (True, 6), (5, 2.0), (5, True)]
+)
 def test_check_mc_geometry_rejects_bad_counts(n_tuples, d_max):
     with pytest.raises(UsageError):
         check_mc_geometry(n_tuples, d_max, McConfig(1, 1000))
-
-
-def test_check_mc_geometry_with_no_tuples_passes():
-    rep = check_mc_geometry(0, 30, McConfig(1, 1000))
-    assert rep.passed and rep.extra["rows"] == []
 
 
 def test_check_mc_geometry_passes():
@@ -341,9 +343,12 @@ def test_shrink_inequality_fails_in_higher_dimensions_even_below_t_one():
 
 
 def test_shrink_inequality_witness_beyond_t_one():
-    rep = check_shrink_overlap_inequality(1, [0.1], [0.8, 1.111])
-    # passes because the violation lies outside the asserted region t <= 1
+    rep = check_shrink_overlap_inequality(1, [0.1], [0.95, 1.111])
+    # passes because the violation lies outside the asserted region t <= 1;
+    # at t = 0.95 the violation is -(1 - r)(1 - t) < 0
     assert rep.passed
+    assert rep.witness[:2] == (0.1, 0.95)
+    assert rep.worst_violation == pytest.approx(-0.9 * 0.05, abs=1e-12)
     beyond = rep.extra["violations_beyond_t1"]
     assert len(beyond) == 1
     r, t, lhs, rhs = beyond[0]
@@ -420,6 +425,11 @@ def test_lens_enclosure_usage_errors():
     for d, r, t in ((0, 0.5, 0.8), (31, 0.5, 0.8), (2, math.nan, 0.8), (2, 0.5, math.nan), (2, 0.5, math.inf)):
         with pytest.raises(UsageError):
             check_lens_enclosure(d, r, t, McConfig(1, 2000))
+    # the dimension is an int or numpy integer, not a bool or a float
+    for d in (True, 2.0, 2.5):
+        with pytest.raises(UsageError):
+            check_lens_enclosure(d, 0.5, 0.8, McConfig(1, 2000))
+    assert check_lens_enclosure(np.int64(2), 0.5, 0.8, McConfig(1, 2000)).passed
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -520,7 +530,7 @@ def _shrink_per_point(d, r_grid, t_grid, assert_full_region):
                 first.setdefault(r, t)
     return verify._report(
         "shrink-overlap-inequality",
-        0.0 if worst == -math.inf else worst,
+        worst,
         verify._EXACT_TOL,
         witness,
         f"d={d}, {len(rows)} (r, t) pairs with t + r > 1"
@@ -543,20 +553,16 @@ def test_grid_checks_match_a_per_point_loop(d):
     rng = np.random.default_rng(40 + d)
     r_grid = rng.permutation(np.append(np.linspace(0.05, 1.0, 20), [0.5, 1.0])).tolist()
     t_grid = rng.permutation(np.append(np.linspace(0.05, 3.5, 24), [1.0, 1.111])).tolist()
-    for t in (t_grid, []):
-        assert (
-            check_homothety_identity(d, r_grid, t).to_dict()
-            == _homothety_per_point(d, r_grid, t).to_dict()
-        )
+    assert (
+        check_homothety_identity(d, r_grid, t_grid).to_dict()
+        == _homothety_per_point(d, r_grid, t_grid).to_dict()
+    )
     t_grid.append(-0.5)  # skipped by the shrink check
     for full in (False, True):
         assert (
             check_shrink_overlap_inequality(d, r_grid, t_grid, full).to_dict()
             == _shrink_per_point(d, r_grid, t_grid, full).to_dict()
         )
-    assert check_shrink_overlap_inequality(d, [0.2], [0.5]).to_dict() == _shrink_per_point(
-        d, [0.2], [0.5], False
-    ).to_dict()
 
 
 def test_grid_checks_reject_what_the_scalar_api_rejects():
@@ -570,7 +576,26 @@ def test_grid_checks_reject_what_the_scalar_api_rejects():
     with pytest.raises(UsageError):
         check_shrink_overlap_inequality(2, [1.5], [0.8])
     # thresholds at or below 0, or with t + r <= 1, are skipped, not rejected
-    assert check_shrink_overlap_inequality(2, [0.5], [-math.inf, 0.0, 0.3]).passed
+    rep = check_shrink_overlap_inequality(2, [0.5], [-math.inf, 0.0, 0.3, 0.8])
+    assert rep.passed and [(row["r"], row["t"]) for row in rep.extra["rows"]] == [(0.5, 0.8)]
+
+
+@pytest.mark.parametrize(
+    "audit",
+    [
+        lambda: check_mc_geometry(0, 6, McConfig(1, 1000)),
+        lambda: check_homothety_identity(2, [], [0.5]),
+        lambda: check_homothety_identity(2, [0.5], []),
+        lambda: check_shrink_overlap_inequality(2, [0.5], []),
+        # one pair, at t > 1, which is asserted only on the full region
+        lambda: check_shrink_overlap_inequality(2, [0.5], [1.5]),
+    ],
+    ids=["mc-geometry", "homothety-r", "homothety-t", "shrink-no-pair", "shrink-none-asserted"],
+)
+def test_no_audit_passes_on_nothing(audit):
+    with pytest.raises(UsageError) as info:
+        audit()
+    assert str(info.value).startswith("verify ")
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +733,10 @@ def test_domination_witness_is_admissible(d):
 # ---------------------------------------------------------------------------
 
 def test_check_report_invariant():
-    with pytest.raises(UsageError):
-        CheckReport("x", True, 1.0, 0.5, None, "grid")
+    # the verdict is derived from the worst violation, never stored
+    for worst, passed in ((0.25, True), (0.5, True), (0.75, False), (math.nan, False)):
+        rep = CheckReport("x", worst, 0.5, (), "grid")
+        assert rep.passed is passed and rep.to_dict()["passed"] is passed
 
 
 def test_reports_reproducible_bit_for_bit():
