@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maximal
-from .geometry import unit_ball_volume
+from .geometry import _is_integer, unit_ball_volume
 from .maximal import OptimizerSettings, RegionKind, UsageError
 from .profiles import (
     OperatorConfig,
@@ -166,7 +166,7 @@ def level_set_radius_bound(cfg: OperatorConfig, norm: float, t: float) -> float:
 def default_t_grid(g: StepProfile, n: int = 12) -> tuple[float, ...]:
     """Geometric threshold grid between 1e-4 and (1 - 1e-3) of the profile's
     top level.  Ratios peak as t -> 0, so the grid is log-spaced."""
-    if n < 2:
+    if not _is_integer(n) or n < 2:
         raise UsageError("threshold grid needs at least 2 points")
     v1 = g.top_level
     return tuple(np.geomspace(1e-4 * v1, (1.0 - 1e-3) * v1, n).tolist())

@@ -8,6 +8,11 @@ come from analysis (weak_bound, bound_holds, threshold_rows); this module
 only maps bound_holds to exit codes.  Warnings go to stderr as
 "warning: <message>" lines; identical configuration and seed produce
 byte-identical output files.
+
+Each shared option group is one parent parser, given only to the commands
+that read it: verify always writes JSON and takes no --format, and only
+sweep and verify take --seed.  On verify, --d/--d-set is one dimension
+list and --R/--R-set one radius list.
 """
 
 from __future__ import annotations
@@ -142,23 +147,6 @@ def _load_profile(path: str) -> StepProfile:
         raise CliError(f"cannot read profile '{path}': {exc}") from None
 
 
-def _optimizer_from(ns) -> OptimizerSettings:
-    kwargs = {}
-    for name in ("beta_grid", "rel_tol"):
-        val = getattr(ns, name, None)
-        if val is not None:
-            kwargs[name] = val
-    return OptimizerSettings(**kwargs)
-
-
-def _add_common(p):
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--beta-grid", dest="beta_grid", type=int, default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ballmax",
@@ -166,37 +154,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="operator value at one radius")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--profile", required=True)
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--d", type=int, required=True)
+    shape.add_argument("--lambda", dest="lam", type=float, required=True)
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--profile", required=True)
+    region = argparse.ArgumentParser(add_help=False)
+    region.add_argument("--region", choices=sorted(_REGIONS), default="full")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    common.add_argument("--beta-grid", type=int, default=OptimizerSettings.beta_grid)
+    common.add_argument("--rel-tol", type=float, default=OptimizerSettings.rel_tol)
+
+    p = sub.add_parser(
+        "eval", parents=[shape, profile, region, table, common], help="operator value at one radius"
+    )
     p.add_argument("--R", type=float, required=True)
-    p.add_argument("--region", choices=sorted(_REGIONS), default="full")
-    _add_common(p)
 
-    p = sub.add_parser("scan", help="operator values on a radius grid")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--profile", required=True)
+    p = sub.add_parser(
+        "scan",
+        parents=[shape, profile, region, table, common],
+        help="operator values on a radius grid",
+    )
     p.add_argument("--R-grid", dest="r_grid", required=True)
-    p.add_argument("--region", choices=sorted(_REGIONS), default="full")
-    _add_common(p)
 
-    p = sub.add_parser("constant", help="weak-type ratio table and supremum")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--profile", required=True)
+    p = sub.add_parser(
+        "constant",
+        parents=[shape, profile, table, common],
+        help="weak-type ratio table and supremum",
+    )
     p.add_argument("--t-grid", dest="t_grid", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("sharpness", help="indicator-family ratios")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p = sub.add_parser("sharpness", parents=[shape, table, common], help="indicator-family ratios")
     p.add_argument("--r", dest="r_seq", required=True, help="indicator radii (grid syntax)")
     p.add_argument("--t-grid", dest="t_grid", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("sweep", help="bound verification across (d, lambda, profile)")
+    p = sub.add_parser(
+        "sweep",
+        parents=[table, seed, common],
+        help="bound verification across (d, lambda, profile)",
+    )
     p.add_argument("--d-set", dest="d_set", required=True)
     p.add_argument("--lambda-set", dest="lambda_set", required=True)
     p.add_argument(
@@ -207,18 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20, help="random suite size")
     p.add_argument("--k-max", dest="k_max", type=int, default=6)
     p.add_argument("--t-points", dest="t_points", type=int, default=12)
-    _add_common(p)
 
-    p = sub.add_parser("verify", help="geometry oracles and region audits")
+    p = sub.add_parser("verify", parents=[seed, common], help="geometry oracles and region audits")
     p.add_argument("check", choices=_CHECK_NAMES + ("all",))
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--d-set", dest="d_set", default=None)
+    p.add_argument("--d", "--d-set", dest="d_set", default="2", help="dimensions (grid syntax)")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--profile", default=None)
     p.add_argument("--r-grid", dest="r_grid", default=None)
     p.add_argument("--t-grid", dest="t_grid", default=None)
-    p.add_argument("--R-set", dest="R_set", default=None)
-    p.add_argument("--R", type=float, default=None)
+    p.add_argument("--R", "--R-set", dest="R_set", default=None, help="radii (grid syntax)")
     p.add_argument("--n-samples", dest="n_samples", type=int, default=100_000)
     p.add_argument("--tuples", type=int, default=20)
     p.add_argument("--d-max", dest="d_max", type=int, default=6)
@@ -229,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="assert the shrink inequality on the full range t + r > 1 "
         "instead of the conservative sub-region t <= 1",
     )
-    _add_common(p)
     return parser
 
 
@@ -327,13 +324,8 @@ def _cmd_sweep(ns, opt) -> int:
 
 def _verify_reports(ns, opt) -> list[verify.CheckReport]:
     name = ns.check
-    if ns.R is not None and not ns.R > 0.0:
-        raise CliError(f"--R must be positive, got {ns.R:g}")
     mc = verify.McConfig(ns.seed, ns.n_samples)
-    if ns.d_set:
-        d_list = parse_dimensions(ns.d_set)
-    else:
-        d_list = [ns.d if ns.d is not None else 2]
+    d_list = parse_dimensions(ns.d_set)
     g = _load_profile(ns.profile) if ns.profile else StepProfile(((1.0, 1.0),))
     reports = []
 
@@ -377,7 +369,7 @@ def _verify_reports(ns, opt) -> list[verify.CheckReport]:
             reports.append(verify.check_band_regions(g, OperatorConfig(d, lam), R_set, opt))
     if want("domination"):
         lam = ns.lam if ns.lam is not None else 1.0
-        R_set = parse_grid(ns.R_set) if ns.R_set else ([ns.R] if ns.R is not None else [2.0])
+        R_set = parse_grid(ns.R_set) if ns.R_set else [2.0]
         for d in d_list:
             for R in R_set:
                 reports.append(
@@ -418,7 +410,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        opt = _optimizer_from(ns)
+        opt = OptimizerSettings(beta_grid=ns.beta_grid, rel_tol=ns.rel_tol)
         with _warnings.catch_warnings():
             _warnings.simplefilter("always", analysis.AnalysisWarning)
             _warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)

@@ -33,8 +33,13 @@ class GeometryDomainError(ValueError):
     """An argument lies outside the geometric domain of the operation."""
 
 
+def _is_integer(n) -> bool:
+    # an int or numpy integer, not a bool: the one test of every count and dimension
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _check_dimension(d) -> int:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+    if not _is_integer(d):
         raise GeometryDomainError(f"dimension must be an integer, got {d!r}")
     if not 1 <= d <= MAX_DIMENSION:
         raise GeometryDomainError(

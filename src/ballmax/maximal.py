@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _lens_array, unit_ball_volume
+from .geometry import _is_integer, _lens_array, unit_ball_volume
 from .profiles import OperatorConfig, StepProfile, l1_norm, levels_at
 
 __all__ = [
@@ -146,9 +146,9 @@ class OptimizerSettings:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha_grid < 8 or self.beta_grid < 8:
+        if not all(_is_integer(n) and n >= 8 for n in (self.alpha_grid, self.beta_grid)):
             raise UsageError("grid counts must be at least 8")
-        if self.refine_rounds < 1:
+        if not _is_integer(self.refine_rounds) or self.refine_rounds < 1:
             raise UsageError("refine_rounds must be at least 1")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise UsageError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")

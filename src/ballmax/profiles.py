@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import MAX_DIMENSION, _check_dimension, unit_ball_volume
+from .geometry import MAX_DIMENSION, _check_dimension, _is_integer, unit_ball_volume
 
 __all__ = [
     "ProfileError",
@@ -230,9 +230,9 @@ def random_profile(seed: int, k_max: int, d: int) -> StepProfile:
     value so scales stay comparable across seeds.
     """
     d = _check_dimension(d)
-    if k_max < 1:
+    if not _is_integer(k_max) or k_max < 1:
         raise ProfileError(f"k_max must be at least 1, got {k_max}")
-    if seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ProfileError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, k_max + 1))
@@ -256,7 +256,7 @@ class OperatorConfig:
     lam: float
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)):
+        if not _is_integer(self.d):
             raise ProfileError(f"d must be an integer, got {self.d!r}")
         if not 1 <= self.d <= MAX_DIMENSION:
             raise ProfileError(f"d must lie in [1, {MAX_DIMENSION}], got {self.d}")

@@ -50,6 +50,7 @@ from .geometry import (
     GeometryDomainError,
     MAX_DIMENSION,
     _check_lens,
+    _is_integer,
     lens_volume_array,
     unit_ball_volume,
 )
@@ -86,11 +87,6 @@ _MC_CHUNK = 16_384
 _MC_FALSE_ALARM = 1e-3
 # up to this many hits (or misses) _hit_interval widens the Wilson interval
 _MC_FEW_HITS = 30
-
-
-def _is_integer(n) -> bool:
-    # an int or numpy integer, as geometry._check_dimension accepts; not a bool
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)

@@ -407,3 +407,10 @@ def test_default_t_grid_range():
     assert grid[0] == pytest.approx(1e-4)
     assert grid[-1] == pytest.approx(1 - 1e-3)
     assert all(b > a for a, b in zip(grid, grid[1:]))
+    assert default_t_grid(UNIT_BALL, np.int64(9)) == grid
+    # a point count must be an integer, in sweep too
+    for n in (3.0, 2.5, True):
+        with pytest.raises(UsageError, match="threshold grid needs at least 2 points"):
+            default_t_grid(UNIT_BALL, n)
+    with pytest.raises(UsageError):
+        sweep([1], [0.0], [UNIT_BALL], t_points=2.5)

@@ -1,14 +1,17 @@
+import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import ballmax
 from ballmax import analysis
-from ballmax.cli import CliError, emit, main, parse_grid
+from ballmax.cli import CliError, build_parser, emit, main, parse_grid
 from ballmax.maximal import OptimizerSettings, maximal_value_detailed
 from ballmax.profiles import (
     OperatorConfig,
@@ -360,9 +363,10 @@ def test_profile_mass_and_region_radius_are_usage_errors(tmp_path, capsys, level
 
 @pytest.mark.parametrize("R", ["0", "-1"])
 def test_verify_nonpositive_R_is_usage_error(capsys, R):
-    code = main(["verify", "domination", "--d", "1", "--R", R, "--n-samples", "100"])
+    # the library's check, check_random_ball_domination, rejects the radius
+    code = main(["verify", "domination", "--d", "1", "--R", R, "--n-samples", "1000"])
     assert code == 2
-    assert "--R must be positive" in capsys.readouterr().err
+    assert "R must be positive" in capsys.readouterr().err
 
 
 def test_missing_profile_is_usage_error(tmp_path):
@@ -387,11 +391,80 @@ def test_bad_flag_usage_exit_two(capsys):
     assert main(["nonsense"]) == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--refine-rounds", "6"), ("--beta-floor", "1e-6")])
-def test_removed_search_flags_are_usage_errors(unitball, capsys, flag, value):
-    args = ["eval", "--d", "2", "--lambda", "1", "--profile", unitball, "--R", "2"]
+_SHAPE = ["--d", "2", "--lambda", "1"]
+_VALID_ARGS = {
+    "eval": ["eval", *_SHAPE, "--profile", "UNITBALL", "--R", "2"],
+    "scan": ["scan", *_SHAPE, "--profile", "UNITBALL", "--R-grid", "2"],
+    "constant": ["constant", *_SHAPE, "--profile", "UNITBALL", "--t-grid", "0.5"],
+    "sharpness": ["sharpness", *_SHAPE, "--r", "1", "--t-grid", "0.5"],
+    "verify": ["verify", "homothety"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param("eval", "--refine-rounds", "6", id="--refine-rounds-6"),
+        pytest.param("eval", "--beta-floor", "1e-6", id="--beta-floor-1e-6"),
+        # flags that no code of these commands reads
+        ("eval", "--seed", "7"),
+        ("scan", "--seed", "7"),
+        ("constant", "--seed", "7"),
+        ("sharpness", "--seed", "7"),
+        ("verify", "--format", "csv"),
+    ],
+)
+def test_removed_search_flags_are_usage_errors(unitball, capsys, command, flag, value):
+    args = [unitball if a == "UNITBALL" else a for a in _VALID_ARGS[command]]
+    assert main(args) == 0
+    capsys.readouterr()
     assert main(args + [flag, value]) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+# every option each command takes; no code may leave one of them unread
+_OPTION_SURFACE = {
+    "eval": {"--d", "--lambda", "--profile", "--R", "--region"},
+    "scan": {"--d", "--lambda", "--profile", "--R-grid", "--region"},
+    "constant": {"--d", "--lambda", "--profile", "--t-grid"},
+    "sharpness": {"--d", "--lambda", "--r", "--t-grid"},
+    "sweep": {"--d-set", "--lambda-set", "--profiles", "--count", "--k-max", "--t-points", "--seed"},
+    "verify": {
+        "--d", "--d-set", "--lambda", "--profile", "--r-grid", "--t-grid", "--R", "--R-set",
+        "--n-samples", "--tuples", "--d-max", "--assert-full-range", "--seed",
+    },
+}
+_TABLE_COMMANDS = ("eval", "scan", "constant", "sharpness", "sweep")
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    settings = {
+        name: [a.option_strings for a in p._actions if a.option_strings and a.dest != "help"]
+        for name, p in commands.items()
+    }
+    common = {"--out", "--beta-grid", "--rel-tol"}
+    assert {name: {s for strings in opts for s in strings} for name, opts in settings.items()} == {
+        name: opts | common | ({"--format"} if name in _TABLE_COMMANDS else set())
+        for name, opts in _OPTION_SURFACE.items()
+    }
+    # --d/--d-set and --R/--R-set are one setting each
+    counts = {name: len(opts) for name, opts in settings.items()}
+    assert counts == {"eval": 9, "scan": 9, "constant": 8, "sharpness": 8, "sweep": 11, "verify": 14}
+
+
+def test_verify_dimension_and_radius_spellings_are_one_setting(capsys):
+    runs = []
+    for spelling in (["--d-set", "2,3", "--R-set", "0.9,2"], ["--d", "2,3", "--R", "0.9,2"]):
+        code = main(["verify", "bands", "--lambda", "0.5", *spelling])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[0][0] == 1  # the unit ball's known band gaps
+    # given twice, the last value wins whichever spelling it uses
+    assert main(["verify", "homothety", "--d", "2", "--d-set", "3"]) == 0
+    (rep,) = json.loads(capsys.readouterr().out)
+    assert rep["samples_or_grid"].startswith("d=3,")
 
 
 @pytest.mark.parametrize(
@@ -564,7 +637,7 @@ def test_bad_grid_exit_two(unitball, capsys):
 def test_cli_byte_identical_given_seed(tmp_path, unitball):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["constant", "--d", "1", "--lambda", "1", "--profile", unitball,
-            "--t-grid", "0.1,0.2,0.5", "--format", "json", "--seed", "7"]
+            "--t-grid", "0.1,0.2,0.5", "--format", "json"]
     assert main(args + ["--out", str(p1)]) == 0
     assert main(args + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
@@ -609,3 +682,23 @@ def test_verify_mc_geometry_defaults_load_no_scipy_and_report_intervals(tmp_path
     for row in rows:
         slack = 1e-11 * max(1.0, row["exact"])  # rounding, and 12 digits in the JSON
         assert row["mc_lo"] - slack <= row["exact"] <= row["mc_hi"] + slack
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+# the README's examples whose audits genuinely fail, as it says
+_README_FAILURES = ("verify shrink-overlap", "verify all")
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    block = _README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    lines = [line[len("ballmax "):] for line in block.splitlines() if line.startswith("ballmax ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "unitball.json").write_text(UNIT_BALL_DOC)
+    for line in lines:
+        assert main(shlex.split(line)) == (1 if line.startswith(_README_FAILURES) else 0), line
+        capsys.readouterr()

@@ -416,6 +416,12 @@ def test_optimizer_settings_validation():
         OptimizerSettings(refine_rounds=0)
     with pytest.raises(UsageError):
         OptimizerSettings(rel_tol=0.1)
+    # a count must be an int or numpy integer; a float or bool is rejected
+    bad = (("beta_grid", 8.0), ("alpha_grid", 9.5), ("refine_rounds", 1.5), ("beta_grid", True))
+    for name, value in bad:
+        with pytest.raises(UsageError):
+            OptimizerSettings(**{name: value})
+    assert OptimizerSettings(beta_grid=np.int64(12)).beta_grid == 12
 
 
 # ---------------------------------------------------------------------------

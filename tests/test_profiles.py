@@ -242,6 +242,13 @@ def test_random_profiles_differ_across_seeds():
     assert random_profile(1, 6, 2) != random_profile(2, 6, 2)
 
 
+def test_random_profile_rejects_non_integer_seed_and_count():
+    for seed, k_max in ((3, 2.5), (3, 2.0), (True, 3), (3.0, 3), (3, True)):
+        with pytest.raises(ProfileError):
+            random_profile(seed, k_max, 2)
+    assert random_profile(np.int64(3), np.int64(4), 2) == random_profile(3, 4, 2)
+
+
 def test_random_profile_invariants_hold():
     for seed in range(40):
         g = random_profile(seed, 5, 3)
