@@ -10,9 +10,9 @@ only maps bound_holds to exit codes.  Warnings go to stderr as
 byte-identical output files.
 
 Each shared option group is one parent parser, given only to the commands
-that read it: verify always writes JSON and takes no --format, and only
-sweep and verify take --seed.  On verify, --d/--d-set is one dimension
-list and --R/--R-set one radius list.
+that read it.  Each verify check is a subcommand with its own parser and
+defaults (--d/--d-set and --R/--R-set are one setting each); verify all runs
+every check on its own defaults updated with the options all takes.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings as _warnings
+from functools import partial
 
 import numpy as np
 
@@ -42,16 +44,6 @@ DEFAULT_SEED = 20240817
 
 _REGIONS = {r.value: r for r in RegionKind}
 
-_CHECK_NAMES = (
-    "mc-geometry",
-    "shrink-overlap",
-    "lens-enclosure",
-    "homothety",
-    "centered-shell",
-    "bands",
-    "domination",
-)
-
 
 class CliError(ValueError):
     """Bad command-line value (exit code 2)."""
@@ -68,14 +60,14 @@ def parse_grid(text: str) -> list[float]:
                 if len(parts) != 4:
                     raise ValueError("expected geom:a:b:n")
                 a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
-                if n < 1 or a <= 0 or b <= 0:
-                    raise ValueError("geometric grid needs positive endpoints and n >= 1")
+                if n < 1 or not (0 < a < math.inf and 0 < b < math.inf):
+                    raise ValueError("geometric grid needs finite positive endpoints and n >= 1")
                 return [a] if n == 1 else np.geomspace(a, b, n).tolist()
             if len(parts) != 3:
                 raise ValueError("expected a:b:n")
             a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-            if n < 1:
-                raise ValueError("grid needs n >= 1")
+            if n < 1 or not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("grid needs finite endpoints and n >= 1")
             return [a] if n == 1 else np.linspace(a, b, n).tolist()
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
@@ -139,7 +131,9 @@ def emit(rows, fmt: str, path: str | None = None) -> None:
             fh.write(text)
 
 
-def _load_profile(path: str) -> StepProfile:
+def _load_profile(path: str | None) -> StepProfile:
+    if path is None:  # verify's default profile
+        return StepProfile(((1.0, 1.0),))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_profile(fh.read())
@@ -153,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Partially centered maximal operator on radial decreasing step profiles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shown = "default %(default)s"
 
     shape = argparse.ArgumentParser(add_help=False)
     shape.add_argument("--d", type=int, required=True)
@@ -164,16 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--beta-grid", type=int, default=OptimizerSettings.beta_grid)
-    common.add_argument("--rel-tol", type=float, default=OptimizerSettings.rel_tol)
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED, help=shown)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default: stdout)")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--beta-grid", type=int, default=OptimizerSettings.beta_grid, help=shown)
+    search.add_argument("--rel-tol", type=float, default=OptimizerSettings.rel_tol, help=shown)
+    common = argparse.ArgumentParser(add_help=False, parents=[out, search])
 
     p = sub.add_parser(
         "eval", parents=[shape, profile, region, table, common], help="operator value at one radius"
     )
     p.add_argument("--R", type=float, required=True)
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser(
         "scan",
@@ -181,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="operator values on a radius grid",
     )
     p.add_argument("--R-grid", dest="r_grid", required=True)
+    p.set_defaults(run=_cmd_scan)
 
     p = sub.add_parser(
         "constant",
@@ -188,10 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="weak-type ratio table and supremum",
     )
     p.add_argument("--t-grid", dest="t_grid", required=True)
+    p.set_defaults(run=_cmd_constant)
 
     p = sub.add_parser("sharpness", parents=[shape, table, common], help="indicator-family ratios")
     p.add_argument("--r", dest="r_seq", required=True, help="indicator radii (grid syntax)")
     p.add_argument("--t-grid", dest="t_grid", required=True)
+    p.set_defaults(run=_cmd_sharpness)
 
     p = sub.add_parser(
         "sweep",
@@ -208,25 +209,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20, help="random suite size")
     p.add_argument("--k-max", dest="k_max", type=int, default=6)
     p.add_argument("--t-points", dest="t_points", type=int, default=12)
+    p.set_defaults(run=_cmd_sweep)
 
-    p = sub.add_parser("verify", parents=[seed, common], help="geometry oracles and region audits")
-    p.add_argument("check", choices=_CHECK_NAMES + ("all",))
-    p.add_argument("--d", "--d-set", dest="d_set", default="2", help="dimensions (grid syntax)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--profile", default=None)
-    p.add_argument("--r-grid", dest="r_grid", default=None)
-    p.add_argument("--t-grid", dest="t_grid", default=None)
-    p.add_argument("--R", "--R-set", dest="R_set", default=None, help="radii (grid syntax)")
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=100_000)
-    p.add_argument("--tuples", type=int, default=20)
-    p.add_argument("--d-max", dest="d_max", type=int, default=6)
-    p.add_argument(
-        "--assert-full-range",
-        dest="assert_full_region",
-        action="store_true",
-        help="assert the shrink inequality on the full range t + r > 1 "
-        "instead of the conservative sub-region t <= 1",
-    )
+    # verify: one subcommand per check, taking only the options it reads.  Parents
+    # share their option objects, so a default that differs between checks is
+    # declared in each check's own parser.
+    checks = sub.add_parser("verify", help="geometry oracles and region audits")
+    checks = checks.add_subparsers(dest="check", required=True)
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--d", "--d-set", dest="d_set", default="2", help="dimensions, " + shown)
+    ball = argparse.ArgumentParser(add_help=False)
+    ball.add_argument("--profile", help="profile path, default the unit ball")
+    samples = argparse.ArgumentParser(add_help=False, parents=[seed])
+    samples.add_argument("--n-samples", type=int, default=verify.McConfig.n_samples, help=shown)
+    parsers = {}
+
+    def check(name, plan, *parents, grids=(), R=None, lam=None):
+        p = parsers[name] = checks.add_parser(name, parents=[out, *parents], allow_abbrev=False)
+        p.set_defaults(run=_cmd_verify, plan=plan)
+        for flag, grid in zip(("--r-grid", "--t-grid"), grids):
+            p.add_argument(flag, default=grid, help=shown if grid else "default min(1, 1.1 - r),1")
+        if R:
+            p.add_argument("--R", "--R-set", dest="R_set", default=R, help="radii, " + shown)
+        if lam is not None:
+            p.add_argument("--lambda", dest="lam", type=float, default=lam, help=shown)
+        return p
+
+    p = check("mc-geometry", _plan_mc_geometry, samples)
+    p.add_argument("--tuples", type=int, default=20, help=shown)
+    p.add_argument("--d-max", type=int, default=6, help=shown)
+    check("homothety", _plan_homothety, dims, grids=("0.1:1.0:10", "0.2:2.0:10"))
+    p = check("shrink-overlap", _plan_shrink_overlap, dims, grids=("0.05:1.0:20", "0.05:1.0:20"))
+    p.add_argument("--assert-full-range", dest="assert_full_region", action="store_true",
+                   help="assert t > 1 too, on the full range t + r > 1")
+    check("lens-enclosure", _plan_lens_enclosure, dims, samples, grids=("0.3,0.5,0.9", None))
+    check("centered-shell", _plan_centered_shell, dims, ball, search, R="0.5,0.9,2,5")
+    check("bands", _plan_bands, dims, ball, search, R="0.5,0.9,2,5", lam=0.0)
+    check("domination", _plan_domination, dims, ball, samples, search, R="2", lam=1.0)
+    # `all` takes the options that have one default for every check reading them
+    p = checks.add_parser("all", parents=[common, dims, ball, samples], allow_abbrev=False)
+    p.set_defaults(run=_cmd_verify, check_parsers=parsers)
     return parser
 
 
@@ -322,66 +344,69 @@ def _cmd_sweep(ns, opt) -> int:
     return 1 if bad else 0
 
 
-def _verify_reports(ns, opt) -> list[verify.CheckReport]:
-    name = ns.check
+# Each verify check's plan reads its own namespace and returns the audit
+# calls to make; `verify` makes every plan before it makes a call.
+def _plan_mc_geometry(ns, opt):
     mc = verify.McConfig(ns.seed, ns.n_samples)
-    d_list = parse_dimensions(ns.d_set)
-    g = _load_profile(ns.profile) if ns.profile else StepProfile(((1.0, 1.0),))
-    reports = []
+    return [partial(verify.check_mc_geometry, ns.tuples, ns.d_max, mc)]
 
-    def want(key):
-        return name in (key, "all")
 
-    if want("mc-geometry"):
-        reports.append(verify.check_mc_geometry(ns.tuples, ns.d_max, mc))
-    if want("homothety"):
-        r_grid = parse_grid(ns.r_grid) if ns.r_grid else np.linspace(0.1, 1.0, 10).tolist()
-        t_grid = parse_grid(ns.t_grid) if ns.t_grid else np.linspace(0.2, 2.0, 10).tolist()
-        for d in d_list:
-            reports.append(verify.check_homothety_identity(d, r_grid, t_grid))
-    if want("shrink-overlap"):
-        r_grid = parse_grid(ns.r_grid) if ns.r_grid else np.linspace(0.05, 1.0, 20).tolist()
-        t_grid = parse_grid(ns.t_grid) if ns.t_grid else np.linspace(0.05, 1.0, 20).tolist()
-        for d in d_list:
-            reports.append(
-                verify.check_shrink_overlap_inequality(d, r_grid, t_grid, ns.assert_full_region)
-            )
-    if want("lens-enclosure"):
-        r_grid = parse_grid(ns.r_grid) if ns.r_grid else [0.3, 0.5, 0.9]
-        before = len(reports)
-        for d in d_list:
-            for r in dict.fromkeys(r_grid):
-                t_grid = parse_grid(ns.t_grid) if ns.t_grid else [min(1.0, 1.0 - r + 0.1), 1.0]
-                for t in dict.fromkeys(t_grid):
-                    # skip t + r <= 1 only: nan and inf reach the check, which rejects them
-                    if not t + r <= 1.0:
-                        reports.append(verify.check_lens_enclosure(d, r, t, mc))
-        if len(reports) == before:
-            raise CliError("verify lens-enclosure: no (r, t) pair has t + r > 1")
-    if want("centered-shell"):
-        R_set = parse_grid(ns.R_set) if ns.R_set else [0.5, 0.9, 2.0, 5.0]
-        for d in d_list:
-            reports.append(verify.check_centered_shell_gap(g, d, R_set, opt))
-    if want("bands"):
-        R_set = parse_grid(ns.R_set) if ns.R_set else [0.5, 0.9, 2.0, 5.0]
-        lam = ns.lam if ns.lam is not None else 0.0
-        for d in d_list:
-            reports.append(verify.check_band_regions(g, OperatorConfig(d, lam), R_set, opt))
-    if want("domination"):
-        lam = ns.lam if ns.lam is not None else 1.0
-        R_set = parse_grid(ns.R_set) if ns.R_set else [2.0]
-        for d in d_list:
-            for R in R_set:
-                reports.append(
-                    verify.check_random_ball_domination(g, OperatorConfig(d, lam), R, mc, opt)
-                )
-    if not reports:
-        raise CliError(f"verify {name}: no check ran, a grid is empty")
-    return reports
+def _plan_homothety(ns, opt):
+    ds, r_grid, t_grid = parse_dimensions(ns.d_set), parse_grid(ns.r_grid), parse_grid(ns.t_grid)
+    return [partial(verify.check_homothety_identity, d, r_grid, t_grid) for d in ds]
+
+
+def _plan_shrink_overlap(ns, opt):
+    ds, r_grid, t_grid = parse_dimensions(ns.d_set), parse_grid(ns.r_grid), parse_grid(ns.t_grid)
+    full = ns.assert_full_region
+    return [partial(verify.check_shrink_overlap_inequality, d, r_grid, t_grid, full) for d in ds]
+
+
+def _plan_lens_enclosure(ns, opt):
+    mc, ds = verify.McConfig(ns.seed, ns.n_samples), parse_dimensions(ns.d_set)
+    pairs = []
+    for r in dict.fromkeys(parse_grid(ns.r_grid)):
+        t_grid = parse_grid(ns.t_grid) if ns.t_grid else [min(1.0, 1.0 - r + 0.1), 1.0]
+        # skip t + r <= 1 only: nan and inf reach the check, which rejects them
+        pairs += [(r, t) for t in dict.fromkeys(t_grid) if not t + r <= 1.0]
+    if not pairs:
+        raise CliError("verify lens-enclosure: no (r, t) pair has t + r > 1")
+    return [partial(verify.check_lens_enclosure, d, r, t, mc) for d in ds for r, t in pairs]
+
+
+def _plan_centered_shell(ns, opt):
+    ds, g, R_set = parse_dimensions(ns.d_set), _load_profile(ns.profile), parse_grid(ns.R_set)
+    return [partial(verify.check_centered_shell_gap, g, d, R_set, opt) for d in ds]
+
+
+def _plan_bands(ns, opt):
+    ds, g, R_set = parse_dimensions(ns.d_set), _load_profile(ns.profile), parse_grid(ns.R_set)
+    cfgs = [OperatorConfig(d, ns.lam) for d in ds]
+    return [partial(verify.check_band_regions, g, cfg, R_set, opt) for cfg in cfgs]
+
+
+def _plan_domination(ns, opt):
+    mc = verify.McConfig(ns.seed, ns.n_samples)
+    ds, g, R_set = parse_dimensions(ns.d_set), _load_profile(ns.profile), parse_grid(ns.R_set)
+    cfgs = [OperatorConfig(d, ns.lam) for d in ds]
+    check = verify.check_random_ball_domination
+    return [partial(check, g, cfg, R, mc, opt) for cfg in cfgs for R in R_set]
 
 
 def _cmd_verify(ns, opt) -> int:
-    reports = _verify_reports(ns, opt)
+    runs = {ns.check: ns}
+    if ns.check == "all":
+        # each check's own defaults, updated with the values `all` gives for its options
+        runs = {name: p.parse_args([]) for name, p in ns.check_parsers.items()}
+        for check_ns in runs.values():
+            vars(check_ns).update((k, v) for k, v in vars(ns).items() if k in check_ns)
+    calls = []
+    for name, check_ns in runs.items():
+        planned = check_ns.plan(check_ns, opt)
+        if not planned:
+            raise CliError(f"verify {name}: no check ran, a grid is empty")
+        calls += planned
+    reports = [call() for call in calls]
     emit([r.to_dict() for r in reports], "json", ns.out)
     failed = [r for r in reports if not r.passed]
     for r in failed:
@@ -393,16 +418,6 @@ def _cmd_verify(ns, opt) -> int:
     return 1 if failed else 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "scan": _cmd_scan,
-    "constant": _cmd_constant,
-    "sharpness": _cmd_sharpness,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -410,11 +425,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        opt = OptimizerSettings(beta_grid=ns.beta_grid, rel_tol=ns.rel_tol)
+        search = "beta_grid" in ns  # only the commands that search take the search options
+        opt = OptimizerSettings(beta_grid=ns.beta_grid, rel_tol=ns.rel_tol) if search else None
         with _warnings.catch_warnings():
             _warnings.simplefilter("always", analysis.AnalysisWarning)
             _warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
-            return _COMMANDS[ns.command](ns, opt)
+            return ns.run(ns, opt)
     except (CliError, ProfileError, UsageError, GeometryDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

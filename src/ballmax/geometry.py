@@ -196,11 +196,27 @@ def _lens_array(
         cc = c[lens]
         r1 = rho1[lens]
         r2 = rho2[lens]
-        x1 = (cc * cc + r1 * r1 - r2 * r2) / (2.0 * cc)
-        # both caps of each lens, stacked: the radical hyperplane lies at
-        # distance x1 from the first center and cc - x1 from the second
-        r = np.concatenate((r1, r2))
-        h = np.minimum(np.maximum(r - np.concatenate((x1, cc - x1)), 0.0), 2.0 * r)
+        # both caps of each lens, stacked
+        if d > _QUIET_DIM:
+            # the betainc cap reads a height only through rho - h and cancels
+            # on small caps by itself, so these heights keep their bits: the
+            # radical hyperplane lies at x1 from the first center
+            x1 = (cc * cc + r1 * r1 - r2 * r2) / (2.0 * cc)
+            r = np.concatenate((r1, r2))
+            h = np.maximum(r - np.concatenate((x1, cc - x1)), 0.0)
+        else:
+            # a cap of the ball of radius r whose partner has radius q has
+            # height (r + q - cc) (q - r + cc) / (2 cc).  Each factor is formed
+            # without cancellation: with lo <= hi the radii, hi - cc is exact
+            # where cc >= hi/2 (Sterbenz), and max(lo, cc) - hi always is,
+            # since lo + cc > hi; hi - lo + cc has no cancellation to lose
+            lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+            half = ((hi - cc) + lo) / (2.0 * cc)
+            r = np.concatenate((hi, lo))
+            h = np.concatenate(
+                (((np.maximum(lo, cc) - hi) + np.minimum(lo, cc)) * half, ((hi - lo) + cc) * half)
+            )
+        h = np.minimum(h, 2.0 * r)
         caps = _cap_array(d, omega, r, h)
         out[lens] = caps[: cc.size] + caps[cc.size :]
     return out

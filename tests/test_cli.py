@@ -423,36 +423,107 @@ def test_removed_search_flags_are_usage_errors(unitball, capsys, command, flag, 
     assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
-# every option each command takes; no code may leave one of them unread
+# every option each command and each verify check takes, besides --out; no
+# code may leave one of them unread
+_SEARCH = {"--beta-grid", "--rel-tol"}
 _OPTION_SURFACE = {
-    "eval": {"--d", "--lambda", "--profile", "--R", "--region"},
-    "scan": {"--d", "--lambda", "--profile", "--R-grid", "--region"},
-    "constant": {"--d", "--lambda", "--profile", "--t-grid"},
-    "sharpness": {"--d", "--lambda", "--r", "--t-grid"},
-    "sweep": {"--d-set", "--lambda-set", "--profiles", "--count", "--k-max", "--t-points", "--seed"},
-    "verify": {
-        "--d", "--d-set", "--lambda", "--profile", "--r-grid", "--t-grid", "--R", "--R-set",
-        "--n-samples", "--tuples", "--d-max", "--assert-full-range", "--seed",
+    "eval": {"--d", "--lambda", "--profile", "--R", "--region", "--format", *_SEARCH},
+    "scan": {"--d", "--lambda", "--profile", "--R-grid", "--region", "--format", *_SEARCH},
+    "constant": {"--d", "--lambda", "--profile", "--t-grid", "--format", *_SEARCH},
+    "sharpness": {"--d", "--lambda", "--r", "--t-grid", "--format", *_SEARCH},
+    "sweep": {
+        "--d-set", "--lambda-set", "--profiles", "--count", "--k-max", "--t-points", "--seed",
+        "--format", *_SEARCH,
     },
+    "verify mc-geometry": {"--seed", "--n-samples", "--tuples", "--d-max"},
+    "verify homothety": {"--d", "--r-grid", "--t-grid"},
+    "verify shrink-overlap": {"--d", "--r-grid", "--t-grid", "--assert-full-range"},
+    "verify lens-enclosure": {"--d", "--r-grid", "--t-grid", "--seed", "--n-samples"},
+    "verify centered-shell": {"--d", "--profile", "--R", *_SEARCH},
+    "verify bands": {"--d", "--profile", "--R", "--lambda", *_SEARCH},
+    "verify domination": {"--d", "--profile", "--R", "--lambda", "--seed", "--n-samples", *_SEARCH},
+    "verify all": {"--d", "--profile", "--seed", "--n-samples", *_SEARCH},
 }
-_TABLE_COMMANDS = ("eval", "scan", "constant", "sharpness", "sweep")
+
+
+def _leaf_parsers(parser, prefix=""):
+    """(name, parser) of every command, with the verify checks as 'verify <check>'."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, p in sub.choices.items():
+        if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
+            yield from _leaf_parsers(p, f"{prefix}{name} ")
+        else:
+            yield f"{prefix}{name}", p
 
 
 def test_each_command_takes_only_the_options_it_reads():
-    parser = build_parser()
-    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     settings = {
         name: [a.option_strings for a in p._actions if a.option_strings and a.dest != "help"]
-        for name, p in commands.items()
+        for name, p in _leaf_parsers(build_parser())
     }
-    common = {"--out", "--beta-grid", "--rel-tol"}
-    assert {name: {s for strings in opts for s in strings} for name, opts in settings.items()} == {
-        name: opts | common | ({"--format"} if name in _TABLE_COMMANDS else set())
-        for name, opts in _OPTION_SURFACE.items()
-    }
+    # on verify, --d-set and --R-set are second spellings of --d and --R
+    aliases = {"--d": {"--d-set"}, "--R": {"--R-set"}}
+    want = {}
+    for name, opts in _OPTION_SURFACE.items():
+        extra = [aliases.get(o, set()) for o in opts] if name.startswith("verify ") else []
+        want[name] = opts.union({"--out"}, *extra)
+    assert {name: {s for strings in opts for s in strings} for name, opts in settings.items()} == want
     # --d/--d-set and --R/--R-set are one setting each
     counts = {name: len(opts) for name, opts in settings.items()}
-    assert counts == {"eval": 9, "scan": 9, "constant": 8, "sharpness": 8, "sweep": 11, "verify": 14}
+    assert counts == {name: 1 + len(opts) for name, opts in _OPTION_SURFACE.items()}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # options that only other checks read
+        ["homothety", "--lambda", "0.7"],
+        ["homothety", "--R", "3"],
+        ["homothety", "--tuples", "3"],
+        ["homothety", "--n-samples", "5"],
+        ["homothety", "--profile", "nope.json"],
+        ["mc-geometry", "--d", "7"],
+        ["mc-geometry", "--rel-tol", "0.5"],
+        # an option with a default of its own per check, or one reader, is not for `all`
+        ["all", "--tuples", "8"],
+        ["all", "--R", "2"],
+        ["all", "--lambda", "0.5"],
+    ],
+)
+def test_verify_options_a_check_does_not_read_are_usage_errors(capsys, args):
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_each_check_shows_its_own_defaults(capsys):
+    # argparse parents share their option objects, so a default that differs
+    # between checks must be declared in each check's own parser
+    helps = {}
+    for check in ("homothety", "shrink-overlap"):
+        assert main(["verify", check, "--help"]) == 0
+        helps[check] = capsys.readouterr().out
+    assert "0.1:1.0:10" in helps["homothety"] and "0.05:1.0:20" not in helps["homothety"]
+    assert "0.05:1.0:20" in helps["shrink-overlap"] and "0.1:1.0:10" not in helps["shrink-overlap"]
+    parser = build_parser()
+    lam = {check: parser.parse_args(["verify", check]).lam for check in ("bands", "domination")}
+    assert lam == {"bands": 0.0, "domination": 1.0}
+    radii = {c: parser.parse_args(["verify", c]).R_set for c in ("centered-shell", "domination")}
+    assert radii == {"centered-shell": "0.5,0.9,2,5", "domination": "2"}
+
+
+def test_benchmark_verify_command_line_runs(tmp_path, capsys):
+    # the argv shape of the benchmark's cli workload (perfbench/workloads.py)
+    g = random_profile(20240817, 6, 2)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_profile(g))
+    args = [
+        "verify", "domination", "--d", "2", "--lambda", "1", "--profile", str(path),
+        "--R", repr(1.7 * g.support_radius), "--n-samples", "20000", "--seed", "99",
+    ]
+    assert main(args) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [rep["name"] for rep in reports] == ["random-ball-domination"] and reports[0]["passed"]
 
 
 def test_verify_dimension_and_radius_spellings_are_one_setting(capsys):
@@ -523,6 +594,11 @@ def test_verify_lens_enclosure_domain_errors(capsys, args):
         ["sharpness", "--r", ",", "--t-grid", "0.1", "--d", "1", "--lambda", "0"],
         # a scan of a valid profile with no radius
         ["scan", "--R-grid", ",", "--d", "1", "--lambda", "0", "--profile", "UNITBALL"],
+        # a grid with an end that is not finite
+        ["scan", "--R-grid", "geom:1:inf:3", "--d", "1", "--lambda", "0", "--profile", "UNITBALL"],
+        ["constant", "--t-grid", "0.1:inf:3", "--d", "1", "--lambda", "0", "--profile", "UNITBALL"],
+        ["sweep", "--d-set", "1:inf:2", "--lambda-set", "0", "--count", "1"],
+        ["verify", "homothety", "--r-grid", "geom:0.1:inf:3"],
     ],
 )
 def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, unitball, args):
@@ -587,7 +663,7 @@ def test_verify_output_is_strict_json(tmp_path, capsys):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     out = tmp_path / "v.json"
-    args = ["verify", "all", "--d-set", "1,2,3", "--n-samples", "20000", "--tuples", "8"]
+    args = ["verify", "all", "--d-set", "1,2,3", "--n-samples", "20000"]
     assert main(args + ["--out", str(out)]) == 1  # the known red checks
     capsys.readouterr()
     reports = json.loads(out.read_text(), parse_constant=reject)

@@ -386,13 +386,55 @@ def test_lens_kernel_is_exactly_two_caps(d):
     assert lens[:n].all() and contain[n : 2 * n].all() and contain[3 * n : 4 * n].all()
     assert disjoint[2 * n : 3 * n].all() and disjoint[4 * n :].all()
     cc, a, b = c[lens], r1[lens], r2[lens]
-    x1 = (cc * cc + a * a - b * b) / (2.0 * cc)
-    h1 = np.clip(a - x1, 0.0, 2.0 * a)
-    h2 = np.clip(b - (cc - x1), 0.0, 2.0 * b)
+    if d > geometry._QUIET_DIM:
+        x1 = (cc * cc + a * a - b * b) / (2.0 * cc)
+        h1 = np.clip(a - x1, 0.0, 2.0 * a)
+        h2 = np.clip(b - (cc - x1), 0.0, 2.0 * b)
+    else:
+        # the factored heights, on the larger ball first
+        b, a = np.minimum(a, b), np.maximum(a, b)
+        half = ((a - cc) + b) / (2.0 * cc)
+        h1 = np.minimum(((np.maximum(b, cc) - a) + np.minimum(b, cc)) * half, 2.0 * a)
+        h2 = np.minimum(((a - b) + cc) * half, 2.0 * b)
     assert (out[lens] == cap_volume_array(d, a, h1) + cap_volume_array(d, b, h2)).all()
     small = np.minimum(r1, r2)[contain]
     assert (out[contain] == unit_ball_volume(d) * small ** d).all()
     assert (out[disjoint] == 0.0).all()
+
+
+def _mp_lens(d, c, r1, r2):
+    # two caps of the exact heights, each the smaller cap's share
+    # I_{v(2-v)}((d+1)/2, 1/2) / 2 of its ball or the complement of it
+    with mpmath.workdps(50):
+        c, r1, r2 = mpmath.mpf(c), mpmath.mpf(r1), mpmath.mpf(r2)
+        x1 = (c * c + r1 * r1 - r2 * r2) / (2 * c)
+        total = mpmath.mpf(0)
+        for r, h in ((r1, r1 - x1), (r2, r2 - (c - x1))):
+            u = h / r
+            v = min(u, 2 - u)
+            full = mpmath.mpf(unit_ball_volume(d)) * r ** d
+            a = mpmath.mpf(d + 1) / 2
+            small = full * mpmath.betainc(a, 0.5, 0, v * (2 - v), regularized=True) / 2
+            total += small if u <= 1 else full - small
+        return total
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_thin_and_near_containment_lenses_match_mpmath(d):
+    # c just below r1 + r2 (thin) or just above |r1 - r2| (near containment,
+    # near-concentric for equal radii): no cap height cancels
+    cases = []
+    for c in (3.0, 10.0, 1000.0):
+        for eta in (1e-3, 1e-6, 1e-9):
+            cases += [(c, 1.0, c - 1.0 + eta), (c, c - 1.0 + eta, 1.0)]
+    for r1, r2 in ((1.0, 0.5), (2.0, 1e-3), (7.0, 6.5), (1.0, 1.0)):
+        for eps in (1e-3, 1e-6, 1e-9):
+            cases += [(r1 - r2 + eps, r1, r2), (r1 - r2 + eps, r2, r1)]
+    c, r1, r2 = (np.array(x) for x in zip(*cases))
+    got = lens_volume_array(d, c, r1, r2)
+    for gi, case in zip(got.tolist(), cases):
+        want = _mp_lens(d, *case)
+        assert abs(gi - want) <= 1e-14 * want, case
 
 
 @pytest.mark.parametrize("d", [1, 3])
