@@ -5,13 +5,16 @@ scaling a ball admissible at s*x (s > 1) by 1/s about the origin gives a
 ball admissible at x with no smaller average.  So the superlevel set
 { operator value > t } is a centered ball of radius R_t and the distribution
 function is mu(t) = omega_d R_t^d.  R_t is found by monotone inversion: each
-crossing is bracketed before any search (see _level_set_bracket), and all
-brackets are narrowed together by regula falsi in (log R, log m) with
-Anderson-Bjorck steps (Anderson and Bjorck, BIT 13, 1973), and R_t is the
-secant root of the final bracket.  The weak-type ratio t * mu(t) / ||g||_1 is
-then maximized over a threshold grid; for radial nonincreasing profiles its
-supremum over all t is (1 + lam)^d, which the sharpness experiment
-approaches with normalized ball indicators.
+crossing is bracketed before any operator call (see _level_set_bracket); the
+first call evaluates the bracket ends and a few radii just past each
+breakpoint that is a lower end, where M g jumps or a plateau ends, and
+shrinks each bracket to the tightest pair of them; all brackets are then
+narrowed together by regula falsi in (log R, log m) with Anderson-Bjorck
+steps (Anderson and Bjorck, BIT 13, 1973), and R_t is the secant root of the
+final bracket.  The weak-type ratio t * mu(t) / ||g||_1 is then maximized
+over a threshold grid; for radial nonincreasing profiles its supremum over
+all t is (1 + lam)^d, which the sharpness experiment approaches with
+normalized ball indicators.
 
 This module owns the weak-(1,1) verdict: the bound (weak_bound), the slack
 a ratio may exceed it by (bound_holds) and the per-threshold table every
@@ -66,6 +69,11 @@ _MIN_LOG_STEP = 0.3 * _CROSSING_REL_WIDTH
 # for the covering ball (lo + r_K = hi * _INSIDE, an average of
 # t / _INSIDE^d).
 _INSIDE = 1.0 - 1e-9
+# Radii, as multiples of a breakpoint r_k, that the first operator call also
+# evaluates wherever some lower bracket end is r_k * _INSIDE: the far side
+# of a jump of M g at r_k (lam < 1), then points past a plateau that starts
+# there (lam = 1).
+_BREAKPOINT_PROBES = np.array([1.0 / _INSIDE, 1.0 + 1e-3, 1.0 + 1e-2, 1.0 + 1e-1])
 _TINY = 1e-300  # floor under operator values before taking the log
 _MU_MONOTONE_SLACK = 1e-5
 _BOUND_SLACK = 1e-9  # a ratio this far above the bound still meets it
@@ -222,13 +230,19 @@ def _level_set_radii(g, cfg, ts, opt):
     """Radius R_t of the ball { operator value > t } for each threshold
     t < top level, all thresholds solved together.
 
-    Every bracket is known before any search (_level_set_bracket).
-    Regula falsi on log m - log t against log R, with Anderson-Bjorck
-    steps, then narrows every bracket to relative width 1e-6, one batched
-    operator call per step.  The reported radius is the secant root of the
-    final bracket, taken from its ends' own values (the Anderson-Bjorck
-    scaled ones are not), at no extra search.  One AnalysisWarning counts
-    unconverged radii.
+    Every bracket is known before any search (_level_set_bracket).  The
+    first operator call evaluates the bracket ends and, wherever a lower
+    end is a breakpoint's r_k * _INSIDE, the radii r_k * _BREAKPOINT_PROBES
+    that fall inside some bracket.  Each bracket then shrinks to the
+    largest of these points below its upper end with m > t and the smallest
+    point above that with m <= t, so a crossing at a jump of M g (lam < 1)
+    is resolved in this call and one past a plateau (lam = 1) starts its
+    search beyond the plateau.  Regula falsi on log m - log t against
+    log R, with Anderson-Bjorck steps, then narrows every bracket to
+    relative width 1e-6, one batched operator call per step.  The reported
+    radius is the secant root of the final bracket, taken from its ends'
+    own values (the Anderson-Bjorck scaled ones are not), at no extra
+    search.  One AnalysisWarning counts unconverged radii.
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
@@ -241,13 +255,26 @@ def _level_set_radii(g, cfg, ts, opt):
         unconverged[0] += R.size - np.count_nonzero(converged)
         return m, np.log(np.maximum(m, _TINY))
 
-    ends, inv = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-    m, log_m = mval(ends)
-    f_lo, f_hi = log_m[inv[:n]] - log_t, log_m[inv[n:]] - log_t
+    radii = g.arrays.radii
+    probes = np.outer(radii[np.isin(radii * _INSIDE, lo)], _BREAKPOINT_PROBES).ravel()
+    probes = probes[((probes > lo[:, None]) & (probes < hi[:, None])).any(axis=0)]
+    pts, inv = np.unique(np.concatenate([lo, hi, probes]), return_inverse=True)
+    m, log_m = mval(pts)
+    # pts is sorted, so each bracket is an index range [end_lo, end_hi]; it
+    # shrinks to the largest point below end_hi with m > t, then the
+    # smallest point above that with m <= t, or keeps its own end
+    end_lo, end_hi = inv[:n], inv[n : 2 * n]
+    m_hi = m[end_hi]
+    breach = m_hi > ts
+    j, above = np.arange(pts.size), m > ts[:, None]
+    lo_ok = above & (j >= end_lo[:, None]) & (j < end_hi[:, None])
+    i_lo = np.where(lo_ok, j, end_lo[:, None]).max(axis=1)
+    hi_ok = ~above & (j > i_lo[:, None]) & (j <= end_hi[:, None])
+    i_hi = np.where(breach, end_hi, np.where(hi_ok, j, end_hi[:, None]).min(axis=1))
+    lo, hi = pts[i_lo], pts[i_hi]
+    f_lo, f_hi = log_m[i_lo] - log_t, log_m[i_hi] - log_t
     # the ends' own values: Anderson-Bjorck scales f_lo and f_hi
     v_lo, v_hi = f_lo.copy(), f_hi.copy()
-    m_hi = m[inv[n:]]
-    breach = m_hi > ts
     for i in np.flatnonzero(breach):
         _warnings.warn(
             f"t={ts[i]:g}: operator value {m_hi[i]:g} exceeds the threshold at the "
@@ -339,8 +366,10 @@ def superlevel_measure(
     so the set is a centered ball and its measure is omega_d R_t^d.  R_t is
     bracketed between a radius inside the set (just inside a breakpoint, or
     where the ball covering the support still averages above t) and the
-    mass-bound radius, and narrowed by regula falsi with Anderson-Bjorck
-    steps to relative width 1e-6; R_t is the root of the line through the
+    mass-bound radius, shrunk by the first operator call to the tightest
+    pair of that call's points, which include a few radii just past the
+    breakpoint, and narrowed by regula falsi with Anderson-Bjorck steps to
+    relative width 1e-6; R_t is the root of the line through the
     final bracket's ends in (log R, log m), or its midpoint where that root
     is not finite or leaves the bracket.  A value above t at the mass-bound
     radius is warned about and the measure taken to that radius.

@@ -66,8 +66,9 @@ def parse_grid(text: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("expected a:b:n")
             a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-            if n < 1 or not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("grid needs finite endpoints and n >= 1")
+            # b - a is finite only where both ends are and their span does not overflow
+            if n < 1 or not math.isfinite(b - a):
+                raise ValueError("grid needs finite endpoints, a finite span and n >= 1")
             return [a] if n == 1 else np.linspace(a, b, n).tolist()
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
@@ -168,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, parents=[out, search])
 
     p = sub.add_parser(
-        "eval", parents=[shape, profile, region, table, common], help="operator value at one radius"
+        "eval",
+        parents=[shape, profile, region, table, common],
+        help="operator value at one radius",
+        allow_abbrev=False,
     )
     p.add_argument("--R", type=float, required=True)
     p.set_defaults(run=_cmd_eval)
@@ -177,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scan",
         parents=[shape, profile, region, table, common],
         help="operator values on a radius grid",
+        allow_abbrev=False,
     )
     p.add_argument("--R-grid", dest="r_grid", required=True)
     p.set_defaults(run=_cmd_scan)
@@ -185,11 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
         "constant",
         parents=[shape, profile, table, common],
         help="weak-type ratio table and supremum",
+        allow_abbrev=False,
     )
     p.add_argument("--t-grid", dest="t_grid", required=True)
     p.set_defaults(run=_cmd_constant)
 
-    p = sub.add_parser("sharpness", parents=[shape, table, common], help="indicator-family ratios")
+    p = sub.add_parser(
+        "sharpness",
+        parents=[shape, table, common],
+        help="indicator-family ratios",
+        allow_abbrev=False,
+    )
     p.add_argument("--r", dest="r_seq", required=True, help="indicator radii (grid syntax)")
     p.add_argument("--t-grid", dest="t_grid", required=True)
     p.set_defaults(run=_cmd_sharpness)
@@ -198,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         parents=[table, seed, common],
         help="bound verification across (d, lambda, profile)",
+        allow_abbrev=False,
     )
     p.add_argument("--d-set", dest="d_set", required=True)
     p.add_argument("--lambda-set", dest="lambda_set", required=True)
@@ -214,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     # verify: one subcommand per check, taking only the options it reads.  Parents
     # share their option objects, so a default that differs between checks is
     # declared in each check's own parser.
-    checks = sub.add_parser("verify", help="geometry oracles and region audits")
+    checks = sub.add_parser("verify", help="geometry oracles and region audits", allow_abbrev=False)
     checks = checks.add_subparsers(dest="check", required=True)
     dims = argparse.ArgumentParser(add_help=False)
     dims.add_argument("--d", "--d-set", dest="d_set", default="2", help="dimensions, " + shown)

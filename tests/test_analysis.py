@@ -131,10 +131,43 @@ def test_superlevel_matches_scan_and_bisection_oracle(lam):
             assert superlevel_measure(g, cfg, t, opt) == pytest.approx(want, rel=1e-5), (d, t)
 
 
+def test_breakpoint_probe_closes_a_jump_bracket(monkeypatch):
+    # lam = 0: M g jumps down at the support radius r_K, and this threshold
+    # lies inside the jump, so R_t = r_K.  The probe just past r_K closes
+    # its bracket in the call that evaluates the bracket ends.
+    g, cfg, opt = random_profile(BASE_SEED, 6, 2), OperatorConfig(2, 0.0), OptimizerSettings()
+    t = default_t_grid(g, 8)[6]
+    assert t == pytest.approx(0.0052454, rel=1e-4)
+    r_k = g.support_radius
+    calls = []
+    search = maximal._supremum_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(maximal, "_supremum_batch", counting)
+    R = analysis._level_set_radii(g, cfg, np.array([t]), opt)[0]
+    assert len(calls) == 1
+    assert r_k * analysis._INSIDE <= R <= r_k / analysis._INSIDE
+    monkeypatch.undo()
+    assert superlevel_measure(g, cfg, t, opt) == pytest.approx(
+        _oracle_measure(g, cfg, t, opt), rel=1e-5
+    )
+    # lam = 1: M g stays at the top level on a plateau that runs about 1%
+    # past the breakpoint r_3, where the top threshold's bracket starts
+    cfg, t = OperatorConfig(2, 1.0), default_t_grid(g, 8)[-1]
+    r_3 = max(r for r, v in g.breakpoints if v > t)
+    mu = superlevel_measure(g, cfg, t, opt)
+    assert (mu / unit_ball_volume(2)) ** 0.5 > r_3 * (1.0 + 1e-3)
+    assert mu == pytest.approx(_oracle_measure(g, cfg, t, opt), rel=1e-5)
+
+
 def test_weak_constant_radius_budget(monkeypatch):
     # radii per cell, and supremum searches (_supremum_batch calls) over
     # all 24 cells: the covering-ball ends close most far-field brackets in
-    # a few steps
+    # a few steps, and the breakpoint probes close or shorten the brackets
+    # that start at a breakpoint (145 searches)
     counts, calls = [], [0]
     search = maximal._supremum_batch
 
@@ -152,7 +185,7 @@ def test_weak_constant_radius_budget(monkeypatch):
                 weak_constant_estimate(g, OperatorConfig(d, lam), default_t_grid(g, 8), SUITE_OPT)
                 assert counts[-1] <= 80, (d, i, lam, counts[-1])
     assert len(counts) == 24
-    assert calls[0] <= 195
+    assert calls[0] <= 150
 
 
 def test_superlevel_warns_on_mass_bound_breach(monkeypatch):
@@ -191,16 +224,27 @@ def test_superlevel_resolves_without_warning():
         weak_constant_estimate(g, OperatorConfig(2, 0.5), default_t_grid(g, 8), SUITE_OPT)
 
 
-def test_unconverged_searches_warn_once_with_their_count():
-    # at d = 10 the small-cap kernel noise leaves three searched radii of
-    # this cell unconverged; the level-set solver says so once
+def test_unconverged_searches_warn_once_with_their_count(monkeypatch):
+    # at d = 10 the small-cap kernel noise leaves some searched radii of
+    # this cell unconverged; the level-set solver says so once, with the
+    # count its searches report
     g = random_profile(9003, 6, 10)
+    unconverged = [0]
+    search = maximal._supremum_batch
+
+    def counting(*args, **kwargs):
+        out = search(*args, **kwargs)
+        unconverged[0] += np.size(out[3]) - np.count_nonzero(out[3])
+        return out
+
+    monkeypatch.setattr(maximal, "_supremum_batch", counting)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AnalysisWarning)
         weak_constant_estimate(g, OperatorConfig(10, 0.0), default_t_grid(g, 12))
     messages = [str(w.message) for w in caught if w.category is AnalysisWarning]
     assert len(messages) == 1
-    pattern = r"level-set search: unconverged at 3 of its radii \(.*rel_tol.*\)"
+    assert unconverged[0] > 0
+    pattern = rf"level-set search: unconverged at {unconverged[0]} of its radii \(.*rel_tol.*\)"
     assert re.fullmatch(pattern, messages[0])
 
 

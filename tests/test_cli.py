@@ -60,6 +60,8 @@ def test_parse_grid_rejects_junk():
         parse_grid("a:b:c")
     with pytest.raises(CliError):
         parse_grid("geom:1:2")
+    with pytest.raises(CliError, match="finite span"):
+        parse_grid("-1.7e308:1.7e308:3")
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +163,9 @@ def test_analysis_warnings_print_as_warning_lines(tmp_path, capsys):
     args = ["constant", "--d", "10", "--lambda", "0", "--profile", str(path), "--t-grid", ts]
     assert main(args) == 0
     assert capsys.readouterr().err == (
-        "warning: level-set search: unconverged at 3 of its radii (refinement did not reach "
+        "warning: level-set search: unconverged at 4 of its radii (refinement did not reach "
         "rel_tol before its window collapsed)\n"
-        "ratio_sup = 0.639865335 at t = 7.33515e-08 (bound 1)\n"
+        "ratio_sup = 0.639864346 at t = 7.33515e-08 (bound 1)\n"
     )
 
 
@@ -402,6 +404,26 @@ _VALID_ARGS = {
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        # each an abbreviation of one of the command's own options
+        ["eval", *_SHAPE, "--prof", "UNITBALL", "--R", "2"],
+        ["eval", *_SHAPE, "--profile", "UNITBALL", "--R", "2", "--reg", "upper-band"],
+        ["eval", *_SHAPE, "--profile", "UNITBALL", "--R", "2", "--beta", "30"],
+        ["scan", *_SHAPE, "--profile", "UNITBALL", "--R-g", "2"],
+        ["constant", *_SHAPE, "--profile", "UNITBALL", "--t", "0.5"],
+        ["sharpness", *_SHAPE, "--r", "1", "--t", "0.5"],
+        ["sweep", "--d", "1", "--lambda", "0", "--count", "1"],
+        ["sweep", "--d-set", "1", "--lambda-set", "0", "--count", "1", "--profile", "random"],
+    ],
+)
+def test_abbreviated_options_are_usage_errors(unitball, capsys, args):
+    assert main([unitball if a == "UNITBALL" else a for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         pytest.param("eval", "--refine-rounds", "6", id="--refine-rounds-6"),
@@ -599,6 +621,8 @@ def test_verify_lens_enclosure_domain_errors(capsys, args):
         ["constant", "--t-grid", "0.1:inf:3", "--d", "1", "--lambda", "0", "--profile", "UNITBALL"],
         ["sweep", "--d-set", "1:inf:2", "--lambda-set", "0", "--count", "1"],
         ["verify", "homothety", "--r-grid", "geom:0.1:inf:3"],
+        # finite grid ends whose span overflows
+        ["constant", "--t-grid=-1.7e308:1.7e308:3", "--d", "1", "--lambda", "0", "--profile", "UNITBALL"],
     ],
 )
 def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, unitball, args):
