@@ -201,7 +201,8 @@ def radial_scan(
 
 def _level_set_bracket(g, cfg, ts):
     """Ends [lo, hi] that bracket R_t for each threshold t < top level,
-    known before any operator call.
+    known before any operator call, and the breakpoint r_k that each lo
+    sits just inside (NaN where lo is the covering-ball end).
 
     hi is the mass-bound radius, where the value is at most t.  lo is the
     larger of two radii where the value exceeds t.  One is just inside the
@@ -219,11 +220,12 @@ def _level_set_bracket(g, cfg, ts):
     norm = l1_norm(g, cfg.d)
     steps = g.arrays
     # the levels end in 0, which no t exceeds
-    lo = steps.radii[np.sum(steps.levels[None, :] > ts[:, None], axis=1) - 1] * _INSIDE
+    r_step = steps.radii[np.sum(steps.levels[None, :] > ts[:, None], axis=1) - 1]
+    lo = r_step * _INSIDE
     hi = np.array([level_set_radius_bound(cfg, norm, t) for t in ts])
     cover = hi * _INSIDE - r_k
-    lo = np.where(cover >= cfg.lam * r_k, np.maximum(lo, cover), lo)
-    return lo, hi
+    covered = (cover >= cfg.lam * r_k) & (cover > lo)
+    return np.where(covered, cover, lo), hi, np.where(covered, np.nan, r_step)
 
 
 def _level_set_radii(g, cfg, ts, opt):
@@ -231,8 +233,8 @@ def _level_set_radii(g, cfg, ts, opt):
     t < top level, all thresholds solved together.
 
     Every bracket is known before any search (_level_set_bracket).  The
-    first operator call evaluates the bracket ends and, wherever a lower
-    end is a breakpoint's r_k * _INSIDE, the radii r_k * _BREAKPOINT_PROBES
+    first operator call evaluates the bracket ends and, for each breakpoint
+    r_k that a lower end sits just inside, the radii r_k * _BREAKPOINT_PROBES
     that fall inside some bracket.  Each bracket then shrinks to the
     largest of these points below its upper end with m > t and the smallest
     point above that with m <= t, so a crossing at a jump of M g (lam < 1)
@@ -246,7 +248,7 @@ def _level_set_radii(g, cfg, ts, opt):
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
-    lo, hi = _level_set_bracket(g, cfg, ts)
+    lo, hi, r_step = _level_set_bracket(g, cfg, ts)
     log_t = np.log(ts)
     unconverged = [0]
 
@@ -255,8 +257,7 @@ def _level_set_radii(g, cfg, ts, opt):
         unconverged[0] += R.size - np.count_nonzero(converged)
         return m, np.log(np.maximum(m, _TINY))
 
-    radii = g.arrays.radii
-    probes = np.outer(radii[np.isin(radii * _INSIDE, lo)], _BREAKPOINT_PROBES).ravel()
+    probes = np.outer(r_step[~np.isnan(r_step)], _BREAKPOINT_PROBES).ravel()
     probes = probes[((probes > lo[:, None]) & (probes < hi[:, None])).any(axis=0)]
     pts, inv = np.unique(np.concatenate([lo, hi, probes]), return_inverse=True)
     m, log_m = mval(pts)

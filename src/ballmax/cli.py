@@ -41,6 +41,7 @@ from .profiles import (
 )
 
 DEFAULT_SEED = 20240817
+_SUITE_DEFAULTS = {"seed": DEFAULT_SEED, "count": 20, "k_max": 6}  # sweep's random suite
 
 _REGIONS = {r.value: r for r in RegionKind}
 
@@ -92,20 +93,16 @@ def _fmt_number(value) -> str:
 
 
 def _json_ready(value):
-    if isinstance(value, bool) or value is None:
+    if value is None or isinstance(value, (bool, str)):
         return value
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, (int, str)):
-        return value
+    if isinstance(value, (float, np.floating)):
+        return float(f"{float(value):.12g}")
+    if isinstance(value, (int, np.integer)):
+        return int(value)
     if isinstance(value, dict):
         return {str(k): _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_ready(v) for v in value]
-    if isinstance(value, (np.floating,)):
-        return float(f"{float(value):.12g}")
-    if isinstance(value, (np.integer,)):
-        return int(value)
     return str(value)
 
 
@@ -159,8 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     region.add_argument("--region", choices=sorted(_REGIONS), default="full")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=DEFAULT_SEED, help=shown)
+    # absent unless given, so that a run that does not read them can reject them
+    out_table = argparse.ArgumentParser(add_help=False)
+    out_table.add_argument("--format", dest="fmt", choices=("csv", "json"), default=argparse.SUPPRESS)
+    suite_seed = argparse.ArgumentParser(add_help=False)
+    suite_seed.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=f"default {DEFAULT_SEED}")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output path (default: stdout)")
     search = argparse.ArgumentParser(add_help=False)
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "eval",
-        parents=[shape, profile, region, table, common],
+        parents=[shape, profile, region, out_table, common],
         help="operator value at one radius",
         allow_abbrev=False,
     )
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        parents=[table, seed, common],
+        parents=[table, suite_seed, common],
         help="bound verification across (d, lambda, profile)",
         allow_abbrev=False,
     )
@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="random",
         help="'random' for the seeded suite, or comma-separated profile paths",
     )
-    p.add_argument("--count", type=int, default=20, help="random suite size")
-    p.add_argument("--k-max", dest="k_max", type=int, default=6)
+    p.add_argument("--count", type=int, default=argparse.SUPPRESS, help="random suite size")
+    p.add_argument("--k-max", dest="k_max", type=int, default=argparse.SUPPRESS)
     p.add_argument("--t-points", dest="t_points", type=int, default=12)
     p.set_defaults(run=_cmd_sweep)
 
@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     dims.add_argument("--d", "--d-set", dest="d_set", default="2", help="dimensions, " + shown)
     ball = argparse.ArgumentParser(add_help=False)
     ball.add_argument("--profile", help="profile path, default the unit ball")
-    samples = argparse.ArgumentParser(add_help=False, parents=[seed])
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--seed", type=int, default=DEFAULT_SEED, help=shown)
     samples.add_argument("--n-samples", type=int, default=verify.McConfig.n_samples, help=shown)
     parsers = {}
 
@@ -267,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(ns, opt) -> int:
     cfg = OperatorConfig(ns.d, ns.lam)
     g = _load_profile(ns.profile)
+    if "fmt" in ns and ns.out is None:
+        raise CliError("eval: --format applies only to the --out table")
     res = maximal_value_detailed(g, cfg, ns.R, _REGIONS[ns.region], opt)
     for w in res.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -274,7 +277,7 @@ def _cmd_eval(ns, opt) -> int:
     if ns.out is not None:
         emit(
             [{"R": ns.R, "m": res.value, "alpha": res.alpha, "beta": res.beta}],
-            ns.fmt,
+            getattr(ns, "fmt", "csv"),
             ns.out,
         )
     return 0
@@ -318,8 +321,11 @@ def _cmd_sweep(ns, opt) -> int:
     d_set = parse_dimensions(ns.d_set)
     lambda_set = parse_grid(ns.lambda_set)
     if ns.profiles == "random":
+        seed, count, k_max = (getattr(ns, k, v) for k, v in _SUITE_DEFAULTS.items())
         def suite(d):
-            return [random_profile(ns.seed + i, ns.k_max, d) for i in range(ns.count)]
+            return [random_profile(seed + i, k_max, d) for i in range(count)]
+    elif _SUITE_DEFAULTS.keys() & vars(ns).keys():
+        raise CliError("sweep: --seed, --count and --k-max apply only to --profiles random")
     else:
         suite = [_load_profile(p) for p in ns.profiles.split(",") if p]
         if not suite:

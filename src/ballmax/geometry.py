@@ -75,7 +75,8 @@ def unit_ball_volume(d: int) -> float:
 # makes the supremum search's objective noisy at some radii: at d = 30 a
 # searched value read 0.76% above the 50-digit average of its own ball.
 # This dimension selects only the cap formula and whether scipy is
-# imported; the supremum search does not read it.  The split goes once the
+# imported; the lens kernel forms its cap heights one way at every d, and
+# the supremum search does not read it.  The split goes once the
 # benchmark's reference values no longer come from that complement (the
 # exact cap kernel item in ROADMAP.md).
 _QUIET_DIM = 6
@@ -189,33 +190,23 @@ def _lens_array(
         # interval endpoints when one radius is tiny
         overlap = np.minimum(np.minimum(rho1 + rho2 - c, 2.0 * rho1), 2.0 * rho2)
         return np.maximum(overlap, 0.0)
-    contain = c <= np.abs(rho1 - rho2)
-    out = np.where(contain, omega * np.minimum(rho1, rho2) ** d, 0.0)
+    lo, hi = np.minimum(rho1, rho2), np.maximum(rho1, rho2)
+    contain = c <= hi - lo
+    out = np.where(contain, omega * lo ** d, 0.0)
     lens = (~contain) & (c < rho1 + rho2)
     if np.logical_or.reduce(lens, axis=None):
-        cc = c[lens]
-        r1 = rho1[lens]
-        r2 = rho2[lens]
-        # both caps of each lens, stacked
-        if d > _QUIET_DIM:
-            # the betainc cap reads a height only through rho - h and cancels
-            # on small caps by itself, so these heights keep their bits: the
-            # radical hyperplane lies at x1 from the first center
-            x1 = (cc * cc + r1 * r1 - r2 * r2) / (2.0 * cc)
-            r = np.concatenate((r1, r2))
-            h = np.maximum(r - np.concatenate((x1, cc - x1)), 0.0)
-        else:
-            # a cap of the ball of radius r whose partner has radius q has
-            # height (r + q - cc) (q - r + cc) / (2 cc).  Each factor is formed
-            # without cancellation: with lo <= hi the radii, hi - cc is exact
-            # where cc >= hi/2 (Sterbenz), and max(lo, cc) - hi always is,
-            # since lo + cc > hi; hi - lo + cc has no cancellation to lose
-            lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
-            half = ((hi - cc) + lo) / (2.0 * cc)
-            r = np.concatenate((hi, lo))
-            h = np.concatenate(
-                (((np.maximum(lo, cc) - hi) + np.minimum(lo, cc)) * half, ((hi - lo) + cc) * half)
-            )
+        cc, lo, hi = c[lens], lo[lens], hi[lens]
+        # both caps of each lens, stacked, the larger ball first.  A cap of
+        # the ball of radius r whose partner has radius q has height
+        # (r + q - cc) (q - r + cc) / (2 cc).  Each factor is formed without
+        # cancellation: with lo <= hi the radii, hi - cc is exact where
+        # cc >= hi/2 (Sterbenz), and max(lo, cc) - hi always is, since
+        # lo + cc > hi; hi - lo + cc has no cancellation to lose
+        half = ((hi - cc) + lo) / (2.0 * cc)
+        r = np.concatenate((hi, lo))
+        h = np.concatenate(
+            (((np.maximum(lo, cc) - hi) + np.minimum(lo, cc)) * half, ((hi - lo) + cc) * half)
+        )
         h = np.minimum(h, 2.0 * r)
         caps = _cap_array(d, omega, r, h)
         out[lens] = caps[: cc.size] + caps[cc.size :]

@@ -258,10 +258,14 @@ def test_lower_bracket_ends_lie_inside_the_level_set(d):
         for s in range(7):
             g = random_profile(BASE_SEED + 10 * d + s, 6, d)
             ts = np.array(default_t_grid(g, 12))
-            lo, hi = analysis._level_set_bracket(g, cfg, ts)
+            lo, hi, r_step = analysis._level_set_bracket(g, cfg, ts)
             m = maximal_value_batch(g, cfg, lo)
             assert np.all(m > ts), (lam, s, ts[m <= ts])
-            cover = lo == hi * analysis._INSIDE - g.support_radius
+            # each lower end is the covering-ball end or sits just inside its breakpoint
+            cover = np.isnan(r_step)
+            assert np.all(lo[cover] == hi[cover] * analysis._INSIDE - g.support_radius)
+            assert np.all(lo[~cover] == r_step[~cover] * analysis._INSIDE)
+            assert np.all(np.isin(r_step[~cover], g.arrays.radii))
             assert np.all(lo[cover] >= lam * g.support_radius)
             covering += np.count_nonzero(cover)
             margin = min(margin, np.min(m[cover] / ts[cover] - 1.0, initial=math.inf))
@@ -278,11 +282,11 @@ def test_covering_ball_end_unused_below_lam_support():
     r_k = g.support_radius
     hi_want = (lam * r_k * (1.0 - 1e-6) + r_k) / analysis._INSIDE
     t = (1.0 + lam) ** d * l1_norm(g, d) / (unit_ball_volume(d) * hi_want ** d)
-    lo, hi = analysis._level_set_bracket(g, cfg, [t])
+    lo, hi, r_step = analysis._level_set_bracket(g, cfg, [t])
     cover = hi[0] * analysis._INSIDE - r_k
-    inside = max(r for r, v in g.breakpoints if v > t) * analysis._INSIDE
-    assert inside < cover < lam * r_k
-    assert lo[0] == inside
+    r_b = max(r for r, v in g.breakpoints if v > t)
+    assert r_b * analysis._INSIDE < cover < lam * r_k
+    assert lo[0] == r_b * analysis._INSIDE and r_step[0] == r_b
 
 
 def test_level_set_radius_bound_value():

@@ -445,6 +445,52 @@ def test_removed_search_flags_are_usage_errors(unitball, capsys, command, flag, 
     assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
+_FILE_SWEEP = ["sweep", "--d-set", "1", "--lambda-set", "0.5", "--profiles", "UNITBALL", "--t-points", "3"]
+
+
+@pytest.mark.parametrize(
+    "args, unread",
+    [
+        # the random suite's options on a sweep of profile files
+        (_FILE_SWEEP, ["--count", "5"]),
+        (_FILE_SWEEP, ["--k-max", "3"]),
+        (_FILE_SWEEP, ["--seed", "9"]),
+        (_FILE_SWEEP, ["--seed", "-3"]),
+        (_FILE_SWEEP, ["--count", "5", "--k-max", "3", "--seed", "9"]),
+        # eval writes its table only to --out
+        (_VALID_ARGS["eval"], ["--format", "json"]),
+        (_VALID_ARGS["eval"], ["--format", "csv"]),
+    ],
+    ids=["sweep-count", "sweep-k-max", "sweep-seed", "sweep-negative-seed", "sweep-all-three",
+         "eval-json", "eval-csv"],
+)
+def test_options_a_run_does_not_read_are_usage_errors(unitball, capsys, args, unread):
+    args = [unitball if a == "UNITBALL" else a for a in args]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + unread) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_random_suite_options_keep_their_defaults(capsys):
+    base = ["sweep", "--d-set", "1", "--lambda-set", "0.5", "--count", "2", "--t-points", "3"]
+    runs = []
+    for extra in ([], ["--profiles", "random", "--seed", "20240817", "--k-max", "6"]):
+        assert main(base + extra) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1]
+
+
+def test_eval_out_table_is_csv_unless_a_format_is_given(tmp_path, unitball):
+    args = ["eval", "--d", "1", "--lambda", "1", "--profile", unitball, "--R", "2", "--out"]
+    assert main(args + [str(tmp_path / "a.csv")]) == 0
+    assert main(args + [str(tmp_path / "b.csv"), "--format", "csv"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes().startswith(b"R,m,alpha,beta\r\n")
+
+
 # every option each command and each verify check takes, besides --out; no
 # code may leave one of them unread
 _SEARCH = {"--beta-grid", "--rel-tol"}

@@ -359,7 +359,7 @@ def test_cap_volume_array_accepts_scalars(d):
     assert got.view(np.int64) == np.float64(cap_volume(d, 1.0, 0.5)).view(np.int64)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 10, 30])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 10, 30])
 def test_lens_kernel_is_exactly_two_caps(d):
     # The lens kernel evaluates the two caps of every lens entry in one
     # stacked array; the sum must be the very same floats as two separate
@@ -386,17 +386,13 @@ def test_lens_kernel_is_exactly_two_caps(d):
     assert lens[:n].all() and contain[n : 2 * n].all() and contain[3 * n : 4 * n].all()
     assert disjoint[2 * n : 3 * n].all() and disjoint[4 * n :].all()
     cc, a, b = c[lens], r1[lens], r2[lens]
-    if d > geometry._QUIET_DIM:
-        x1 = (cc * cc + a * a - b * b) / (2.0 * cc)
-        h1 = np.clip(a - x1, 0.0, 2.0 * a)
-        h2 = np.clip(b - (cc - x1), 0.0, 2.0 * b)
-    else:
-        # the factored heights, on the larger ball first
-        b, a = np.minimum(a, b), np.maximum(a, b)
-        half = ((a - cc) + b) / (2.0 * cc)
-        h1 = np.minimum(((np.maximum(b, cc) - a) + np.minimum(b, cc)) * half, 2.0 * a)
-        h2 = np.minimum(((a - b) + cc) * half, 2.0 * b)
-    assert (out[lens] == cap_volume_array(d, a, h1) + cap_volume_array(d, b, h2)).all()
+    # the factored heights at every d, on the larger ball first
+    b, a = np.minimum(a, b), np.maximum(a, b)
+    half = ((a - cc) + b) / (2.0 * cc)
+    h1 = np.minimum(((np.maximum(b, cc) - a) + np.minimum(b, cc)) * half, 2.0 * a)
+    h2 = np.minimum(((a - b) + cc) * half, 2.0 * b)
+    caps = cap_volume_array(d, a, h1) + cap_volume_array(d, b, h2)
+    assert (out[lens].view(np.int64) == caps.view(np.int64)).all()
     small = np.minimum(r1, r2)[contain]
     assert (out[contain] == unit_ball_volume(d) * small ** d).all()
     assert (out[disjoint] == 0.0).all()
