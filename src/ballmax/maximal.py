@@ -59,7 +59,9 @@ Each region is defined once, by its beta range and its alpha bounds at each
 beta, and membership and the search read only that; no alpha interval of the
 range is empty.  A restricted region has a greatest beta and so a least
 radius, below which the ball volumes the search needs underflow; the search
-rejects such a radius (UsageError).
+rejects such a radius (UsageError).  So it does a radius beyond about
+2^53 r_K in every region: there 1 + r_K / R rounds to 1 and no ball it
+searches covers the support.
 
 Every ball average (the search's, average_over_ball's and the domination
 audit's) is one function, _ball_averages: a lens sum over the profile's
@@ -331,6 +333,13 @@ def _supremum_batch(g, cfg, R, region, opt):
         return np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), ()
     if not np.all(np.isfinite(R)) or np.any(R <= 0.0):
         raise UsageError("every radius must be positive and finite")
+    r_K = g.support_radius
+    if np.logical_or.reduce(1.0 + r_K / R == 1.0):
+        raise UsageError(
+            f"R = {float(R.max())!r} lies beyond the greatest radius, about 2^53 r_K = "
+            f"{2.0**53 * r_K!r}: there 1 + r_K / R rounds to 1, so no searched ball covers "
+            f"the support"
+        )
 
     radii_k = g.arrays.step_radii
     omega = unit_ball_volume(d)

@@ -218,7 +218,16 @@ def normalized_indicator(r: float, d: int) -> StepProfile:
     d = _check_dimension(d)
     if not (r > 0.0 and math.isfinite(r)):
         raise ProfileError(f"indicator radius must be positive, got {r}")
-    return StepProfile(((r, 1.0 / (unit_ball_volume(d) * r ** d)),))
+    try:
+        level = 1.0 / (unit_ball_volume(d) * r ** d)
+    except (OverflowError, ZeroDivisionError):
+        level = math.nan
+    if not (0.0 < level < math.inf):
+        raise ProfileError(
+            f"indicator radius r = {r!r} in d = {d}: the ball volume omega_d r^d or the "
+            f"level 1 / (omega_d r^d) is not a positive finite double"
+        )
+    return StepProfile(((r, level),))
 
 
 def random_profile(seed: int, k_max: int, d: int) -> StepProfile:

@@ -24,7 +24,9 @@ step is the generalised Archimedes fact: dropping two coordinates of a
 uniform point on S^(d-1) leaves a uniform point in B^(d-2) (Barthe, Guedon,
 Mendelson and Naor, Ann. Probab. 33, 2005; Voelker, Gosmann and Stewart,
 "Efficiently sampling vectors and coordinates from the n-sphere and n-ball",
-2017).  A sample costs about d/2 + 1 uniform draws and no normals.
+2017).  A sample costs about d/2 + 1 uniform draws and no normals.  One
+function, _axis_draws, draws the recursion's product P and the base
+uniform V for every check.
 
 The lens oracle, mc_intersection_volume, counts a sample of B(0, rho1) as a
 hit in B(c e1, rho2) when r (r - 2 c u_0) <= rho2^2 - c^2.  By the triangle
@@ -33,9 +35,20 @@ inequality the radius alone decides it outside the band
 c <= rho2 and misses for every u_0 otherwise, above it it misses.  One
 multinomial draw splits the samples into below, band and above, which is
 the law of their radii; only the band samples draw a radius and an axis
-cosine.  check_mc_geometry accepts a lens volume when it lies in the Wilson
-score interval of the hit count, at a family-wise false-alarm level split
-over the tuples.
+cosine.  At odd d a band sample's u_0 is +-P and the product form decides
+it; at even d no cosine is taken: u_0 = P cos(pi V) >= q, with
+q = (r^2 + c^2 - rho2^2) / (2 c r), is the event pi V <= arccos(q / P).
+check_mc_geometry accepts a lens volume when it lies in the Wilson score
+interval of the hit count, at a family-wise false-alarm level split over
+the tuples.
+
+check_random_ball_domination averages only the balls that can reach the
+largest sample average.  A ball's average of a radial nonincreasing g is at
+most g at the ball's point nearest the origin, and at most
+||g||_1 / (omega_d rho^d).  The check averages the ball with the largest
+such bound first, and then only the balls whose bound, widened by a margin
+for rounding, reaches that average.  The draws, their order and every
+report are the ones that averaging every ball gives.
 """
 
 from __future__ import annotations
@@ -62,7 +75,7 @@ from .maximal import (
     maximal_value_batch,
     maximal_value_detailed,
 )
-from .profiles import OperatorConfig, StepProfile
+from .profiles import OperatorConfig, StepProfile, l1_norm
 
 __all__ = [
     "McConfig",
@@ -87,6 +100,9 @@ _MC_CHUNK = 16_384
 _MC_FALSE_ALARM = 1e-3
 # up to this many hits (or misses) _hit_interval widens the Wilson interval
 _MC_FEW_HITS = 30
+# relative room above a ball's bound on its computed average, for rounding
+# in the lens kernel and the bound (check_random_ball_domination)
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,17 +152,23 @@ def _report(name, worst, tol, witness, grid, extra=None) -> CheckReport:
     return CheckReport(name, float(worst), float(tol), witness, grid, extra or {})
 
 
-def _axis_cosines(rng, m: int, d: int) -> np.ndarray:
-    """m axis cosines u_0 of points uniform on the unit sphere S^(d-1) (see
-    the module docstring).
+def _axis_draws(rng, m: int, d: int):
+    """The uniforms behind m axis cosines u_0 of points uniform on the unit
+    sphere S^(d-1) (see the module docstring): the recursion's product
+    P = prod_k V_k^(1/k) and the base uniforms V, so that u_0 is P signed by
+    V - 1/2 at odd d and P cos(pi V) at even d.
 
-    Draw order: m uniforms V for each recursion step k = d - 2, d - 4, ...
-    >= 1 (the factor V^(1/k)); m uniforms for the base (the sign at odd d,
-    cos(pi V) at even d)."""
-    u0 = np.ones(m)
+    Draw order: m uniforms V_k for each recursion step k = d - 2, d - 4, ...
+    >= 1; then m base uniforms V."""
+    p = np.ones(m)
     for k in range(d - 2, 0, -2):
-        u0 *= rng.random(m) ** (1.0 / k)
-    v = rng.random(m)
+        p *= rng.random(m) ** (1.0 / k)
+    return p, rng.random(m)
+
+
+def _axis_cosines(rng, m: int, d: int) -> np.ndarray:
+    """m axis cosines u_0 from the draws of _axis_draws."""
+    u0, v = _axis_draws(rng, m, d)
     if d % 2:
         np.copysign(u0, v - 0.5, out=u0)
     else:
@@ -172,14 +194,41 @@ def _mc_draws(d: int, rho1: float, mc: McConfig):
         yield r, u0
 
 
-def _lens_hits(r: np.ndarray, u0: np.ndarray, c: float, rho2: float) -> int:
-    # Points r u (|u| = 1) inside B(c e1, rho2): |r u - c e1|^2 <= rho2^2 is
-    # r (r - 2 c u_0) <= rho2^2 - c^2, so r = 0 hits exactly when c <= rho2.
-    # u0 is overwritten.
-    u0 *= -2.0 * c
-    u0 += r
-    u0 *= r
-    return int(np.count_nonzero(u0 <= rho2 * rho2 - c * c))
+def _lens_hits(d: int, c: float, rho2: float, r: np.ndarray, p: np.ndarray, v: np.ndarray) -> int:
+    """How many band samples r u (|u| = 1), drawn as r and the (P, V) of
+    _axis_draws, lie in B(c e1, rho2): |r u - c e1|^2 <= rho2^2 is
+    r (r - 2 c u_0) <= rho2^2 - c^2, so r = 0 hits exactly when c <= rho2.
+    p and v are overwritten."""
+    rhs = rho2 * rho2 - c * c
+    if d % 2:
+        # u_0 = +-P, and the product form above
+        u0 = np.copysign(p, v - 0.5, out=p)
+        u0 *= -2.0 * c
+        u0 += r
+        u0 *= r
+        return int(np.count_nonzero(u0 <= rhs))
+    # u_0 = P cos(pi V) >= q with q = (r^2 - (rho2^2 - c^2)) / (2 c r) is the
+    # event pi V <= arccos(clip(q / P, -1, 1)), except at the edges: V = 0
+    # hits exactly when q / P <= 1, where the clip reads arccos(1) = 0; and
+    # q / P is NaN only where r = 0 (then c = rho2, a hit), where P = 0 meets
+    # q = 0 (u_0 = 0, a hit) or where the squares under- or overflow, and is
+    # then decided by the sign of r^2 - (rho2^2 - c^2), the product form at
+    # u_0 = 0.  The arrays are reused in place: a fresh one costs page faults.
+    num = r * r
+    num -= rhs
+    p *= r
+    p *= 2.0 * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.divide(num, p, out=p)
+    hits = 0
+    nan = np.isnan(t)
+    if np.logical_or.reduce(nan):
+        hits += int(np.count_nonzero(num[nan] <= 0.0))
+    pi_v = np.multiply(v, np.pi, out=v)
+    if not pi_v.all():
+        hits -= int(np.count_nonzero((pi_v == 0.0) & (t > 1.0)))
+    theta = np.arccos(np.clip(t, -1.0, 1.0, out=num), out=num)
+    return hits + int(np.count_nonzero(pi_v <= theta))
 
 
 def _band_ends(d: int, c: float, rho1: float, rho2: float) -> tuple[float, float]:
@@ -197,8 +246,8 @@ def _lens_samples(d: int, c: float, rho1: float, rho2: float, mc: McConfig):
     Draw order: one multinomial split of the n samples into below, band and
     above (see the module docstring); then, per chunk of at most _MC_CHUNK
     band samples, the uniforms V of r = rho1 (lo + (hi - lo) V)^(1/d) and
-    the uniforms of _axis_cosines.  The input is checked as
-    geometry.intersection_volume checks it (_check_lens)."""
+    the uniforms of _axis_draws, which band yields as (r, P, V).  The input
+    is checked as geometry.intersection_volume checks it (_check_lens)."""
     d = _check_lens(d, c, rho1, rho2)
     lo, hi = _band_ends(d, c, rho1, rho2)
     rng = np.random.default_rng(mc.seed)
@@ -208,7 +257,7 @@ def _lens_samples(d: int, c: float, rho1: float, rho2: float, mc: McConfig):
         for start in range(0, inside, _MC_CHUNK):
             m = min(_MC_CHUNK, inside - start)
             r = rho1 * (lo + (hi - lo) * rng.random(m)) ** (1.0 / d)
-            yield r, _axis_cosines(rng, m, d)
+            yield (r, *_axis_draws(rng, m, d))
 
     return (below if c <= rho2 else 0), below + above, band()
 
@@ -216,7 +265,7 @@ def _lens_samples(d: int, c: float, rho1: float, rho2: float, mc: McConfig):
 def _lens_counts(d: int, c: float, rho1: float, rho2: float, mc: McConfig) -> tuple[int, int]:
     """The lens oracle's hit count and how many samples the radius decided."""
     hits, decided, band = _lens_samples(d, c, rho1, rho2, mc)
-    return hits + sum(_lens_hits(r, u0, c, rho2) for r, u0 in band), decided
+    return hits + sum(_lens_hits(d, c, rho2, *sample) for sample in band), decided
 
 
 def _volume_estimate(vol1: float, hits: int, n: int) -> tuple[float, float]:
@@ -568,16 +617,33 @@ def check_random_ball_domination(
     supremum.  Each sampled average is computed through the axis reduction
     with center distance |z|.  At lam > 0 the offset z - R e1 is drawn as
     its radius and axis cosine (_ball_draws), which give |z| directly; at
-    lam = 0 nothing but rho is drawn."""
+    lam = 0 nothing but rho is drawn.
+
+    Only the balls whose bound can reach the largest average are averaged
+    (see the module docstring); the report is the one that averaging every
+    ball gives.  A radius R whose largest sampled ball, of radius
+    10 (R + r_K), has a volume that overflows a double raises UsageError."""
     opt = opt or OptimizerSettings()
     if not (R > 0.0 and math.isfinite(R)):
         raise UsageError(f"R must be positive, got {R}")
     d, lam = cfg.d, cfg.lam
+    omega = unit_ball_volume(d)
+    scale = R + g.support_radius
+    try:
+        largest = (10.0 * scale) ** d
+    except OverflowError:
+        largest = math.inf
+    # both rho^d and omega_d rho^d must be finite; a factor 2 leaves room for
+    # the draws' rounding above 10 (R + r_K)
+    if 2.0 * max(omega, 1.0) * largest == math.inf:
+        raise UsageError(
+            f"R = {R!r} at d = {d}: the largest sampled ball, of radius 10 (R + r_K) = "
+            f"{10.0 * scale!r}, has a volume that overflows a double"
+        )
     res = maximal_value_detailed(g, cfg, R, RegionKind.FULL, opt)
     m_star = res.value
     rng = np.random.default_rng(mc.seed)
     n = mc.n_samples
-    scale = R + g.support_radius
     rho = np.exp(rng.uniform(math.log(max(1e-9, 1e-4 * scale)), math.log(10.0 * scale), n))
     rho = np.maximum(rho, 1e-9)
     if lam == 0.0:
@@ -587,17 +653,38 @@ def check_random_ball_domination(
         r, u0 = _ball_draws(rng, n, d)
         s = lam * rho * r
         z_norm = np.hypot(R + s * u0, s * np.sqrt((1.0 - u0) * (1.0 + u0)))
-    omega, averages = unit_ball_volume(d), np.empty(n)
-    for start in range(0, n, _MC_CHUNK):
-        at = slice(start, start + _MC_CHUNK)
-        averages[at] = _ball_averages(g, d, omega, z_norm[at], rho[at])
-    viol = (averages - m_star) / max(m_star, 1e-300)
+
+    def violation(average):
+        return (average - m_star) / max(m_star, 1e-300)
+
+    # Each ball's bound: g at its point nearest the origin, where a distance
+    # that rounds onto a breakpoint r_k keeps step k (side="left"), as the
+    # lens kernel's c < r_k + rho does; and the mass bound.
+    steps = g.arrays
+    bound = steps.levels[np.searchsorted(steps.radii, np.maximum(z_norm - rho, 0.0), side="left")]
+    np.minimum(bound, l1_norm(g, d) / (omega * rho ** d), out=bound)
+    # The floor is the average of the ball with the largest bound.  A ball is
+    # averaged when its bound, widened by _PRUNE_MARGIN, reaches the floor in
+    # the report's own float operations: a pruned ball's violation then lies
+    # strictly below the floor's, ties included.
+    first = int(np.argmax(bound))
+    floor = violation(_ball_averages(g, d, omega, z_norm[first : first + 1], rho[first : first + 1]))
+    kept = np.flatnonzero(violation(bound * (1.0 + _PRUNE_MARGIN)) >= floor)
+    # chunks of _MC_CHUNK kernel entries (balls times steps): most kept balls
+    # cut lenses from the steps, and a lens entry's arrays are all full size
+    chunk = max(1, _MC_CHUNK // steps.step_radii.size)
+    averages = np.empty(kept.size)
+    for start in range(0, kept.size, chunk):
+        at = kept[start : start + chunk]
+        averages[start : start + chunk] = _ball_averages(g, d, omega, z_norm[at], rho[at])
+    viol = violation(averages)
     i = int(np.argmax(viol))
+    j = kept[i]
     return _report(
         "random-ball-domination",
         float(viol[i]),
         2.0 * opt.rel_tol,
-        (float(z_norm[i]), float(rho[i]), float(averages[i]), float(m_star)),
+        (float(z_norm[j]), float(rho[j]), float(averages[i]), float(m_star)),
         f"d={d}, lambda={lam:g}, R={R:g}, {n} balls, seed={mc.seed}",
         {"supremum": float(m_star), "max_sample_average": float(np.max(averages))},
     )

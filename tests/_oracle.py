@@ -10,6 +10,12 @@ against this module, and this module and the closed form against mpmath.
 sample_in_ball draws uniform points of a ball the textbook way, from d
 normal coordinates; it is the reference law for the (radius, axis cosine)
 draws of ballmax.verify.
+
+cosine_hits and exhaustive_domination are the Monte Carlo audits' plain
+decisions: the lens oracle's hit test through the axis cosine itself, and
+the domination audit with every ball averaged.  ballmax.verify decides the
+same samples by exact inequalities that skip that work; the tests pin its
+reports to these byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ import math
 
 import numpy as np
 
+from ballmax import verify
 from ballmax.geometry import GeometryDomainError, unit_ball_volume
+from ballmax.maximal import OptimizerSettings, RegionKind, _ball_averages, maximal_value_detailed
 
 _CF_EPS = 3.0e-16
 _CF_TINY = 1.0e-300
@@ -127,3 +135,48 @@ def sample_in_ball(rng, n: int, d: int, radius: float = 1.0) -> np.ndarray:
     x /= norms
     r = radius * rng.random(n) ** (1.0 / d)
     return x * r[:, None]
+
+
+def cosine_hits(d: int, c: float, rho2: float, r, p, v) -> int:
+    """Hits among lens-oracle band samples (r, P, V) by the product test on
+    the axis cosine u_0, which is P signed by V - 1/2 at odd d and
+    P cos(pi V) at even d: r (r - 2 c u_0) <= rho2^2 - c^2."""
+    u0 = np.copysign(p, v - 0.5) if d % 2 else p * np.cos(np.pi * v)
+    u0 *= -2.0 * c
+    u0 += r
+    u0 *= r
+    return int(np.count_nonzero(u0 <= rho2 * rho2 - c * c))
+
+
+def exhaustive_domination(g, cfg, R, mc, opt=None):
+    """check_random_ball_domination with every ball averaged: the same
+    draws, every ball through the search's ball-average formula in chunks
+    of verify._MC_CHUNK, and the first worst violation over all of them."""
+    opt = opt or OptimizerSettings()
+    d, lam = cfg.d, cfg.lam
+    m_star = maximal_value_detailed(g, cfg, R, RegionKind.FULL, opt).value
+    rng = np.random.default_rng(mc.seed)
+    n = mc.n_samples
+    scale = R + g.support_radius
+    rho = np.exp(rng.uniform(math.log(max(1e-9, 1e-4 * scale)), math.log(10.0 * scale), n))
+    rho = np.maximum(rho, 1e-9)
+    if lam == 0.0:
+        z_norm = np.full(n, R)
+    else:
+        r, u0 = verify._ball_draws(rng, n, d)
+        s = lam * rho * r
+        z_norm = np.hypot(R + s * u0, s * np.sqrt((1.0 - u0) * (1.0 + u0)))
+    omega, averages = unit_ball_volume(d), np.empty(n)
+    for start in range(0, n, verify._MC_CHUNK):
+        at = slice(start, start + verify._MC_CHUNK)
+        averages[at] = _ball_averages(g, d, omega, z_norm[at], rho[at])
+    viol = (averages - m_star) / max(m_star, 1e-300)
+    i = int(np.argmax(viol))
+    return verify.CheckReport(
+        "random-ball-domination",
+        float(viol[i]),
+        2.0 * opt.rel_tol,
+        (float(z_norm[i]), float(rho[i]), float(averages[i]), float(m_star)),
+        f"d={d}, lambda={lam:g}, R={R:g}, {n} balls, seed={mc.seed}",
+        {"supremum": float(m_star), "max_sample_average": float(np.max(averages))},
+    )

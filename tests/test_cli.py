@@ -371,6 +371,46 @@ def test_verify_nonpositive_R_is_usage_error(capsys, R):
     assert "R must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, R", [("2", "1e308"), ("30", "1e12")])
+def test_verify_domination_volume_overflow_is_usage_error(capsys, d, R):
+    # before: a numpy OverflowError traceback (d = 2), or overflow warnings
+    # and a pass on underflowed averages (d = 30)
+    assert main(["verify", "domination", "--d", d, "--R", R, "--n-samples", "1000"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "overflows a double" in err[0]
+
+
+def test_verify_domination_just_inside_the_volume_limit_runs_quietly(capsys):
+    assert main(["verify", "domination", "--d", "30", "--R", "1.8e9", "--n-samples", "1000"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("d, r", [("2", "1e-200"), ("30", "1e20")])
+def test_sharpness_indicator_volume_out_of_range_is_usage_error(capsys, d, r):
+    # before: a ZeroDivisionError (d = 2) or OverflowError (d = 30) traceback
+    code = main(["sharpness", "--d", d, "--lambda", "1", "--r", r, "--t-grid", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: indicator radius r = ")
+    assert f"in d = {d}" in err[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--d", "2", "--lambda", "0.5", "--R", "1e16"],
+        ["eval", "--d", "1", "--lambda", "0", "--R", "1e16"],
+        # the level set of t = 1e-300 reaches R = 1.5e150
+        ["constant", "--d", "2", "--lambda", "0.5", "--t-grid", "1e-300,0.5"],
+    ],
+)
+def test_radii_beyond_the_greatest_are_usage_errors(unitball, capsys, args):
+    # beyond about 2^53 r_K, 1 + r_K / R rounds to 1: eval printed m = 0.000000
+    assert main(args + ["--profile", unitball]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: R = ") and "greatest radius" in err[0]
+
+
 def test_missing_profile_is_usage_error(tmp_path):
     code = main(
         ["eval", "--d", "1", "--lambda", "1", "--profile",

@@ -341,6 +341,25 @@ def _search_stays_in_its_region(d, region, lam):
         maximal_value_detailed(g, cfg, math.nextafter(least, 0.0), region)
 
 
+def test_radii_up_to_the_greatest_keep_the_closed_forms():
+    # m(R) = (1 + lam) / (R + 1) for the unit interval up to R = 1e15; from
+    # about 2^53 r_K on, 1 + r_K / R rounds to 1 and the radius is rejected
+    for lam in (0.0, 0.5, 1.0):
+        cfg = OperatorConfig(1, lam)
+        for R in (1e12, 1e15, 4e15):
+            res = maximal_value_detailed(UNIT_BALL, cfg, R)
+            assert res.converged
+            assert res.value == pytest.approx((1.0 + lam) / (R + 1.0), rel=1e-15, abs=0.0)
+        for R in (2.0**53, 1e16, 1e300):
+            with pytest.raises(UsageError, match="greatest radius"):
+                maximal_value_detailed(UNIT_BALL, cfg, R)
+    g = random_profile(3, 6, 2)
+    for region in RegionKind:
+        lam = 0.0 if region is RegionKind.CENTERED_SHELL else 0.5
+        with pytest.raises(UsageError, match="greatest radius"):
+            maximal_value_batch(g, OperatorConfig(2, lam), [1.0, 2.0**53 * g.support_radius], region)
+
+
 def test_maximal_value_rejects_bad_radius():
     cfg = OperatorConfig(1, 0.5)
     with pytest.raises(UsageError):

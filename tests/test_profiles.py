@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,13 @@ def test_normalized_indicator_levels():
 @given(st.floats(0.1, 4.0), st.integers(1, 6))
 def test_normalized_indicator_unit_mass(r, d):
     assert l1_norm(normalized_indicator(r, d), d) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("r, d", [(1e-200, 2), (1e-160, 2), (1e20, 30), (1e154, 2)])
+def test_normalized_indicator_rejects_a_volume_out_of_range(r, d):
+    # omega_d r^d underflows to 0 (or its reciprocal overflows), or overflows
+    with pytest.raises(ProfileError, match=re.escape(f"indicator radius r = {r!r} in d = {d}")):
+        normalized_indicator(r, d)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from ballmax import verify
 from ballmax.cli import main
 from ballmax.geometry import GeometryDomainError, intersection_volume, lens_volume_array
 from ballmax.maximal import OptimizerSettings, RegionKind, UsageError
-from ballmax.profiles import OperatorConfig, StepProfile, random_profile
+from ballmax.profiles import OperatorConfig, StepProfile, l1_norm, random_profile
 from ballmax.verify import (
     CheckReport,
     McConfig,
@@ -22,7 +22,7 @@ from ballmax.verify import (
     check_shrink_overlap_inequality,
     mc_intersection_volume,
 )
-from _oracle import sample_in_ball
+from _oracle import cosine_hits, exhaustive_domination, sample_in_ball
 
 UNIT_BALL = StepProfile(((1.0, 1.0),))
 
@@ -86,12 +86,18 @@ def test_check_mc_geometry_passes():
         assert row["mc_lo"] - slack <= row["exact"] <= row["mc_hi"] + slack
 
 
+def _axis_cosine(d, p, v):
+    # u_0 from the recursion's product P and the base uniform V
+    return np.copysign(p, v - 0.5) if d % 2 else p * np.cos(np.pi * v)
+
+
 def _explicit_counts(d, c, rho1, rho2, mc):
     # the oracle's own band draws as explicit points r (u_0, sqrt(1 - u_0^2), 0, ...)
     # with a distance test, plus the samples their radius decided
     hits, decided, band = verify._lens_samples(d, c, rho1, rho2, mc)
     drawn = 0
-    for r, u0 in band:
+    for r, p, v in band:
+        u0 = _axis_cosine(d, p, v)
         assert np.all((abs(rho2 - c) * (1 - 1e-12) <= r) & (r <= (c + rho2) * (1 + 1e-12)))
         pts = np.zeros((r.size, d))
         pts[:, 0] = r * u0 - c
@@ -124,19 +130,50 @@ def test_mc_hits_equal_the_explicit_distance_test(monkeypatch, d, c, rho1, rho2,
     # the radius decides every sample when the balls are disjoint or
     # concentric and when the second ball holds the first
     assert (decided == n) == (abs(rho2 - c) >= rho1 or c == 0.0)
-    cosines = []
-    axis_cosines = verify._axis_cosines
+    directions = []
+    axis_draws = verify._axis_draws
 
-    def counted_cosines(rng, m, d):
-        cosines.append(m)
-        return axis_cosines(rng, m, d)
+    def counted_draws(rng, m, d):
+        directions.append(m)
+        return axis_draws(rng, m, d)
 
-    monkeypatch.setattr(verify, "_axis_cosines", counted_cosines)
+    monkeypatch.setattr(verify, "_axis_draws", counted_draws)
     assert verify._lens_counts(d, c, rho1, rho2, mc) == (hits, decided)
-    assert sum(cosines) == n - decided  # no axis cosine for a decided sample
+    assert sum(directions) == n - decided  # no direction draw for a decided sample
     vol1 = verify.unit_ball_volume(d) * rho1 ** d
     p = hits / n
     assert mc_intersection_volume(d, c, rho1, rho2, mc) == (vol1 * p, vol1 * math.sqrt(p * (1.0 - p) / n))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 10, 30])
+def test_mc_hit_test_takes_no_cosine_at_even_d(monkeypatch, d):
+    # the arccos test counts what the cosine's product test counts, on the
+    # oracle's own draws, and calls np.cos nowhere
+    cases = [(0.9, 1.0, 0.7), (0.3, 1.0, 1.0), (1.1, 1.0, 0.6), (0.6, 0.8, 0.6), (1.999, 1.0, 1.0)]
+    want = []
+    for c, rho1, rho2 in cases:
+        hits, decided, band = verify._lens_samples(d, c, rho1, rho2, McConfig(d, 40_000))
+        want.append((hits + sum(cosine_hits(d, c, rho2, *sample) for sample in band), decided))
+    calls = []
+    cos = np.cos
+
+    def counted_cos(*args, **kwargs):
+        calls.append(1)
+        return cos(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counted_cos)
+    got = [verify._lens_counts(d, c, rho1, rho2, McConfig(d, 40_000)) for c, rho1, rho2 in cases]
+    assert not calls
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("d_max", [6, 30])
+def test_mc_geometry_report_is_the_cosine_tests(monkeypatch, seed, d_max):
+    fast = check_mc_geometry(20, d_max, McConfig(seed, 20_000)).to_dict()
+    monkeypatch.setattr(verify, "_lens_hits", cosine_hits)
+    plain = check_mc_geometry(20, d_max, McConfig(seed, 20_000)).to_dict()
+    assert json.dumps(fast, sort_keys=True) == json.dumps(plain, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -260,10 +297,15 @@ def test_mc_sample_at_the_origin_hits_exactly_when_c_within_rho2():
     rho2 = 0.6
     above = math.nextafter(rho2, math.inf)
     below = math.nextafter(rho2, 0.0)
-    for c in (0.0, 0.3, below, rho2, above, 0.9):
-        for u0 in (-1.0, 0.0, 0.4, 1.0):
-            want = int(c <= rho2)
-            assert verify._lens_hits(np.zeros(1), np.array([u0]), c, rho2) == want
+    # (P, V) giving the axis cosines u_0 = -1, 0, 0.4 and 1 at odd and at even d
+    draws = {1: [(1.0, 0.25), (0.0, 0.75), (0.4, 0.75), (1.0, 0.75)],
+             0: [(1.0, 1.0), (0.0, 0.5), (0.4, 0.0), (1.0, 0.0)]}
+    for d in range(1, 7):
+        for p, v in draws[d % 2]:
+            assert _axis_cosine(d, np.array([p]), np.array([v]))[0] in (-1.0, 0.0, 0.4, 1.0)
+            for c in (0.0, 0.3, below, rho2, above, 0.9):
+                want = int(c <= rho2)
+                assert verify._lens_hits(d, c, rho2, np.zeros(1), np.array([p]), np.array([v])) == want
 
 
 def test_mc_geometry_exact_is_the_scalar_lens_volume_bit_for_bit():
@@ -726,6 +768,66 @@ def test_domination_witness_is_admissible(d):
         )
         z_norm, rho, _, _ = rep.witness
         assert abs(z_norm - R) <= lam * rho * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 10, 30])
+def test_domination_report_is_the_exhaustive_one(d):
+    # the pruned audit reports, byte for byte, what averaging every ball
+    # reports: on the unit ball and a seeded profile, with R inside and
+    # outside the support, and one and several chunks of balls
+    for lam in (0.0, 0.5, 1.0):
+        for k, g in enumerate((UNIT_BALL, random_profile(60 + d, 6, d))):
+            for n in (1000, 16385, 100_000):
+                R = (0.6, 1.7)[k] * g.support_radius
+                args = (g, OperatorConfig(d, lam), R, McConfig(7 * d + k, n))
+                fast = check_random_ball_domination(*args).to_dict()
+                plain = exhaustive_domination(*args).to_dict()
+                assert json.dumps(fast, sort_keys=True) == json.dumps(plain, sort_keys=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 10, 30])
+def test_domination_bound_holds_every_computed_average(d):
+    # A ball's computed average is at most its bound, g at its point nearest
+    # the origin or the mass over its volume, times 1 + the pruning margin.
+    # The balls' nearest points lie at random, on breakpoints and just
+    # inside them, or the balls cover the origin, where the mass bound is
+    # tight once they hold the support.  The largest excess is 4.4e-16 up
+    # to d = 10 and 2.5e-13 at d = 30 (the betainc cap), far below 1e-9.
+    rng = np.random.default_rng(d)
+    omega = verify.unit_ball_volume(d)
+    for seed in range(20):
+        g = UNIT_BALL if seed == 0 else random_profile(300 + seed, 6, d)
+        radii, levels = g.arrays.radii, g.arrays.levels
+        rho = np.exp(rng.uniform(math.log(1e-4), math.log(20.0), 4000)) * g.support_radius
+        near = np.concatenate([
+            rng.uniform(0.0, 1.5, 1000) * g.support_radius,
+            rng.choice(radii, 1000),
+            rng.choice(radii, 1000) * (1.0 - 1e-15),
+        ])
+        z = np.concatenate([near + rho[:3000], rng.random(1000) * rho[3000:]])
+        avg = verify._ball_averages(g, d, omega, z, rho)
+        nearest = np.maximum(z - rho, 0.0).tolist()
+        level = np.array([levels[np.count_nonzero(radii < x)] for x in nearest])
+        bound = np.minimum(level, l1_norm(g, d) / (omega * rho ** d))
+        assert np.all(avg <= bound * (1.0 + verify._PRUNE_MARGIN))
+
+
+@pytest.mark.parametrize(
+    "d, R, message",
+    [(2, 1e308, "overflows a double"), (30, 1e12, "overflows a double"), (30, 1.85e9, "overflows")],
+)
+def test_domination_rejects_balls_whose_volume_overflows(d, R, message):
+    # before any draw: otherwise numpy raises on the radius range (d = 2) or
+    # both sides underflow and the audit passes on nothing (d = 30)
+    with pytest.raises(UsageError, match=message):
+        check_random_ball_domination(UNIT_BALL, OperatorConfig(d, 1.0), R, McConfig(1, 1000))
+
+
+def test_domination_runs_just_inside_the_volume_limit():
+    # 10 (R + 1) = 1.8e10: its 30th power is finite with room to spare; the
+    # test suite turns any RuntimeWarning into an error
+    rep = check_random_ball_domination(UNIT_BALL, OperatorConfig(30, 1.0), 1.8e9, McConfig(1, 1000))
+    assert rep.passed and math.isfinite(rep.worst_violation)
 
 
 # ---------------------------------------------------------------------------
