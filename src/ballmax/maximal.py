@@ -61,7 +61,12 @@ range is empty.  A restricted region has a greatest beta and so a least
 radius, below which the ball volumes the search needs underflow; the search
 rejects such a radius (UsageError).  So it does a radius beyond about
 2^53 r_K in every region: there 1 + r_K / R rounds to 1 and no ball it
-searches covers the support.
+searches covers the support.  Every region has a least radius, about
+r_K / (1 - lam) over the largest double, below which the candidate betas
+overflow.  And the search has a greatest ball radius, whose volume is a
+finite double: it rejects a radius whose greatest needed ball lies beyond
+it (in the full region the ball that holds the support, beyond which the
+average falls), and clips the candidate betas to it.
 
 Every ball average (the search's, average_over_ball's and the domination
 audit's) is one function, _ball_averages: a lens sum over the profile's
@@ -285,6 +290,10 @@ _TINY = 1e-300
 # at tiny radii (beta R)^d would underflow and an average would read 0 / 0.
 # With this margin a subnormal rounding is at most 2^-104 of the ball volume.
 _LEAST_VOLUME = np.finfo(float).tiny * 2.0**52
+# The greatest candidate beta, ball volume and (beta R)^d the search forms: a
+# factor 4 below the largest double leaves room for the kernel's 2 rho and
+# for rounding.
+_GREATEST = float(np.finfo(float).max) / 4.0
 _UNCONVERGED = "refinement did not reach rel_tol before its window collapsed"
 
 
@@ -333,10 +342,20 @@ def _supremum_batch(g, cfg, R, region, opt):
         return np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), ()
     if not np.all(np.isfinite(R)) or np.any(R <= 0.0):
         raise UsageError("every radius must be positive and finite")
-    r_K = g.support_radius
-    if np.logical_or.reduce(1.0 + r_K / R == 1.0):
+    r_K = float(g.support_radius)
+    R_min, R_max = float(np.minimum.reduce(R)), float(np.maximum.reduce(R))
+    # the candidate betas reach (1 + r_K / R) / q: from least_R on they stay
+    # below _GREATEST
+    q = 1.0 - lam if lam < 1.0 else 1.0
+    least_R = float(r_K / (q * _GREATEST))
+    if R_min < least_R:
         raise UsageError(
-            f"R = {float(R.max())!r} lies beyond the greatest radius, about 2^53 r_K = "
+            f"R = {R_min!r} lies below {least_R!r}, the least radius at lambda = {lam!r} and "
+            f"r_K = {r_K!r}: below it the search's candidate betas overflow a double"
+        )
+    if 1.0 + r_K / R_max == 1.0:
+        raise UsageError(
+            f"R = {R_max!r} lies beyond the greatest radius, about 2^53 r_K = "
             f"{2.0**53 * r_K!r}: there 1 + r_K / R rounds to 1, so no searched ball covers "
             f"the support"
         )
@@ -365,14 +384,32 @@ def _supremum_batch(g, cfg, R, region, opt):
     best_val = levels_at(g, R) if blo_region == 0.0 else np.full(n, -np.inf)
     best_b = np.full(n, 0.0 if blo_region == 0.0 else np.nan)
 
-    # per radius, the floor keeps the least ball's volume a normal double
+    # per radius, the floor keeps the least ball's volume a normal double and
+    # the ceiling keeps the greatest ball's volume finite
     least_rad = (_LEAST_VOLUME / omega) ** (1.0 / d)
+    greatest_rad = float((_GREATEST / max(omega, 1.0)) ** (1.0 / d))
     blo = np.maximum(max(blo_region, _BETA_FLOOR), least_rad / R)
     if np.logical_or.reduce(blo > bhi_region):
         raise UsageError(
-            f"R = {float(R.min())!r} lies below {float(least_rad / bhi_region)!r}, the least "
+            f"R = {R_min!r} lies below {float(least_rad / bhi_region)!r}, the least "
             f"radius of the {region.value} region at d = {d}: smaller balls' volumes underflow"
         )
+    # The greatest ball the search needs: in the full region the least-offset
+    # ball that holds the support (beyond it the average falls), in a
+    # restricted one the top of its range.
+    top = max(r_K, (R_max + r_K) / (1.0 + lam)) if region is RegionKind.FULL else bhi_region * R_max
+    if top > greatest_rad:
+        raise UsageError(
+            f"R = {R_max!r} at d = {d}: the greatest ball the {region.value} search needs, of "
+            f"radius {top!r}, lies above {greatest_rad!r}, the greatest radius whose "
+            f"ball volume the search keeps finite"
+        )
+    # The candidates reach radius (R + r_K) / q, and at d = 1 also 2 R and
+    # R / lam; only where that passes greatest_rad are they clipped per radius.
+    bhi_cands = bhi_region
+    if max((R_max + r_K) / q, 2.0 * R_max, R_max / lam if lam > 0.0 else 0.0) > greatest_rad:
+        with np.errstate(over="ignore"):
+            bhi_cands = np.minimum(bhi_region, greatest_rad / r_col)
 
     # Explicit candidates (includes the minimal ball and the ball just
     # covering the whole support).
@@ -389,10 +426,10 @@ def _supremum_batch(g, cfg, R, region, opt):
         extra = [1.0, 2.0 / (1.0 + lam)] + ([1.0 / lam] if lam > 0.0 else [])
         extra += [bhi_region] if bhi_region < math.inf else []
         cands = np.concatenate([cands, np.tile(extra, (n, 1)), blo[:, None]], axis=1)
-        betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_region)
+        betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_cands)
         best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
         return _finish(g, region, lam, best_val, best_b, np.ones(n, dtype=bool))
-    betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_region)
+    betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_cands)
 
     # One geometric sweep over the betas where the average can move, known
     # before any value, so it shares the candidates' kernel call.  Where the

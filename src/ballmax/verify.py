@@ -14,19 +14,19 @@ Every check is reproducible bit for bit given its inputs and seed.
 Every Monte Carlo check draws a point r u (|u| = 1) of a ball as its radius
 r and axis cosine u_0 alone: each set the point is tested against is a ball
 centered on the e1 axis, so no d-dimensional point is built.
-check_lens_enclosure and check_random_ball_domination use the axis
-coordinate r u_0 and the distance r sqrt(1 - u_0^2) from the axis; they draw
-(r, u_0) from its exact joint law in the unit ball through _ball_draws:
-r = U^(1/d), and u_0 (_axis_cosines) by recursion on d.  At d = 1, u_0 is
--1 or +1 with probability 1/2 each; at d = 2, u_0 = cos(pi V); at d >= 3,
-u_0 = V^(1/(d-2)) times an independent u_0 of dimension d - 2.  The last
-step is the generalised Archimedes fact: dropping two coordinates of a
-uniform point on S^(d-1) leaves a uniform point in B^(d-2) (Barthe, Guedon,
-Mendelson and Naor, Ann. Probab. 33, 2005; Voelker, Gosmann and Stewart,
-"Efficiently sampling vectors and coordinates from the n-sphere and n-ball",
-2017).  A sample costs about d/2 + 1 uniform draws and no normals.  One
-function, _axis_draws, draws the recursion's product P and the base
-uniform V for every check.
+check_lens_enclosure and check_random_ball_domination draw their points
+through one sampler, _ball_points, which returns the axis coordinate and the
+distance from the axis of points uniform in a ball B(c e1, rho): r = U^(1/d),
+and u_0 by recursion on d.  At d = 1, u_0 is -1 or +1 with probability 1/2
+each; at d = 2, u_0 = cos(pi V); at d >= 3, u_0 = V^(1/(d-2)) times an
+independent u_0 of dimension d - 2.  The last step is the generalised
+Archimedes fact: dropping two coordinates of a uniform point on S^(d-1)
+leaves a uniform point in B^(d-2) (Barthe, Guedon, Mendelson and Naor, Ann.
+Probab. 33, 2005; Voelker, Gosmann and Stewart, "Efficiently sampling
+vectors and coordinates from the n-sphere and n-ball", 2017).  A sample
+costs about d/2 + 1 uniform draws and no normals.  One function,
+_axis_draws, draws the recursion's product P and the base uniform V for
+every check.
 
 The lens oracle, mc_intersection_volume, counts a sample of B(0, rho1) as a
 hit in B(c e1, rho2) when r (r - 2 c u_0) <= rho2^2 - c^2.  By the triangle
@@ -166,32 +166,20 @@ def _axis_draws(rng, m: int, d: int):
     return p, rng.random(m)
 
 
-def _axis_cosines(rng, m: int, d: int) -> np.ndarray:
-    """m axis cosines u_0 from the draws of _axis_draws."""
+def _ball_points(rng, m: int, d: int, center, radius):
+    """m points uniform in B(center e1, radius) (radius a scalar or m radii),
+    as their axis coordinate x_1 and their distance y from the axis: the
+    draws of _axis_draws give u_0, then m uniforms U give rho = U^(1/d), and
+    a point is x_1 = center + rho u_0, y = rho sqrt(1 - u_0^2)."""
     u0, v = _axis_draws(rng, m, d)
     if d % 2:
         np.copysign(u0, v - 0.5, out=u0)
     else:
         u0 *= np.cos(np.pi * v)
-    return u0
-
-
-def _ball_draws(rng, m: int, d: int):
-    """m points uniform in the unit d-ball, as their radius r and axis
-    cosine u_0: the draws of _axis_cosines, then m uniforms U for
-    r = U^(1/d)."""
-    u0 = _axis_cosines(rng, m, d)
-    return rng.random(m) ** (1.0 / d), u0
-
-
-def _mc_draws(d: int, rho1: float, mc: McConfig):
-    """The (r, u_0) draws of check_lens_enclosure: _ball_draws on chunks of
-    m = _MC_CHUNK samples (fewer in the last), r scaled by rho1."""
-    rng = np.random.default_rng(mc.seed)
-    for start in range(0, mc.n_samples, _MC_CHUNK):
-        r, u0 = _ball_draws(rng, min(_MC_CHUNK, mc.n_samples - start), d)
-        r *= rho1
-        yield r, u0
+    rho = rng.random(m) ** (1.0 / d)
+    rho *= radius
+    # (1 - u_0)(1 + u_0) does not cancel near the axis, as 1 - u_0^2 would
+    return center + rho * u0, rho * np.sqrt((1.0 - u0) * (1.0 + u0))
 
 
 def _lens_hits(d: int, c: float, rho2: float, r: np.ndarray, p: np.ndarray, v: np.ndarray) -> int:
@@ -231,41 +219,28 @@ def _lens_hits(d: int, c: float, rho2: float, r: np.ndarray, p: np.ndarray, v: n
     return hits + int(np.count_nonzero(pi_v <= theta))
 
 
-def _band_ends(d: int, c: float, rho1: float, rho2: float) -> tuple[float, float]:
-    # the shares (r / rho1)^d of B(0, rho1) below the band ends |rho2 - c|
-    # and c + rho2, so r = rho1 U^(1/d) is in the band when lo <= U <= hi;
-    # each ratio is clipped to 1 before the power, which cannot overflow
-    lo = min(1.0, abs(rho2 - c) / rho1) ** d
-    return lo, min(1.0, (c + rho2) / rho1) ** d
-
-
-def _lens_samples(d: int, c: float, rho1: float, rho2: float, mc: McConfig):
-    """The lens oracle's samples: (decided hits, decided, band), where band
-    yields the (r, u_0) chunks of the samples in the band.
+def _lens_counts(d: int, c: float, rho1: float, rho2: float, mc: McConfig) -> tuple[int, int]:
+    """The lens oracle's hit count and how many samples the radius decided.
 
     Draw order: one multinomial split of the n samples into below, band and
     above (see the module docstring); then, per chunk of at most _MC_CHUNK
     band samples, the uniforms V of r = rho1 (lo + (hi - lo) V)^(1/d) and
-    the uniforms of _axis_draws, which band yields as (r, P, V).  The input
-    is checked as geometry.intersection_volume checks it (_check_lens)."""
+    the uniforms of _axis_draws.  The input is checked as
+    geometry.intersection_volume checks it (_check_lens)."""
     d = _check_lens(d, c, rho1, rho2)
-    lo, hi = _band_ends(d, c, rho1, rho2)
+    # the shares (r / rho1)^d of B(0, rho1) below the band ends |rho2 - c|
+    # and c + rho2, so r = rho1 U^(1/d) is in the band when lo <= U <= hi;
+    # each ratio is clipped to 1 before the power, which cannot overflow
+    lo = min(1.0, abs(rho2 - c) / rho1) ** d
+    hi = min(1.0, (c + rho2) / rho1) ** d
     rng = np.random.default_rng(mc.seed)
     below, inside, above = rng.multinomial(mc.n_samples, [lo, hi - lo, 1.0 - hi]).tolist()
-
-    def band():
-        for start in range(0, inside, _MC_CHUNK):
-            m = min(_MC_CHUNK, inside - start)
-            r = rho1 * (lo + (hi - lo) * rng.random(m)) ** (1.0 / d)
-            yield (r, *_axis_draws(rng, m, d))
-
-    return (below if c <= rho2 else 0), below + above, band()
-
-
-def _lens_counts(d: int, c: float, rho1: float, rho2: float, mc: McConfig) -> tuple[int, int]:
-    """The lens oracle's hit count and how many samples the radius decided."""
-    hits, decided, band = _lens_samples(d, c, rho1, rho2, mc)
-    return hits + sum(_lens_hits(d, c, rho2, *sample) for sample in band), decided
+    hits = below if c <= rho2 else 0
+    for start in range(0, inside, _MC_CHUNK):
+        m = min(_MC_CHUNK, inside - start)
+        r = rho1 * (lo + (hi - lo) * rng.random(m)) ** (1.0 / d)
+        hits += _lens_hits(d, c, rho2, r, *_axis_draws(rng, m, d))
+    return hits, below + above
 
 
 def _volume_estimate(vol1: float, hits: int, n: int) -> tuple[float, float]:
@@ -281,11 +256,22 @@ def mc_intersection_volume(d: int, c: float, rho1: float, rho2: float, mc: McCon
     r (r - 2 c u_0) <= rho2^2 - c^2, and outside the band
     |rho2 - c| < r <= c + rho2 its radius alone decides that (see the module
     docstring).  The hit count is Binomial(n, p) with p the lens's share of
-    B(0, rho1), as if every sample were tested.  _lens_samples fixes the
+    B(0, rho1), as if every sample were tested.  _lens_counts fixes the
     draw order, so the seed fixes every bit.  Input outside the domain of
-    geometry.intersection_volume raises GeometryDomainError."""
+    geometry.intersection_volume raises GeometryDomainError, and so does a
+    first ball whose volume omega_d rho1^d overflows a double, which
+    intersection_volume accepts."""
+    d = _check_lens(d, c, rho1, rho2)
+    try:
+        vol1 = unit_ball_volume(d) * math.pow(rho1, d)
+    except OverflowError:
+        vol1 = math.inf
+    if vol1 == math.inf:
+        raise GeometryDomainError(
+            f"the first ball's volume omega_d rho1^d overflows a double at rho1 = {rho1!r}, d = {d}"
+        )
     hits, _ = _lens_counts(d, c, rho1, rho2, mc)
-    return _volume_estimate(unit_ball_volume(d) * rho1 ** d, hits, mc.n_samples)
+    return _volume_estimate(vol1, hits, mc.n_samples)
 
 
 def _poisson_lower(k: int, z: float) -> float:
@@ -446,8 +432,8 @@ def check_lens_enclosure(d: int, r: float, t: float, mc: McConfig) -> CheckRepor
     membership (distance tolerance 1e-12).  All balls here are centered on
     the e1 axis, so a sample e1 + rho u enters only through its axis
     coordinate x_1 = 1 + rho u_0 and its distance y = rho sqrt(1 - u_0^2)
-    from the axis.  The samples are drawn and checked in chunks
-    (_mc_draws), not as one batch of n_samples draws.  The
+    from the axis.  The samples are drawn (_ball_points) and checked in
+    chunks of _MC_CHUNK, not as one batch of n_samples draws.  The
     deterministic probes follow as a last batch: the axis points (1 -+ r) e1
     and e1 and, for d >= 2, the rim where the two boundary spheres meet (one
     orbit, so one probe).  Witnesses are the rotated representatives
@@ -463,15 +449,20 @@ def check_lens_enclosure(d: int, r: float, t: float, mc: McConfig) -> CheckRepor
     if not (t > 0.0 and t + r > 1.0):
         raise UsageError(f"t must be positive with t + r > 1, got t={t}, r={r}")
     center = (1.0 + t * t - r * r) / 2.0
+    if not math.isfinite(center):
+        raise UsageError(
+            f"t = {t!r} is too large: the center (1 + t^2 - r^2) / 2 of the enclosing ball "
+            f"overflows a double"
+        )
     probes = [(1.0 - r, 0.0), (1.0 + r, 0.0), (1.0, 0.0)]
     rim2 = t * t - center * center
     if d >= 2 and rim2 >= 0.0:
         probes.append((center, math.sqrt(rim2)))
 
     def batches():
-        for rho, u0 in _mc_draws(d, r, mc):
-            # (1 - u_0)(1 + u_0) does not cancel near the axis, as 1 - u_0^2 would
-            yield 1.0 + rho * u0, rho * np.sqrt((1.0 - u0) * (1.0 + u0))
+        rng = np.random.default_rng(mc.seed)
+        for start in range(0, mc.n_samples, _MC_CHUNK):
+            yield _ball_points(rng, min(_MC_CHUNK, mc.n_samples - start), d, 1.0, r)
         yield np.array(probes).T
 
     def point(x1, y):
@@ -615,9 +606,9 @@ def check_random_ball_domination(
     """Rotation-reduction audit: random admissible balls (center z anywhere,
     radius rho, with x within lam*rho of z) must not beat the axis-reduced
     supremum.  Each sampled average is computed through the axis reduction
-    with center distance |z|.  At lam > 0 the offset z - R e1 is drawn as
-    its radius and axis cosine (_ball_draws), which give |z| directly; at
-    lam = 0 nothing but rho is drawn.
+    with center distance |z|.  At lam > 0 the center z is drawn uniform in
+    B(R e1, lam rho) (_ball_points), whose axis coordinate and distance from
+    the axis give |z| directly; at lam = 0 nothing but rho is drawn.
 
     Only the balls whose bound can reach the largest average are averaged
     (see the module docstring); the report is the one that averaging every
@@ -649,10 +640,8 @@ def check_random_ball_domination(
     if lam == 0.0:
         z_norm = np.full(n, R)
     else:
-        # z = R e1 + s u with s = lam rho r, (r, u_0) uniform in the unit ball
-        r, u0 = _ball_draws(rng, n, d)
-        s = lam * rho * r
-        z_norm = np.hypot(R + s * u0, s * np.sqrt((1.0 - u0) * (1.0 + u0)))
+        # z uniform in B(R e1, lam rho)
+        z_norm = np.hypot(*_ball_points(rng, n, d, R, lam * rho))
 
     def violation(average):
         return (average - m_star) / max(m_star, 1e-300)

@@ -9,7 +9,10 @@ against this module, and this module and the closed form against mpmath.
 
 sample_in_ball draws uniform points of a ball the textbook way, from d
 normal coordinates; it is the reference law for the (radius, axis cosine)
-draws of ballmax.verify.
+draws of ballmax.verify.  ball_draws and axis_coordinates are the reference
+bits of those draws: a point's radius and axis cosine in the unit ball, and
+the axis coordinate and distance from the axis of center e1 + s u, in the
+float operations the Monte Carlo audits first used.
 
 cosine_hits and exhaustive_domination are the Monte Carlo audits' plain
 decisions: the lens oracle's hit test through the axis cosine itself, and
@@ -137,6 +140,25 @@ def sample_in_ball(rng, n: int, d: int, radius: float = 1.0) -> np.ndarray:
     return x * r[:, None]
 
 
+def ball_draws(rng, m: int, d: int):
+    """m points uniform in the unit d-ball, as their radius r and axis
+    cosine u_0: the uniforms of verify._axis_draws give u_0 (P signed by
+    V - 1/2 at odd d, P cos(pi V) at even d), then m uniforms U give
+    r = U^(1/d)."""
+    u0, v = verify._axis_draws(rng, m, d)
+    if d % 2:
+        np.copysign(u0, v - 0.5, out=u0)
+    else:
+        u0 *= np.cos(np.pi * v)
+    return rng.random(m) ** (1.0 / d), u0
+
+
+def axis_coordinates(center, s, u0):
+    """The axis coordinate and the distance from the axis of center e1 + s u,
+    u a unit vector with axis cosine u0."""
+    return center + s * u0, s * np.sqrt((1.0 - u0) * (1.0 + u0))
+
+
 def cosine_hits(d: int, c: float, rho2: float, r, p, v) -> int:
     """Hits among lens-oracle band samples (r, P, V) by the product test on
     the axis cosine u_0, which is P signed by V - 1/2 at odd d and
@@ -163,9 +185,8 @@ def exhaustive_domination(g, cfg, R, mc, opt=None):
     if lam == 0.0:
         z_norm = np.full(n, R)
     else:
-        r, u0 = verify._ball_draws(rng, n, d)
-        s = lam * rho * r
-        z_norm = np.hypot(R + s * u0, s * np.sqrt((1.0 - u0) * (1.0 + u0)))
+        r, u0 = ball_draws(rng, n, d)
+        z_norm = np.hypot(*axis_coordinates(R, lam * rho * r, u0))
     omega, averages = unit_ball_volume(d), np.empty(n)
     for start in range(0, n, verify._MC_CHUNK):
         at = slice(start, start + verify._MC_CHUNK)

@@ -411,6 +411,25 @@ def test_radii_beyond_the_greatest_are_usage_errors(unitball, capsys, args):
     assert len(err) == 1 and err[0].startswith("error: R = ") and "greatest radius" in err[0]
 
 
+@pytest.mark.parametrize(
+    "levels, args, message",
+    [
+        # printed overflow warnings and m = 0.000000, exit 0
+        ('[{"r":3e9,"v":1}]', ["--d", "30", "--lambda", "0.5", "--R", "3e10"], "greatest radius"),
+        # printed overflow warnings, the unconverged warning and m = 1.000000, exit 0
+        ('[{"r":1,"v":1}]', ["--d", "2", "--lambda", "0", "--R", "1e-320"], "least radius"),
+    ],
+)
+def test_eval_radii_whose_balls_overflow_are_usage_errors(tmp_path, capsys, levels, args, message):
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"levels":{levels}}}')
+    assert main(["eval", "--profile", str(path), *args]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: R = ") and message in err[0]
+
+
 def test_missing_profile_is_usage_error(tmp_path):
     code = main(
         ["eval", "--d", "1", "--lambda", "1", "--profile",
@@ -673,6 +692,8 @@ def test_negative_seed_and_bad_mc_counts_are_usage_errors(capsys, args):
         ["--r-grid", "nan"],
         ["--r-grid", "0.5", "--t-grid", "nan"],
         ["--r-grid", "0.3", "--t-grid", "0.5"],  # no pair with t + r > 1
+        # the center (1 + t^2 - r^2) / 2 overflows: wrote "worst_violation": Infinity
+        ["--r-grid", "1", "--t-grid", "1e300"],
         ["--d-set", ","],  # no dimension
     ],
 )

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,65 @@ def test_radii_up_to_the_greatest_keep_the_closed_forms():
         lam = 0.0 if region is RegionKind.CENTERED_SHELL else 0.5
         with pytest.raises(UsageError, match="greatest radius"):
             maximal_value_batch(g, OperatorConfig(2, lam), [1.0, 2.0**53 * g.support_radius], region)
+
+
+def test_search_rejects_a_support_covering_ball_whose_volume_overflows():
+    # The search divided by ball volumes that overflow: at d = 30 these read
+    # value 0.0, converged at R = 3e10 and unconverged at R = 1e11, where the
+    # covering ball proves at least (r_K / ((R + r_K) / (1 + lam)))^30.
+    for r_K, lam, R in ((3e9, 0.5, 3e10), (1e10, 0.0, 1e11)):
+        g = StepProfile(((r_K, 1.0),))
+        with pytest.raises(UsageError, match="greatest radius") as exc:
+            maximal_value_detailed(g, OperatorConfig(30, lam), R)
+        cover, greatest = re.search(r"of radius (\S+), lies above (\S+),", str(exc.value)).groups()
+        assert float(cover) == pytest.approx((R + r_K) / (1.0 + lam), rel=1e-15)
+        assert float(greatest) < float(cover)
+    # a candidate beta far beyond the covering ball is clipped to the greatest
+    # radius: (r_K / R - 1) / (1 - lam) = 1e12 overflowed (beta R)^d
+    res = maximal_value_detailed(UNIT_BALL, OperatorConfig(30, 1.0 - 1e-12), 0.5)
+    assert res.value == 1.0 and res.converged
+
+
+def test_search_rejects_radii_whose_candidate_betas_overflow():
+    # r_K / R and the candidate betas, such as (r_K / R - 1) / (1 - lam),
+    # overflowed at these radii; the message names the least radius, where
+    # the search runs
+    cases = [(1.0, 1e-320, (0.0, 0.5, 1.0)), (1.0, 9e-309, (0.5,)),
+             (1e10, 1e-299, (0.0, 0.5, 1.0)), (1e10, 1e-298, (0.5,))]
+    for r_K, R, lams in cases:
+        g = StepProfile(((r_K, 1.0),))
+        for d in (1, 2, 30):
+            for lam in lams:
+                cfg = OperatorConfig(d, lam)
+                with pytest.raises(UsageError, match="least radius") as exc:
+                    maximal_value_detailed(g, cfg, R)
+                least = float(re.search(r"lies below (\S+),", str(exc.value)).group(1))
+                assert maximal_value_detailed(g, cfg, least).value == 1.0
+                with pytest.raises(UsageError, match="least radius"):
+                    maximal_value_detailed(g, cfg, math.nextafter(least, 0.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 30])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0 - 1e-12])
+def test_radii_from_2_to_the_minus_1070_to_2_to_the_60_warn_never(d, lam):
+    # Every radius is rejected or searched without a RuntimeWarning, and a
+    # searched value is at least the average of the least-offset ball that
+    # holds the unit ball, of radius max(1, (R + 1) / (1 + lam)).
+    cfg, searched = OperatorConfig(d, lam), []
+    for k in range(-1070, 61):
+        R = math.ldexp(1.0, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                value = maximal_value(UNIT_BALL, cfg, R)
+            except UsageError:
+                continue
+        searched.append(k)
+        cover = max(1.0, (R + 1.0) / (1.0 + lam))
+        assert value >= cover ** -d * (1.0 - 1e-14), R
+    # both ends are rejected, and every radius between them is searched
+    assert -1070 < searched[0] and searched[-1] < 60
+    assert searched == list(range(searched[0], searched[-1] + 1))
 
 
 def test_maximal_value_rejects_bad_radius():

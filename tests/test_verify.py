@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -22,7 +23,7 @@ from ballmax.verify import (
     check_shrink_overlap_inequality,
     mc_intersection_volume,
 )
-from _oracle import cosine_hits, exhaustive_domination, sample_in_ball
+from _oracle import axis_coordinates, ball_draws, cosine_hits, exhaustive_domination, sample_in_ball
 
 UNIT_BALL = StepProfile(((1.0, 1.0),))
 
@@ -91,12 +92,29 @@ def _axis_cosine(d, p, v):
     return np.copysign(p, v - 0.5) if d % 2 else p * np.cos(np.pi * v)
 
 
-def _explicit_counts(d, c, rho1, rho2, mc):
+def _band_counts(monkeypatch, d, c, rho1, rho2, mc):
+    # _lens_counts with each band chunk (r, P, V) recorded as it reaches
+    # _lens_hits, which overwrites P and V; returns (hits, decided, chunks)
+    # and the hits that the radius decided
+    chunks, lens_hits = [], verify._lens_hits
+
+    def recorded(d, c, rho2, r, p, v):
+        chunks.append((r.copy(), p.copy(), v.copy()))
+        return lens_hits(d, c, rho2, r, p, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_lens_hits", recorded)
+        hits, decided = verify._lens_counts(d, c, rho1, rho2, mc)
+    band_hits = sum(lens_hits(d, c, rho2, r, p.copy(), v.copy()) for r, p, v in chunks)
+    return hits, decided, chunks, hits - band_hits
+
+
+def _explicit_counts(monkeypatch, d, c, rho1, rho2, mc):
     # the oracle's own band draws as explicit points r (u_0, sqrt(1 - u_0^2), 0, ...)
     # with a distance test, plus the samples their radius decided
-    hits, decided, band = verify._lens_samples(d, c, rho1, rho2, mc)
+    _, decided, chunks, hits = _band_counts(monkeypatch, d, c, rho1, rho2, mc)
     drawn = 0
-    for r, p, v in band:
+    for r, p, v in chunks:
         u0 = _axis_cosine(d, p, v)
         assert np.all((abs(rho2 - c) * (1 - 1e-12) <= r) & (r <= (c + rho2) * (1 + 1e-12)))
         pts = np.zeros((r.size, d))
@@ -126,7 +144,7 @@ def _explicit_counts(d, c, rho1, rho2, mc):
 )
 def test_mc_hits_equal_the_explicit_distance_test(monkeypatch, d, c, rho1, rho2, n):
     mc = McConfig(17 + d, n)
-    hits, decided = _explicit_counts(d, c, rho1, rho2, mc)
+    hits, decided = _explicit_counts(monkeypatch, d, c, rho1, rho2, mc)
     # the radius decides every sample when the balls are disjoint or
     # concentric and when the second ball holds the first
     assert (decided == n) == (abs(rho2 - c) >= rho1 or c == 0.0)
@@ -152,8 +170,8 @@ def test_mc_hit_test_takes_no_cosine_at_even_d(monkeypatch, d):
     cases = [(0.9, 1.0, 0.7), (0.3, 1.0, 1.0), (1.1, 1.0, 0.6), (0.6, 0.8, 0.6), (1.999, 1.0, 1.0)]
     want = []
     for c, rho1, rho2 in cases:
-        hits, decided, band = verify._lens_samples(d, c, rho1, rho2, McConfig(d, 40_000))
-        want.append((hits + sum(cosine_hits(d, c, rho2, *sample) for sample in band), decided))
+        _, decided, chunks, hits = _band_counts(monkeypatch, d, c, rho1, rho2, McConfig(d, 40_000))
+        want.append((hits + sum(cosine_hits(d, c, rho2, *chunk) for chunk in chunks), decided))
     calls = []
     cos = np.cos
 
@@ -187,8 +205,10 @@ def test_mc_geometry_report_is_the_cosine_tests(monkeypatch, seed, d_max):
         (10, 0.05, 1.5, 1.2),
     ],
 )
-def test_mc_radius_decides_exactly_outside_the_band(d, c, rho1, rho2):
-    lo, hi = verify._band_ends(d, c, rho1, rho2)
+def test_mc_radius_decides_exactly_outside_the_band(monkeypatch, d, c, rho1, rho2):
+    # the shares (r / rho1)^d of B(0, rho1) below the band ends
+    lo = min(1.0, abs(rho2 - c) / rho1) ** d
+    hi = min(1.0, (c + rho2) / rho1) ** d
     rng = np.random.default_rng(d)
     # random directions and the two axis directions, as explicit unit vectors
     u = np.vstack([sample_in_ball(rng, 500, d), np.eye(d)[:1], -np.eye(d)[:1]])
@@ -207,6 +227,17 @@ def test_mc_radius_decides_exactly_outside_the_band(d, c, rho1, rho2):
                 assert np.all(hit == verdict)
             else:  # toward +e1 the point hits, toward -e1 it misses
                 assert hit[-2] and not hit[-1]
+    # only radii in the band reach the hit test, and the radius decides the
+    # rest: below the band hits when c <= rho2, above it misses
+    n = 40_000
+    _, decided, chunks, decided_hits = _band_counts(monkeypatch, d, c, rho1, rho2, McConfig(d, n))
+    r = np.concatenate([chunk[0] for chunk in chunks])
+    assert np.all((abs(rho2 - c) * (1 - 1e-12) <= r) & (r <= min(rho1, c + rho2) * (1 + 1e-12)))
+    assert decided + r.size == n
+    # decided ~ Binomial(n, 1 - (hi - lo)) and its hits ~ Binomial(n, lo) or 0,
+    # each within 6 standard deviations
+    for count, p in ((decided, 1.0 - (hi - lo)), (decided_hits, lo if c <= rho2 else 0.0)):
+        assert abs(count - n * p) <= 6.0 * math.sqrt(n * p * (1.0 - p))
 
 
 def test_mc_oracle_errors_follow_the_binomial_law():
@@ -278,7 +309,10 @@ def _ks_statistic(a, b):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 10, 30])
 def test_mc_draws_follow_the_uniform_ball_law(d):
     n, rho1 = 200_000, 1.7
-    r, u0 = (np.concatenate(chunks) for chunks in zip(*verify._mc_draws(d, rho1, McConfig(40 + d, n))))
+    x1, y = verify._ball_points(np.random.default_rng(40 + d), n, d, 0.0, rho1)
+    # the radius and axis cosine of each point, to rounding: hypot(x1, y) >= |x1|
+    r = np.hypot(x1, y)
+    u0 = x1 / r
     pts = sample_in_ball(np.random.default_rng(90 + d), n, d, radius=rho1)
     want_u0 = pts[:, 0] / np.linalg.norm(pts, axis=1)
     want_r = rho1 * np.random.default_rng(140 + d).random(n) ** (1.0 / d)
@@ -286,11 +320,39 @@ def test_mc_draws_follow_the_uniform_ball_law(d):
     critical = math.sqrt(-math.log(1e-6 / 2) / 2) * math.sqrt(2.0 / n)
     assert _ks_statistic(u0, want_u0) <= critical
     assert _ks_statistic(r, want_r) <= critical
-    assert np.all((0.0 <= r) & (r <= rho1)) and np.all(np.abs(u0) <= 1.0)
+    assert np.all((0.0 <= r) & (r <= rho1 * (1.0 + 1e-15))) and np.all(np.abs(u0) <= 1.0)
+    assert np.all(y >= 0.0)
     # exact moments E u_0^2 = 1/d and E u_0^4 = 3/(d(d+2)), within 6 standard errors
     for power, exact in ((2, 1.0 / d), (4, 3.0 / (d * (d + 2)))):
         x = u0 ** power
         assert abs(x.mean() - exact) <= 6.0 * x.std() / math.sqrt(n) + 1e-15
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 10, 30])
+def test_ball_points_are_the_reference_draws_bit_for_bit(d):
+    # a scalar radius (lens enclosure) and one radius per point (domination),
+    # across two calls on one generator
+    m = 5_000
+    radii = np.exp(np.random.default_rng(d).uniform(-5.0, 5.0, m))
+    for center, radius in ((1.0, 0.7), (2.5, 0.5 * radii)):
+        got_rng, want_rng = np.random.default_rng(70 + d), np.random.default_rng(70 + d)
+        for _ in range(2):
+            got = verify._ball_points(got_rng, m, d, center, radius)
+            r, u0 = ball_draws(want_rng, m, d)
+            want = axis_coordinates(center, radius * r, u0)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_mc_oracle_rejects_a_first_ball_whose_volume_overflows():
+    # mc_intersection_volume(30, 0.5, 1e20, 1.0, ...) raised a raw
+    # OverflowError from rho1 ** d; the exact lens takes these inputs
+    for d, rho1, lens in ((30, 1e20, 2.19e-5), (2, 1e200, math.pi)):
+        assert intersection_volume(d, 0.5, rho1, 1.0) == pytest.approx(lens, rel=1e-2)
+        with pytest.raises(GeometryDomainError, match=re.escape(f"rho1 = {rho1!r}, d = {d}")):
+            mc_intersection_volume(d, 0.5, rho1, 1.0, McConfig(1, 1000))
+    # just below the limit the oracle still runs
+    assert mc_intersection_volume(2, 0.5, 1e150, 1.0, McConfig(1, 1000)) == (0.0, 0.0)
 
 
 def test_mc_sample_at_the_origin_hits_exactly_when_c_within_rho2():
@@ -472,6 +534,15 @@ def test_lens_enclosure_usage_errors():
         with pytest.raises(UsageError):
             check_lens_enclosure(d, 0.5, 0.8, McConfig(1, 2000))
     assert check_lens_enclosure(np.int64(2), 0.5, 0.8, McConfig(1, 2000)).passed
+
+
+def test_lens_enclosure_rejects_a_center_that_overflows():
+    # verify lens-enclosure --d 2 --r-grid 1 --t-grid 1e300 wrote
+    # "worst_violation": Infinity: the center (1 + t^2 - r^2) / 2 overflowed
+    with pytest.raises(UsageError, match="t = 1e\\+300 is too large"):
+        check_lens_enclosure(2, 1.0, 1e300, McConfig(1, 1000))
+    rep = check_lens_enclosure(2, 1.0, 1e150, McConfig(1, 1000))
+    assert not rep.passed and rep.worst_violation == pytest.approx(5e299)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
