@@ -384,7 +384,7 @@ def _plan_lens_enclosure(ns, opt):
     mc, ds = verify.McConfig(ns.seed, ns.n_samples), parse_dimensions(ns.d_set)
     pairs = []
     for r in dict.fromkeys(parse_grid(ns.r_grid)):
-        t_grid = parse_grid(ns.t_grid) if ns.t_grid else [min(1.0, 1.0 - r + 0.1), 1.0]
+        t_grid = parse_grid(ns.t_grid) if ns.t_grid is not None else [min(1.0, 1.0 - r + 0.1), 1.0]
         # skip t + r <= 1 only: nan and inf reach the check, which rejects them
         pairs += [(r, t) for t in dict.fromkeys(t_grid) if not t + r <= 1.0]
     if not pairs:

@@ -15,24 +15,26 @@ the supremum sits at the least feasible offset, and the search runs over
 beta alone, on that boundary curve; the reported alpha is the least offset
 of the reported beta.
 
-In one dimension the average along the curve is (A beta + B) / beta between
-the kinks, so there the search evaluates only the kinks, the branch switches
-of the curve, the ends of the beta range and the shrinking-ball limit, in
-one kernel call, and is exact up to rounding.
+The search reads one knot table per radius (_knots): the betas at which
+the ball on that curve leaves a profile step B(0, r_k), holds it or lies
+inside it, and those at which the curve switches branch.  Between
+consecutive knots each step is disjoint from the ball, a lens or contained.
+The table also gives the sweep's ends.  Where the beta range starts at 0
+(the full region and the upper band), below the least nonnegative leave or
+inside knot, capped at 1/(1 + lam), the ball lies inside or outside each
+step and averages the level g(R), the shrinking-ball incumbent.  In the
+full region, from the support-covering beta on, the ball holds the support
+and its average, ||g||_1 / (omega_d (beta R)^d), falls.  The lower band and
+the centered shell keep their range's ends, since a lens already exists
+where their ranges start.  Outside that range every lens is empty or a
+whole ball, so both facts hold at every d whatever the cap kernel's
+accuracy.
 
-In higher dimensions the first kernel call evaluates the explicit candidates
-(the kinks, the minimal ball and the ball covering the support) together
-with one geometric sweep of 4 * beta_grid betas over the range where the
-average can move.  That range is known before any value.  Where the beta
-range starts at 0 (the full region and the upper band) the sweep starts
-where the least-offset ball first meets a breakpoint: below that the ball
-lies inside or outside each step and averages the level g(R), the
-shrinking-ball incumbent.  In the full region it ends where the ball holds
-the support: beyond that its average, ||g||_1 / (omega_d (beta R)^d),
-falls.  The lower band and the centered shell keep their range's ends,
-since a lens already exists where their ranges start.  Outside that range
-every lens is empty or a whole ball, so both facts hold at every d whatever
-the cap kernel's accuracy.
+In one dimension the average along the curve is (A beta + B) / beta between
+consecutive knots, so the search evaluates the knots and the range's least
+beta, with the shrinking-ball limit, in one kernel call, and is exact up to
+rounding.  In higher dimensions that first call also holds one geometric
+sweep of 4 * beta_grid betas between the table's two ends.
 
 Refinement then puts 33 points in a window around the incumbent, two sweep
 steps either side at first, and each round narrows the window 16x, to the
@@ -56,24 +58,24 @@ are kept purely as audited diagnostics:
 * LOWER_BAND: alpha in [beta-1, beta] (intersected with the full region).
 
 Each region is defined once, by its beta range and its alpha bounds at each
-beta, and membership and the search read only that; no alpha interval of the
-range is empty.  A restricted region has a greatest beta and so a least
+beta, and the search reads only that; no alpha interval of the range is
+empty.  A restricted region has a greatest beta and so a least
 radius, below which the ball volumes the search needs underflow; the search
 rejects such a radius (UsageError).  So it does a radius beyond about
 2^53 r_K in every region: there 1 + r_K / R rounds to 1 and no ball it
 searches covers the support.  Every region has a least radius, about
-r_K / (1 - lam) over the largest double, below which the candidate betas
-overflow.  And the search has a greatest ball radius, whose volume is a
-finite double: it rejects a radius whose greatest needed ball lies beyond
-it (in the full region the ball that holds the support, beyond which the
-average falls), and clips the candidate betas to it.
+r_K / (1 - lam) over the largest double, below which the knots overflow.
+And the search has a greatest ball radius, whose volume is a finite double:
+it rejects a radius whose greatest needed ball lies beyond it (in the full
+region the ball that holds the support, beyond which the average falls),
+and clips the knots to it.
 
-Every ball average (the search's, average_over_ball's and the domination
-audit's) is one function, _ball_averages: a lens sum over the profile's
-indicator steps (StepProfile.arrays), over the ball volume.
+Every ball average (the search's and the domination audit's) is one
+function, _ball_averages: a lens sum over the profile's indicator steps
+(StepProfile.arrays), over the ball volume.
 
 The reported value is a lower bound of the region supremum by construction:
-every candidate evaluated is a genuine feasible ball average (plus the
+every ball evaluated is a genuine feasible ball average (plus the
 shrinking-ball limit, which is a limit of feasible averages).
 """
 
@@ -92,11 +94,8 @@ from .profiles import OperatorConfig, StepProfile, l1_norm, levels_at
 __all__ = [
     "UsageError",
     "RegionKind",
-    "BallParams",
     "OptimizerSettings",
     "MaximalResult",
-    "feasible",
-    "average_over_ball",
     "maximal_value",
     "maximal_value_batch",
     "maximal_value_detailed",
@@ -114,20 +113,6 @@ class RegionKind(enum.Enum):
     CENTERED_SHELL = "centered-shell"
     UPPER_BAND = "upper-band"
     LOWER_BAND = "lower-band"
-
-
-@dataclass(frozen=True)
-class BallParams:
-    """Candidate ball: center offset alpha*R, radius beta*R."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise UsageError(f"alpha must be nonnegative, got {self.alpha}")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise UsageError(f"beta must be positive, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -213,21 +198,6 @@ def _alpha_bounds(region: RegionKind, lam: float, beta):
     return np.maximum(np.maximum(0.0, beta - 1.0), cut), np.minimum(beta, 1.0)
 
 
-def feasible(region: RegionKind, lam: float, p: BallParams) -> bool:
-    """Exact membership of (alpha, beta) in the region variant."""
-    blo, bhi = _beta_range(region, lam)
-    lo, hi = _alpha_bounds(region, lam, p.beta)
-    return bool(blo <= p.beta <= bhi and lo <= p.alpha <= hi)
-
-
-def average_over_ball(g: StepProfile, d: int, R: float, p: BallParams) -> float:
-    """Average of g over the ball with center offset alpha*R and radius
-    beta*R, as a finite sum of exact lens volumes (one lens-kernel call)."""
-    if not (R > 0.0 and math.isfinite(R)):
-        raise UsageError(f"R must be positive, got {R}")
-    return float(_ball_averages(g, d, unit_ball_volume(d), p.alpha * R, p.beta * R))
-
-
 def _ball_averages(g: StepProfile, d: int, omega: float, c, rad):
     """Averages of g over the balls of radius rad centered at distance c (one
     shape, or scalars).  The kernel's (..., K) arrays, one entry per ball and
@@ -250,26 +220,6 @@ def _mass_cutoff(norm, omega, d, R, best):
     return (norm / (omega * best)) ** (1.0 / d) / R
 
 
-def _steady_beta(lam, R, radii_k):
-    """Least beta, per radius of R, at which the ball with center offset
-    (1 - lam*beta) R and radius beta R meets a breakpoint, or 1 / (1 + lam).
-
-    Its ends R - (1 + lam) beta R and R + (1 - lam) beta R leave the point R,
-    so below this beta the ball lies inside or outside each step and
-    averages the level g(R).  Up to 1 / (1 + lam) the ball is the least
-    offset one of every region whose beta range starts at 0.
-
-    It is at most 1 / (1 + lam), which is at most the least beta of the lower
-    band and of the centered shell, so it moves only the lower end of a range
-    that starts at 0.  It is at least (1 - r_K / R) / (1 + lam), below which the
-    ball misses the support: for R > r_K that is the last breakpoint's term,
-    in the same float operations, and for R <= r_K it is not positive."""
-    gap = 1.0 - radii_k[None, :] / R[:, None]
-    with np.errstate(divide="ignore"):
-        meet = np.abs(gap) / np.where(gap >= 0.0, 1.0 + lam, 1.0 - lam)
-    return np.minimum(meet.min(axis=1), 1.0 / (1.0 + lam))
-
-
 # ---------------------------------------------------------------------------
 # Supremum search
 # ---------------------------------------------------------------------------
@@ -290,7 +240,7 @@ _TINY = 1e-300
 # at tiny radii (beta R)^d would underflow and an average would read 0 / 0.
 # With this margin a subnormal rounding is at most 2^-104 of the ball volume.
 _LEAST_VOLUME = np.finfo(float).tiny * 2.0**52
-# The greatest candidate beta, ball volume and (beta R)^d the search forms: a
+# The greatest knot, ball volume and (beta R)^d the search forms: a
 # factor 4 below the largest double leaves room for the kernel's 2 rho and
 # for rounding.
 _GREATEST = float(np.finfo(float).max) / 4.0
@@ -305,29 +255,43 @@ def _unit_grid(count: int) -> np.ndarray:
     return grid
 
 
-def _candidate_betas(region: RegionKind, lam: float, R: np.ndarray, radii_k: np.ndarray):
-    """Heuristic beta candidates: the minimal feasible ball plus the radii at
-    which a ball on the least-offset boundary curve touches a profile
-    breakpoint (the kinks of the one-dimensional boundary objective).
+def _knots(region: RegionKind, lam: float, R: np.ndarray, radii_k: np.ndarray, bhi: float):
+    """The knot table of the least-offset curve (module docstring), per
+    radius of R: (knots, steady, cover).
 
-    Values may fall outside the feasible beta range; callers clip them, which
-    at worst duplicates an endpoint.
-    """
+    knots is (n, J): the minimal ball 1/(1 + lam), then per step r_k the
+    betas where the ball holds, leaves and lies inside B(0, r_k) on the
+    branch alpha = 1 - lam*beta (the shell's alpha = 1 at lam = 0), lies
+    inside it on the centered branch alpha = 0 (lam > 0) and on the band's
+    branch alpha = beta or beta - 1, then the branch switches 1, 2/(1 + lam)
+    and 1/lam and the range top bhi, where finite.  A knot may lie off its
+    branch or outside the beta range (negative, or past an end); the search
+    clips every knot to the range.
+
+    steady is the sweep's lower end: the least nonnegative leave or inside
+    knot (at lam = 1 there are no inside knots), capped at 1/(1 + lam), which
+    is at most the least beta of the lower band and of the centered shell.
+    cover is its upper end: in the full region the support-covering beta
+    (the holds knot of r_K, or r_K / R on the centered branch), elsewhere
+    bhi."""
     n = R.size
     ratio = radii_k[None, :] / R[:, None]  # (n, K)
-    cands = [np.full((n, 1), 1.0 / (1.0 + lam))]
-    # curve alpha = 1 - lam*beta (the shell's, at lam = 0): inner/outer edge meets r_k
-    cands.append((1.0 + ratio) / (1.0 + lam))
-    cands.append((1.0 - ratio) / (1.0 + lam))
-    if lam < 1.0:
-        cands.append((ratio - 1.0) / (1.0 - lam))
-    if lam > 0.0:
-        cands.append(ratio)  # centered branch alpha = 0
+    holds, leaves = (1.0 + ratio) / (1.0 + lam), (1.0 - ratio) / (1.0 + lam)
+    inside = (ratio - 1.0) / (1.0 - lam) if lam < 1.0 else np.inf
+    cols = [np.full((n, 1), 1.0 / (1.0 + lam)), holds, leaves]
+    cols += [inside] if lam < 1.0 else []
+    cols += [ratio] if lam > 0.0 else []
     if region is RegionKind.LOWER_BAND:
-        cands.append((1.0 + ratio) / 2.0)  # branch alpha = beta - 1
+        cols.append((1.0 + ratio) / 2.0)
     if region is RegionKind.UPPER_BAND:
-        cands.append(ratio / 2.0)  # branch alpha = beta
-    return np.concatenate(cands, axis=1)
+        cols.append(ratio / 2.0)
+    switches = [1.0, 2.0 / (1.0 + lam)] + ([1.0 / lam] if lam > 0.0 else [])
+    cols.append(np.tile(switches + ([bhi] if bhi < math.inf else []), (n, 1)))
+    # a step's leave knot is nonnegative where R lies outside it, its
+    # inside knot where R lies inside it
+    steady = np.minimum(np.where(leaves >= 0.0, leaves, inside).min(axis=1), 1.0 / (1.0 + lam))
+    cover = np.maximum(ratio[:, -1], holds[:, -1]) if region is RegionKind.FULL else np.full(n, bhi)
+    return np.concatenate(cols, axis=1), steady, cover
 
 
 def _supremum_batch(g, cfg, R, region, opt):
@@ -344,14 +308,14 @@ def _supremum_batch(g, cfg, R, region, opt):
         raise UsageError("every radius must be positive and finite")
     r_K = float(g.support_radius)
     R_min, R_max = float(np.minimum.reduce(R)), float(np.maximum.reduce(R))
-    # the candidate betas reach (1 + r_K / R) / q: from least_R on they stay
-    # below _GREATEST
+    # the knots reach (1 + r_K / R) / q: from least_R on they stay below
+    # _GREATEST
     q = 1.0 - lam if lam < 1.0 else 1.0
     least_R = float(r_K / (q * _GREATEST))
     if R_min < least_R:
         raise UsageError(
             f"R = {R_min!r} lies below {least_R!r}, the least radius at lambda = {lam!r} and "
-            f"r_K = {r_K!r}: below it the search's candidate betas overflow a double"
+            f"r_K = {r_K!r}: below it the search's knots overflow a double"
         )
     if 1.0 + r_K / R_max == 1.0:
         raise UsageError(
@@ -394,58 +358,36 @@ def _supremum_batch(g, cfg, R, region, opt):
             f"R = {R_min!r} lies below {float(least_rad / bhi_region)!r}, the least "
             f"radius of the {region.value} region at d = {d}: smaller balls' volumes underflow"
         )
-    # The greatest ball the search needs: in the full region the least-offset
-    # ball that holds the support (beyond it the average falls), in a
-    # restricted one the top of its range.
-    top = max(r_K, (R_max + r_K) / (1.0 + lam)) if region is RegionKind.FULL else bhi_region * R_max
+    # The greatest ball the search needs is the sweep's upper end: in the
+    # full region the ball that holds the support (beyond it the average
+    # falls), in a restricted one the top of its range.
+    knots, steady, cover = _knots(region, lam, R, radii_k, bhi_region)
+    top = float(np.maximum.reduce(cover * R))
     if top > greatest_rad:
         raise UsageError(
             f"R = {R_max!r} at d = {d}: the greatest ball the {region.value} search needs, of "
             f"radius {top!r}, lies above {greatest_rad!r}, the greatest radius whose "
             f"ball volume the search keeps finite"
         )
-    # The candidates reach radius (R + r_K) / q, and at d = 1 also 2 R and
-    # R / lam; only where that passes greatest_rad are they clipped per radius.
-    bhi_cands = bhi_region
+    # The knots reach radius (R + r_K) / q, 2 R and R / lam; only where that
+    # passes greatest_rad are they clipped per radius.
+    bhi_knots = bhi_region
     if max((R_max + r_K) / q, 2.0 * R_max, R_max / lam if lam > 0.0 else 0.0) > greatest_rad:
         with np.errstate(over="ignore"):
-            bhi_cands = np.minimum(bhi_region, greatest_rad / r_col)
-
-    # Explicit candidates (includes the minimal ball and the ball just
-    # covering the whole support).
-    cands = _candidate_betas(region, lam, R, radii_k)
+            bhi_knots = np.minimum(bhi_region, greatest_rad / r_col)
+    # every knot clipped to the range is a genuine ball
+    betas = np.minimum(np.maximum(knots, blo[:, None]), bhi_knots)
     if d == 1:
-        # In one dimension the overlap of each profile step with a ball on
-        # the boundary curve is piecewise linear in beta, so the average is
-        # (A beta + B) / beta between consecutive candidates: monotone, with
-        # its supremum at a candidate, an end of the beta range or the
-        # shrinking-ball limit.  The candidates add the branch switches of the
-        # least offset and the range's ends; past the largest candidate the
-        # ball holds the support and its average falls.  The search is exact
-        # up to rounding.
-        extra = [1.0, 2.0 / (1.0 + lam)] + ([1.0 / lam] if lam > 0.0 else [])
-        extra += [bhi_region] if bhi_region < math.inf else []
-        cands = np.concatenate([cands, np.tile(extra, (n, 1)), blo[:, None]], axis=1)
-        betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_cands)
+        # with the range's least beta the search is exact (module docstring)
+        betas = np.concatenate([betas, np.minimum(blo[:, None], bhi_knots)], axis=1)
         best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
         return _finish(g, region, lam, best_val, best_b, np.ones(n, dtype=bool))
-    betas = np.minimum(np.maximum(cands, blo[:, None]), bhi_cands)
 
-    # One geometric sweep over the betas where the average can move, known
-    # before any value, so it shares the candidates' kernel call.  Where the
-    # range starts at 0 it starts where the ball first meets a breakpoint:
-    # below that its average is the level g(R), the shrinking-ball incumbent.
-    # In the full region it ends where the ball holds the support: beyond
-    # that its average, norm / (omega_d (beta R)^d), falls.  The upper band
-    # keeps the top of its range; the lower band and the centered shell keep
-    # both ends, since a lens already exists where their ranges start.
-    lo = np.maximum(blo, _steady_beta(lam, R, radii_k))
-    ratio_k = radii_k[-1] / R
+    # One geometric sweep between the table's ends shares the knots' kernel
+    # call (module docstring).
+    lo = np.maximum(blo, steady)
+    end = np.maximum(cover, lo)
     t = _unit_grid(4 * opt.beta_grid)
-    end = bhi_region
-    if region is RegionKind.FULL:
-        end = np.maximum(ratio_k, (1.0 + ratio_k) / (1.0 + lam))
-    end = np.maximum(end, lo)
     log_lo = np.log(lo)
     log_span = np.log(end) - log_lo
     sweep = np.exp(log_lo[:, None] + log_span[:, None] * t[None, :])

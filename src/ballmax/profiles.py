@@ -33,7 +33,6 @@ __all__ = [
     "serialize_profile",
     "profile_digest",
     "l1_norm",
-    "indicator_decomposition",
     "evaluate",
     "levels_at",
     "normalized_indicator",
@@ -168,16 +167,6 @@ def serialize_profile(g: StepProfile) -> str:
 def profile_digest(g: StepProfile) -> str:
     """Short stable identifier derived from the canonical serialization."""
     return hashlib.sha256(serialize_profile(g).encode("utf-8")).hexdigest()[:12]
-
-
-def indicator_decomposition(g: StepProfile) -> tuple[tuple[float, float], ...]:
-    """Write g as sum of a_k * (indicator of the ball of radius r_k).
-
-    Coefficients are the level drops v_k - v_{k+1}; zero drops (flat runs)
-    are collapsed away.
-    """
-    steps = g.arrays
-    return tuple(zip(steps.step_radii.tolist(), steps.step_coeffs.tolist()))
 
 
 def l1_norm(g: StepProfile, d: int) -> float:

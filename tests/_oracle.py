@@ -14,6 +14,11 @@ bits of those draws: a point's radius and axis cosine in the unit ball, and
 the axis coordinate and distance from the axis of center e1 + s u, in the
 float operations the Monte Carlo audits first used.
 
+BallParams, feasible, average_over_ball and indicator_decomposition are
+the scalar forms of the operator's pieces: one ball of the (alpha, beta)
+plane, its membership in a region, its average (one ballmax.maximal
+_ball_averages call) and a profile's indicator steps as tuples.
+
 cosine_hits and exhaustive_domination are the Monte Carlo audits' plain
 decisions: the lens oracle's hit test through the axis cosine itself, and
 the domination audit with every ball averaged.  ballmax.verify decides the
@@ -24,12 +29,22 @@ reports to these byte for byte.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ballmax import verify
 from ballmax.geometry import GeometryDomainError, unit_ball_volume
-from ballmax.maximal import OptimizerSettings, RegionKind, _ball_averages, maximal_value_detailed
+from ballmax.maximal import (
+    OptimizerSettings,
+    RegionKind,
+    UsageError,
+    _alpha_bounds,
+    _ball_averages,
+    _beta_range,
+    maximal_value_detailed,
+)
+from ballmax.profiles import StepProfile
 
 _CF_EPS = 3.0e-16
 _CF_TINY = 1.0e-300
@@ -128,6 +143,45 @@ def lens_volume_ref(d: int, c: float, rho1: float, rho2: float) -> float:
     h1 = min(max(rho1 - x1, 0.0), 2.0 * rho1)
     h2 = min(max(rho2 - (c - x1), 0.0), 2.0 * rho2)
     return cap_volume_ref(d, rho1, h1) + cap_volume_ref(d, rho2, h2)
+
+
+@dataclass(frozen=True)
+class BallParams:
+    """Candidate ball: center offset alpha*R, radius beta*R."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
+            raise UsageError(f"alpha must be nonnegative, got {self.alpha}")
+        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+            raise UsageError(f"beta must be positive, got {self.beta}")
+
+
+def feasible(region: RegionKind, lam: float, p: BallParams) -> bool:
+    """Exact membership of (alpha, beta) in the region variant."""
+    blo, bhi = _beta_range(region, lam)
+    lo, hi = _alpha_bounds(region, lam, p.beta)
+    return bool(blo <= p.beta <= bhi and lo <= p.alpha <= hi)
+
+
+def average_over_ball(g: StepProfile, d: int, R: float, p: BallParams) -> float:
+    """Average of g over the ball with center offset alpha*R and radius
+    beta*R, as a finite sum of exact lens volumes (one lens-kernel call)."""
+    if not (R > 0.0 and math.isfinite(R)):
+        raise UsageError(f"R must be positive, got {R}")
+    return float(_ball_averages(g, d, unit_ball_volume(d), p.alpha * R, p.beta * R))
+
+
+def indicator_decomposition(g: StepProfile) -> tuple[tuple[float, float], ...]:
+    """Write g as sum of a_k * (indicator of the ball of radius r_k).
+
+    Coefficients are the level drops v_k - v_{k+1}; zero drops (flat runs)
+    are collapsed away.
+    """
+    steps = g.arrays
+    return tuple(zip(steps.step_radii.tolist(), steps.step_coeffs.tolist()))
 
 
 def sample_in_ball(rng, n: int, d: int, radius: float = 1.0) -> np.ndarray:

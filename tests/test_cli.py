@@ -756,6 +756,8 @@ def test_bad_dimension_lists_and_empty_sweeps_are_usage_errors(capsys, unitball,
         ["shrink-overlap", "--t-grid", "1.5"],
         # no pair has t + r > 1
         ["lens-enclosure", "--t-grid", "0.1"],
+        # an explicitly empty grid is not the default one
+        ["lens-enclosure", "--t-grid="],
     ],
 )
 def test_verify_with_no_check_to_run_is_usage_error(capsys, args):

@@ -9,17 +9,16 @@ from ballmax import geometry, maximal
 from ballmax.analysis import default_t_grid, weak_constant_estimate
 from ballmax.geometry import unit_ball_volume
 from ballmax.maximal import (
-    BallParams,
     OptimizerSettings,
     RegionKind,
     UsageError,
-    average_over_ball,
-    feasible,
     maximal_value,
     maximal_value_batch,
     maximal_value_detailed,
 )
 from ballmax.profiles import OperatorConfig, StepProfile, evaluate, l1_norm, levels_at, random_profile
+
+from _oracle import BallParams, average_over_ball, feasible
 
 UNIT_BALL = StepProfile(((1.0, 1.0),))
 
@@ -656,39 +655,83 @@ def test_refinement_work_budget(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 30])
 def test_least_offset_average_is_fixed_outside_the_sweep_range(d):
-    # The two facts that bound the sweep where the beta range starts at 0.
-    # Below the beta where the least-offset ball first meets a breakpoint
-    # (maximal._steady_beta) it lies inside or outside each step and
-    # averages the level g(R).  In the full region, above the beta where it
-    # holds the support (written here per branch of the least offset), it
-    # averages ||g||_1 / (omega_d (beta R)^d).
+    # The two facts that bound the sweep, read from the knot table
+    # (maximal._knots).  Where the beta range starts at 0, below the table's
+    # lower end the least-offset ball lies inside or outside each step and
+    # averages the level g(R).  In the full region, above the table's
+    # support-covering beta it averages ||g||_1 / (omega_d (beta R)^d).
     omega = unit_ball_volume(d)
     below = 0
     for seed in range(3):
         g = random_profile(700 + 10 * d + seed, 6, d)
-        r_k, norm = g.support_radius, l1_norm(g, d)
+        r_k, norm, radii_k = g.support_radius, l1_norm(g, d), g.arrays.step_radii
         Rs = r_k * np.geomspace(0.05, 4.0, 9)
-        Rs[0] = g.arrays.step_radii[0]  # on a breakpoint the ball meets it at once
+        Rs[0] = radii_k[0]  # on a breakpoint the ball meets it at once
         for lam in (0.0, 0.3, 0.5, 1.0):
-            steady = maximal._steady_beta(lam, Rs, g.arrays.step_radii)
-            assert steady[0] == 0.0 and np.all(steady <= 1.0 / (1.0 + lam))
-            for R, b0 in zip(Rs.tolist(), steady.tolist()):
-                level = float(levels_at(g, R))
-                for b in (b0 * np.array([1e-3, 0.3, 0.9, 1.0 - 1e-9])).tolist():
-                    if b == 0.0:
-                        continue  # R on a breakpoint
-                    for region in (RegionKind.FULL, RegionKind.UPPER_BAND):
+            full = maximal._knots(RegionKind.FULL, lam, Rs, radii_k, math.inf)
+            upper = maximal._knots(RegionKind.UPPER_BAND, lam, Rs, radii_k, 1.0)
+            for region, (_, steady, _) in ((RegionKind.FULL, full), (RegionKind.UPPER_BAND, upper)):
+                assert steady[0] == 0.0 and np.all(steady <= 1.0 / (1.0 + lam))
+                for R, b0 in zip(Rs.tolist(), steady.tolist()):
+                    level = float(levels_at(g, R))
+                    for b in (b0 * np.array([1e-3, 0.3, 0.9, 1.0 - 1e-9])).tolist():
+                        if b == 0.0:
+                            continue  # R on a breakpoint
                         avg = average_over_ball(g, d, R, BallParams(_least_offset(region, lam, b), b))
                         assert avg == pytest.approx(level, rel=1e-12, abs=0.0), (R, lam, b, region)
                         below += 1
-                if R >= lam * r_k:
-                    cover = (1.0 + r_k / R) / (1.0 + lam)  # branch alpha = 1 - lam beta
-                else:
-                    cover = max(1.0 / lam, r_k / R)  # centered branch alpha = 0
-                for b in (cover * np.array([1.0 + 1e-9, 1.5, 40.0])).tolist():
+            for R, b0 in zip(Rs.tolist(), full[2].tolist()):
+                for b in (b0 * np.array([1.0 + 1e-9, 1.5, 40.0])).tolist():
                     avg = average_over_ball(g, d, R, BallParams(_least_offset(RegionKind.FULL, lam, b), b))
                     assert avg == pytest.approx(norm / (omega * (b * R) ** d), rel=1e-12, abs=0.0), (R, lam, b)
     assert below > 0
+
+
+_REGION_LAMS = [(RegionKind.CENTERED_SHELL, 0.0)] + [
+    (region, lam)
+    for region in (RegionKind.FULL, RegionKind.UPPER_BAND, RegionKind.LOWER_BAND)
+    for lam in (0.0, 0.3, 1.0)
+]
+
+
+@pytest.mark.parametrize("region, lam", _REGION_LAMS)
+def test_each_step_knot_changes_the_ball_relation_to_its_step(region, lam):
+    # Per-step blocks of the knot table, in column order after the minimal
+    # ball: holds, leaves and lies inside on the branch alpha = 1 - lam*beta,
+    # lies inside on the centered branch alpha = 0, then on the band's branch.
+    # At a knot on its own branch, the ball B(alpha R, beta R) must cross a
+    # boundary of B(0, r_k): disjoint, inside the step, holding it or a lens.
+    blocks = [lambda b: 1.0 - lam * b] * (3 if lam < 1.0 else 2)
+    blocks += [lambda b: 0.0 * b] if lam > 0.0 else []
+    blocks += [lambda b: b - 1.0] if region is RegionKind.LOWER_BAND else []
+    blocks += [lambda b: b] if region is RegionKind.UPPER_BAND else []
+    blo, bhi = maximal._beta_range(region, lam)
+
+    def relation(R, r, alpha, beta):
+        c, rho = alpha * R, beta * R
+        if c - rho >= r:
+            return "disjoint"
+        if c + rho <= r:
+            return "inside"
+        return "holds" if rho - c >= r else "lens"
+
+    checked = 0
+    for seed in range(4):
+        g = random_profile(950 + seed, 6, 2)
+        radii_k = g.arrays.step_radii
+        Rs = g.support_radius * np.geomspace(0.05, 4.0, 11)
+        knots = maximal._knots(region, lam, Rs, radii_k, bhi)[0]
+        for i, branch in enumerate(blocks):
+            block = knots[:, 1 + i * radii_k.size: 1 + (i + 1) * radii_k.size]
+            for R, row in zip(Rs.tolist(), block.tolist()):
+                for r, knot in zip(radii_k.tolist(), row):
+                    sides = (knot * (1.0 - 1e-9), knot * (1.0 + 1e-9))
+                    if not all(blo <= b <= bhi and maximal._alpha_bounds(region, lam, b)[0] == branch(b) for b in sides):
+                        continue
+                    below, above = (relation(R, r, branch(b), b) for b in sides)
+                    assert below != above, (R, r, knot, i)
+                    checked += 1
+    assert checked > 0
 
 
 def test_reported_alpha_is_the_least_offset_of_the_reported_beta():

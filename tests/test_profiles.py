@@ -13,7 +13,6 @@ from ballmax.profiles import (
     ProfileError,
     StepProfile,
     evaluate,
-    indicator_decomposition,
     l1_norm,
     levels_at,
     normalized_indicator,
@@ -22,6 +21,8 @@ from ballmax.profiles import (
     random_profile,
     serialize_profile,
 )
+
+from _oracle import indicator_decomposition
 
 UNIT_BALL = StepProfile(((1.0, 1.0),))
 TWO_STEP = StepProfile(((1.0, 2.0), (2.0, 1.0)))
