@@ -330,7 +330,7 @@ def _cmd_sweep(ns, opt) -> int:
         suite = [_load_profile(p) for p in ns.profiles.split(",") if p]
         if not suite:
             raise CliError("no profiles given")
-        # a mass that overflows is a usage error, as in eval, not a failed cell
+        # a mass that overflows is a usage error, as in constant, not a failed cell
         for d in d_set:
             for g in suite:
                 l1_norm(g, d)

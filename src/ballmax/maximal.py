@@ -59,20 +59,20 @@ are kept purely as audited diagnostics:
 
 Each region is defined once, by its beta range and its alpha bounds at each
 beta, and the search reads only that; no alpha interval of the range is
-empty.  A restricted region has a greatest beta and so a least
-radius, below which the ball volumes the search needs underflow; the search
-rejects such a radius (UsageError).  So it does a radius beyond about
-2^53 r_K in every region: there 1 + r_K / R rounds to 1 and no ball it
-searches covers the support.  Every region has a least radius, about
-r_K / (1 - lam) over the largest double, below which the knots overflow.
-And the search has a greatest ball radius, whose volume is a finite double:
-it rejects a radius whose greatest needed ball lies beyond it (in the full
-region the ball that holds the support, beyond which the average falls),
-and clips the knots to it.
+empty.  Since M[g(./s)](s R) = M g(R), the search has one length scale,
+the power of two nearest the support radius r_K (_units): R and the step
+radii are scaled into it once, exactly, and every knot, ball volume and the
+mass is formed there, so a dilation by 2^k keeps every bit.  A radius is a
+usage error (UsageError, named in the caller's units) where r_K / R
+overflows, beyond about 2^53 r_K (1 + r_K / R rounds to 1: no searched ball
+covers the support), below a restricted region's least radius (its least
+ball's volume is not normal) or where the greatest ball it needs (the one
+that holds the support, past which averages fall; in a restricted region
+the top of the range) has no finite volume.  Knots are clipped to that ball.
 
 Every ball average (the search's and the domination audit's) is one
 function, _ball_averages: a lens sum over the profile's indicator steps
-(StepProfile.arrays), over the ball volume.
+(StepProfile.arrays), in units, over the ball volume.
 
 The reported value is a lower bound of the region supremum by construction:
 every ball evaluated is a genuine feasible ball average (plus the
@@ -89,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _is_integer, _lens_array, unit_ball_volume
-from .profiles import OperatorConfig, StepProfile, l1_norm, levels_at
+from .profiles import OperatorConfig, StepProfile, _mass, levels_at
 
 __all__ = [
     "UsageError",
@@ -198,18 +198,18 @@ def _alpha_bounds(region: RegionKind, lam: float, beta):
     return np.maximum(np.maximum(0.0, beta - 1.0), cut), np.minimum(beta, 1.0)
 
 
-def _ball_averages(g: StepProfile, d: int, omega: float, c, rad):
-    """Averages of g over the balls of radius rad centered at distance c (one
-    shape, or scalars).  The kernel's (..., K) arrays, one entry per ball and
-    step, are built with copyto: a call pays no broadcasting or checks."""
-    steps = g.arrays
-    shape = np.shape(rad) + steps.step_radii.shape
+def _ball_averages(step_radii, step_coeffs, d: int, omega: float, c, rad):
+    """Averages of the profile with these indicator steps over the balls of
+    radius rad centered at distance c (one shape, or scalars), in one unit.
+    The kernel's (..., K) arrays, one entry per ball and step, are built
+    with copyto: a call pays no broadcasting or checks."""
+    shape = np.shape(rad) + step_radii.shape
     cc, rho1, rho2 = np.empty(shape), np.empty(shape), np.empty(shape)
     np.copyto(cc, np.asarray(c)[..., None])
-    np.copyto(rho1, steps.step_radii)
+    np.copyto(rho1, step_radii)
     np.copyto(rho2, np.asarray(rad)[..., None])
     lens = _lens_array(d, omega, cc, rho1, rho2)
-    return (lens @ steps.step_coeffs) / (omega * rad ** d)
+    return (lens @ step_coeffs) / (omega * rad ** d)
 
 
 def _mass_cutoff(norm, omega, d, R, best):
@@ -236,14 +236,6 @@ _MAX_ROUNDS = 60
 # least ball's volume stays a normal double.
 _BETA_FLOOR = 1e-6
 _TINY = 1e-300
-# The least ball volume searched, as a multiple of the smallest normal double:
-# at tiny radii (beta R)^d would underflow and an average would read 0 / 0.
-# With this margin a subnormal rounding is at most 2^-104 of the ball volume.
-_LEAST_VOLUME = np.finfo(float).tiny * 2.0**52
-# The greatest knot, ball volume and (beta R)^d the search forms: a
-# factor 4 below the largest double leaves room for the kernel's 2 rho and
-# for rounding.
-_GREATEST = float(np.finfo(float).max) / 4.0
 _UNCONVERGED = "refinement did not reach rel_tol before its window collapsed"
 
 
@@ -294,6 +286,22 @@ def _knots(region: RegionKind, lam: float, R: np.ndarray, radii_k: np.ndarray, b
     return np.concatenate(cols, axis=1), steady, cover
 
 
+@functools.lru_cache(maxsize=64)
+def _units(g: StepProfile, d: int):
+    """omega_d, unit (the power of two nearest r_K) and in units the step
+    radii (read-only), the mass and the least and greatest ball radius
+    searched: of volume 2^52 smallest normal doubles, so a subnormal rounding
+    is at most 2^-104 of it, and a quarter of the largest double."""
+    omega = unit_ball_volume(d)
+    unit = 2.0 ** min(round(math.log2(g.support_radius)), 1023)
+    mass = _mass((g.arrays.radii / unit).tolist(), g.levels, d)
+    least = float(np.finfo(float).tiny * 2.0**52 / omega) ** (1.0 / d)
+    greatest = float(np.finfo(float).max / 4.0 / max(omega, 1.0)) ** (1.0 / d)
+    step_radii = g.arrays.step_radii / unit
+    step_radii.flags.writeable = False
+    return omega, unit, step_radii, mass, least, greatest
+
+
 def _supremum_batch(g, cfg, R, region, opt):
     """Search every radius of R.  Returns per-radius arrays (value, alpha,
     beta, converged) and the warnings tuple."""
@@ -306,29 +314,16 @@ def _supremum_batch(g, cfg, R, region, opt):
         return np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), ()
     if not np.all(np.isfinite(R)) or np.any(R <= 0.0):
         raise UsageError("every radius must be positive and finite")
-    r_K = float(g.support_radius)
-    R_min, R_max = float(np.minimum.reduce(R)), float(np.maximum.reduce(R))
-    # the knots reach (1 + r_K / R) / q: from least_R on they stay below
-    # _GREATEST
-    q = 1.0 - lam if lam < 1.0 else 1.0
-    least_R = float(r_K / (q * _GREATEST))
-    if R_min < least_R:
-        raise UsageError(
-            f"R = {R_min!r} lies below {least_R!r}, the least radius at lambda = {lam!r} and "
-            f"r_K = {r_K!r}: below it the search's knots overflow a double"
-        )
+    r_K, R_max = float(g.support_radius), float(np.maximum.reduce(R))
     if 1.0 + r_K / R_max == 1.0:
         raise UsageError(
-            f"R = {R_max!r} lies beyond the greatest radius, about 2^53 r_K = "
-            f"{2.0**53 * r_K!r}: there 1 + r_K / R rounds to 1, so no searched ball covers "
-            f"the support"
+            f"R = {R_max!r} lies beyond the greatest radius, about 2^53 r_K = {2.0**53 * r_K!r}: "
+            f"there 1 + r_K / R rounds to 1, so no searched ball covers the support"
         )
-
-    radii_k = g.arrays.step_radii
-    omega = unit_ball_volume(d)
-    norm = l1_norm(g, d)
-    n = R.size
-    r_col = R[:, None]
+    # every length and the mass from here on are in units (module docstring)
+    omega, unit, radii_k, norm, least_rad, greatest_rad = _units(g, d)
+    coeffs, R_u, n = g.arrays.step_coeffs, R / unit, R.size
+    r_col = R_u[:, None]
 
     # Every step below is elementwise in the radius, so a radius gets the
     # same bits whether it is searched alone or in a batch.
@@ -336,7 +331,7 @@ def _supremum_batch(g, cfg, R, region, opt):
         # one ball per beta, at the least feasible offset; a row's first best
         # replaces an incumbent it beats.  Returns (value, beta, maxima, values)
         alphas = _alpha_bounds(region, lam, betas)[0]
-        vals = _ball_averages(g, d, omega, alphas * r_col, betas * r_col)
+        vals = _ball_averages(radii_k, coeffs, d, omega, alphas * r_col, betas * r_col)
         at = np.arange(vals.shape[0]), vals.argmax(axis=1)
         top = vals[at]
         better = top > val
@@ -348,45 +343,41 @@ def _supremum_batch(g, cfg, R, region, opt):
     best_val = levels_at(g, R) if blo_region == 0.0 else np.full(n, -np.inf)
     best_b = np.full(n, 0.0 if blo_region == 0.0 else np.nan)
 
-    # per radius, the floor keeps the least ball's volume a normal double and
-    # the ceiling keeps the greatest ball's volume finite
-    least_rad = (_LEAST_VOLUME / omega) ** (1.0 / d)
-    greatest_rad = float((_GREATEST / max(omega, 1.0)) ** (1.0 / d))
-    blo = np.maximum(max(blo_region, _BETA_FLOOR), least_rad / R)
+    # The greatest ball needed is the sweep's upper end (module docstring),
+    # not finite where r_K / R overflows or R / unit underflows to 0.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        knots, steady, cover = _knots(region, lam, R_u, radii_k, bhi_region)
+        top = cover * R_u
+    if not np.maximum.reduce(top) <= greatest_rad:
+        i = int(np.argmin(top <= greatest_rad))
+        raise UsageError(
+            f"R = {float(R[i])!r} at d = {d}: the greatest ball the {region.value} search "
+            f"needs, of radius {float(top[i]) * unit!r}, lies above {greatest_rad * unit!r}, "
+            f"the greatest radius whose ball volume the search keeps finite"
+            if np.isfinite(top[i]) else
+            f"R = {float(R[i])!r} at d = {d} is below the least radius of the {region.value} "
+            f"search: r_K / R overflows a double"
+        )
+    # per radius, the floor keeps the least ball's volume a normal double
+    blo = np.maximum(max(blo_region, _BETA_FLOOR), least_rad / R_u)
     if np.logical_or.reduce(blo > bhi_region):
         raise UsageError(
-            f"R = {R_min!r} lies below {float(least_rad / bhi_region)!r}, the least "
+            f"R = {float(R.min())!r} lies below {least_rad / bhi_region * unit!r}, the least "
             f"radius of the {region.value} region at d = {d}: smaller balls' volumes underflow"
         )
-    # The greatest ball the search needs is the sweep's upper end: in the
-    # full region the ball that holds the support (beyond it the average
-    # falls), in a restricted one the top of its range.
-    knots, steady, cover = _knots(region, lam, R, radii_k, bhi_region)
-    top = float(np.maximum.reduce(cover * R))
-    if top > greatest_rad:
-        raise UsageError(
-            f"R = {R_max!r} at d = {d}: the greatest ball the {region.value} search needs, of "
-            f"radius {top!r}, lies above {greatest_rad!r}, the greatest radius whose "
-            f"ball volume the search keeps finite"
-        )
-    # The knots reach radius (R + r_K) / q, 2 R and R / lam; only where that
-    # passes greatest_rad are they clipped per radius.
-    bhi_knots = bhi_region
-    if max((R_max + r_K) / q, 2.0 * R_max, R_max / lam if lam > 0.0 else 0.0) > greatest_rad:
-        with np.errstate(over="ignore"):
-            bhi_knots = np.minimum(bhi_region, greatest_rad / r_col)
-    # every knot clipped to the range is a genuine ball
-    betas = np.minimum(np.maximum(knots, blo[:, None]), bhi_knots)
+    # every knot clipped to [blo, end] is a genuine ball; past the needed
+    # ball's end every ball holds the support and averages less
+    end = np.maximum(cover, blo)
+    betas = np.minimum(np.maximum(knots, blo[:, None]), end[:, None])
     if d == 1:
         # with the range's least beta the search is exact (module docstring)
-        betas = np.concatenate([betas, np.minimum(blo[:, None], bhi_knots)], axis=1)
+        betas = np.concatenate([betas, blo[:, None]], axis=1)
         best_val, best_b = fold(best_val, best_b, betas, r_col)[:2]
         return _finish(g, region, lam, best_val, best_b, np.ones(n, dtype=bool))
 
     # One geometric sweep between the table's ends shares the knots' kernel
     # call (module docstring).
     lo = np.maximum(blo, steady)
-    end = np.maximum(cover, lo)
     t = _unit_grid(4 * opt.beta_grid)
     log_lo = np.log(lo)
     log_span = np.log(end) - log_lo
@@ -397,7 +388,7 @@ def _supremum_batch(g, cfg, R, region, opt):
     # Truncate the beta range using the mass bound, within the region; the
     # incumbent is positive by now (the minimal ball always meets the support).
     with np.errstate(over="ignore"):
-        cut = _mass_cutoff(norm, omega, d, R, np.maximum(best_val, _TINY))
+        cut = _mass_cutoff(norm, omega, d, R_u, np.maximum(best_val, _TINY))
     bhi = np.minimum(np.maximum(cut, blo * (1.0 + 1e-9)), bhi_region)
 
     # Local refinement around the incumbent.  A radius stops once its window

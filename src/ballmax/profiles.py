@@ -171,12 +171,16 @@ def profile_digest(g: StepProfile) -> str:
 
 def l1_norm(g: StepProfile, d: int) -> float:
     """Integral of g over R^d: sum of v_k * omega_d * (r_k^d - r_{k-1}^d)."""
-    d = _check_dimension(d)
+    return _mass(g.radii, g.levels, _check_dimension(d))
+
+
+def _mass(radii, levels, d: int) -> float:
+    """l1_norm of the profile with these radii and levels, in any unit."""
     omega = unit_ball_volume(d)
     total = 0.0
     prev = 0.0
     try:
-        for r, v in g.breakpoints:
+        for r, v in zip(radii, levels):
             total += v * omega * (r ** d - prev ** d)
             prev = r
     except OverflowError:

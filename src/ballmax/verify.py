@@ -72,10 +72,11 @@ from .maximal import (
     RegionKind,
     UsageError,
     _ball_averages,
+    _units,
     maximal_value_batch,
     maximal_value_detailed,
 )
-from .profiles import OperatorConfig, StepProfile, l1_norm
+from .profiles import OperatorConfig, StepProfile
 
 __all__ = [
     "McConfig",
@@ -611,32 +612,29 @@ def check_random_ball_domination(
     the axis give |z| directly; at lam = 0 nothing but rho is drawn.
 
     Only the balls whose bound can reach the largest average are averaged
-    (see the module docstring); the report is the one that averaging every
-    ball gives.  A radius R whose largest sampled ball, of radius
-    10 (R + r_K), has a volume that overflows a double raises UsageError."""
+    (see the module docstring), in the search's units (maximal._units), so
+    the report is the one that averaging every ball gives at any scale.  A
+    radius R whose largest sampled ball, of radius 10 (R + r_K), has a
+    volume that overflows a double in those units raises UsageError."""
     opt = opt or OptimizerSettings()
     if not (R > 0.0 and math.isfinite(R)):
         raise UsageError(f"R must be positive, got {R}")
     d, lam = cfg.d, cfg.lam
-    omega = unit_ball_volume(d)
     scale = R + g.support_radius
-    try:
-        largest = (10.0 * scale) ** d
-    except OverflowError:
-        largest = math.inf
-    # both rho^d and omega_d rho^d must be finite; a factor 2 leaves room for
-    # the draws' rounding above 10 (R + r_K)
-    if 2.0 * max(omega, 1.0) * largest == math.inf:
+    omega, unit, step_radii, mass, _, greatest = _units(g, d)
+    # in units, rho^d and omega_d rho^d stay finite up to twice the volume of
+    # the search's greatest ball, which leaves room for the draws' rounding
+    if not 10.0 * scale / unit <= greatest * 2.0 ** (1.0 / d):
         raise UsageError(
             f"R = {R!r} at d = {d}: the largest sampled ball, of radius 10 (R + r_K) = "
             f"{10.0 * scale!r}, has a volume that overflows a double"
         )
-    res = maximal_value_detailed(g, cfg, R, RegionKind.FULL, opt)
-    m_star = res.value
+    if 1e-4 * scale == 0.0:
+        raise UsageError(f"R = {R!r}: the least sampled radius, 1e-4 (R + r_K), underflows to 0")
+    m_star = maximal_value_detailed(g, cfg, R, RegionKind.FULL, opt).value
     rng = np.random.default_rng(mc.seed)
     n = mc.n_samples
-    rho = np.exp(rng.uniform(math.log(max(1e-9, 1e-4 * scale)), math.log(10.0 * scale), n))
-    rho = np.maximum(rho, 1e-9)
+    rho = np.exp(rng.uniform(math.log(1e-4 * scale), math.log(10.0 * scale), n))
     if lam == 0.0:
         z_norm = np.full(n, R)
     else:
@@ -646,18 +644,23 @@ def check_random_ball_domination(
     def violation(average):
         return (average - m_star) / max(m_star, 1e-300)
 
+    def averages_of(at):
+        return _ball_averages(step_radii, steps.step_coeffs, d, omega, z_u[at], rho_u[at])
+
     # Each ball's bound: g at its point nearest the origin, where a distance
     # that rounds onto a breakpoint r_k keeps step k (side="left"), as the
-    # lens kernel's c < r_k + rho does; and the mass bound.
+    # lens kernel's c < r_k + rho does; and the mass bound, in units, where
+    # every ball is averaged from here on.
     steps = g.arrays
     bound = steps.levels[np.searchsorted(steps.radii, np.maximum(z_norm - rho, 0.0), side="left")]
-    np.minimum(bound, l1_norm(g, d) / (omega * rho ** d), out=bound)
+    rho_u, z_u = rho / unit, z_norm / unit
+    np.minimum(bound, mass / (omega * rho_u ** d), out=bound)
     # The floor is the average of the ball with the largest bound.  A ball is
     # averaged when its bound, widened by _PRUNE_MARGIN, reaches the floor in
     # the report's own float operations: a pruned ball's violation then lies
     # strictly below the floor's, ties included.
     first = int(np.argmax(bound))
-    floor = violation(_ball_averages(g, d, omega, z_norm[first : first + 1], rho[first : first + 1]))
+    floor = violation(averages_of(slice(first, first + 1)))
     kept = np.flatnonzero(violation(bound * (1.0 + _PRUNE_MARGIN)) >= floor)
     # chunks of _MC_CHUNK kernel entries (balls times steps): most kept balls
     # cut lenses from the steps, and a lens entry's arrays are all full size
@@ -665,7 +668,7 @@ def check_random_ball_domination(
     averages = np.empty(kept.size)
     for start in range(0, kept.size, chunk):
         at = kept[start : start + chunk]
-        averages[start : start + chunk] = _ball_averages(g, d, omega, z_norm[at], rho[at])
+        averages[start : start + chunk] = averages_of(at)
     viol = violation(averages)
     i = int(np.argmax(viol))
     j = kept[i]

@@ -42,6 +42,7 @@ from ballmax.maximal import (
     _alpha_bounds,
     _ball_averages,
     _beta_range,
+    _units,
     maximal_value_detailed,
 )
 from ballmax.profiles import StepProfile
@@ -171,7 +172,9 @@ def average_over_ball(g: StepProfile, d: int, R: float, p: BallParams) -> float:
     beta*R, as a finite sum of exact lens volumes (one lens-kernel call)."""
     if not (R > 0.0 and math.isfinite(R)):
         raise UsageError(f"R must be positive, got {R}")
-    return float(_ball_averages(g, d, unit_ball_volume(d), p.alpha * R, p.beta * R))
+    steps = g.arrays
+    omega = unit_ball_volume(d)
+    return float(_ball_averages(steps.step_radii, steps.step_coeffs, d, omega, p.alpha * R, p.beta * R))
 
 
 def indicator_decomposition(g: StepProfile) -> tuple[tuple[float, float], ...]:
@@ -226,25 +229,28 @@ def cosine_hits(d: int, c: float, rho2: float, r, p, v) -> int:
 
 def exhaustive_domination(g, cfg, R, mc, opt=None):
     """check_random_ball_domination with every ball averaged: the same
-    draws, every ball through the search's ball-average formula in chunks
-    of verify._MC_CHUNK, and the first worst violation over all of them."""
+    draws, every ball through the search's ball-average formula in the
+    search's units, in chunks of verify._MC_CHUNK, and the first worst
+    violation over all of them."""
     opt = opt or OptimizerSettings()
     d, lam = cfg.d, cfg.lam
     m_star = maximal_value_detailed(g, cfg, R, RegionKind.FULL, opt).value
     rng = np.random.default_rng(mc.seed)
     n = mc.n_samples
     scale = R + g.support_radius
-    rho = np.exp(rng.uniform(math.log(max(1e-9, 1e-4 * scale)), math.log(10.0 * scale), n))
-    rho = np.maximum(rho, 1e-9)
+    rho = np.exp(rng.uniform(math.log(1e-4 * scale), math.log(10.0 * scale), n))
     if lam == 0.0:
         z_norm = np.full(n, R)
     else:
         r, u0 = ball_draws(rng, n, d)
         z_norm = np.hypot(*axis_coordinates(R, lam * rho * r, u0))
     omega, averages = unit_ball_volume(d), np.empty(n)
+    unit, step_radii = _units(g, d)[1:3]
     for start in range(0, n, verify._MC_CHUNK):
         at = slice(start, start + verify._MC_CHUNK)
-        averages[at] = _ball_averages(g, d, omega, z_norm[at], rho[at])
+        averages[at] = _ball_averages(
+            step_radii, g.arrays.step_coeffs, d, omega, z_norm[at] / unit, rho[at] / unit
+        )
     viol = (averages - m_star) / max(m_star, 1e-300)
     i = int(np.argmax(viol))
     return verify.CheckReport(

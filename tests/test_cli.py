@@ -341,10 +341,11 @@ def test_constant_and_sweep_write_the_same_threshold_table(tmp_path):
 @pytest.mark.parametrize(
     "levels, args",
     [
-        # the profile's mass overflows a double
-        ('[{"r":1e11,"v":1}]', ["eval", "--d", "30", "--lambda", "0", "--R", "1"]),
+        # the profile's mass overflows a double (eval, which reads no mass in
+        # absolute units, answers these profiles: see below)
+        ('[{"r":1e11,"v":1}]', ["sweep", "--d-set", "30", "--lambda-set", "0.5"]),
         ('[{"r":1e11,"v":1}]', ["constant", "--d", "30", "--lambda", "0", "--t-grid", "0.5"]),
-        ('[{"r":1e200,"v":1}]', ["eval", "--d", "2", "--lambda", "0", "--R", "1"]),
+        ('[{"r":1e200,"v":1}]', ["constant", "--d", "2", "--lambda", "0", "--t-grid", "0.5"]),
         # below the least radius of a restricted region
         ('[{"r":1,"v":1}]', ["eval", "--d", "30", "--lambda", "0", "--R", "1e-12",
                              "--region", "centered-shell"]),
@@ -414,8 +415,10 @@ def test_radii_beyond_the_greatest_are_usage_errors(unitball, capsys, args):
 @pytest.mark.parametrize(
     "levels, args, message",
     [
-        # printed overflow warnings and m = 0.000000, exit 0
-        ('[{"r":3e9,"v":1}]', ["--d", "30", "--lambda", "0.5", "--R", "3e10"], "greatest radius"),
+        # the covering ball's volume overflows a double in units of the power
+        # of two nearest r_K (R = 3e10 printed overflow warnings and
+        # m = 0.000000, exit 0, and is now answered: see below)
+        ('[{"r":3e9,"v":1}]', ["--d", "30", "--lambda", "0.5", "--R", "3e20"], "greatest radius"),
         # printed overflow warnings, the unconverged warning and m = 1.000000, exit 0
         ('[{"r":1,"v":1}]', ["--d", "2", "--lambda", "0", "--R", "1e-320"], "least radius"),
     ],
@@ -428,6 +431,37 @@ def test_eval_radii_whose_balls_overflow_are_usage_errors(tmp_path, capsys, leve
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1
     assert err[0].startswith("error: R = ") and message in err[0]
+
+
+@pytest.mark.parametrize(
+    "r_K, args, R",
+    [
+        # the profile's mass overflows a double in absolute units
+        (1e11, ["--d", "30", "--lambda", "0"], 1.0),
+        (1e200, ["--d", "2", "--lambda", "0"], 1.0),
+        # the covering ball's volume overflows a double in absolute units
+        (3e9, ["--d", "30", "--lambda", "0.5"], 3e10),
+    ],
+)
+def test_eval_answers_every_scale_with_the_unit_scale_value(tmp_path, capsys, r_K, args, R):
+    # These inputs exited 2.  eval searches in units of the power of two
+    # nearest r_K, so the indicator of radius r_K at R prints what the
+    # indicator dilated to unit scale by that power of two prints, bit for
+    # bit, and its value is the unit ball's at R / r_K to rounding.
+    def run(r, R):
+        path, out = tmp_path / "g.json", tmp_path / "m.json"
+        path.write_text(f'{{"levels":[{{"r":{r!r},"v":1}}]}}')
+        cmd = ["eval", "--profile", str(path), *args, "--R", repr(R), "--out", str(out)]
+        assert main(cmd + ["--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        row = json.loads(out.read_text())[0]
+        return captured.out, (row["m"], row["alpha"], row["beta"])
+
+    unit = 2.0 ** round(math.log2(r_K))
+    got = run(r_K, R)
+    assert got == run(r_K / unit, R / unit)
+    assert got[1][0] == pytest.approx(run(1.0, R / r_K)[1][0], rel=1e-14, abs=0.0)
 
 
 def test_missing_profile_is_usage_error(tmp_path):

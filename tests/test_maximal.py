@@ -361,62 +361,111 @@ def test_radii_up_to_the_greatest_keep_the_closed_forms():
 
 
 def test_search_rejects_a_support_covering_ball_whose_volume_overflows():
-    # The search divided by ball volumes that overflow: at d = 30 these read
-    # value 0.0, converged at R = 3e10 and unconverged at R = 1e11, where the
-    # covering ball proves at least (r_K / ((R + r_K) / (1 + lam)))^30.
-    for r_K, lam, R in ((3e9, 0.5, 3e10), (1e10, 0.0, 1e11)):
+    # In units of the power of two nearest r_K these covering balls' volumes
+    # overflow a double at d = 30, and the message names both radii in the
+    # caller's units.
+    for r_K, lam, R in ((3e9, 0.5, 3e20), (1e10, 0.0, 1e21)):
         g = StepProfile(((r_K, 1.0),))
         with pytest.raises(UsageError, match="greatest radius") as exc:
             maximal_value_detailed(g, OperatorConfig(30, lam), R)
         cover, greatest = re.search(r"of radius (\S+), lies above (\S+),", str(exc.value)).groups()
         assert float(cover) == pytest.approx((R + r_K) / (1.0 + lam), rel=1e-15)
         assert float(greatest) < float(cover)
-    # a candidate beta far beyond the covering ball is clipped to the greatest
-    # radius: (r_K / R - 1) / (1 - lam) = 1e12 overflowed (beta R)^d
+    # a knot far beyond the covering ball, (r_K / R - 1) / (1 - lam) = 1e12,
+    # is clipped to it
     res = maximal_value_detailed(UNIT_BALL, OperatorConfig(30, 1.0 - 1e-12), 0.5)
     assert res.value == 1.0 and res.converged
 
 
+def test_support_covering_balls_are_searched_in_units():
+    # In absolute units these inputs went wrong at d = 30: the covering balls
+    # of r_K = 3e9 and 1e10 have volumes that overflow a double (the radius
+    # was rejected), and the indicator of radius 1e-10 read 2.19e-13 at
+    # R = 2e-10, where every ball that holds its support lies below the
+    # least-volume floor.  In units of the power of two nearest r_K each
+    # value is the one at unit scale: bit for bit after that dilation, and
+    # to rounding for the unit ball at R / r_K.
+    for r_K, lam, R in ((3e9, 0.5, 3e10), (1e10, 0.0, 1e11), (1e-10, 0.5, 2e-10)):
+        cfg, unit = OperatorConfig(30, lam), 2.0 ** round(math.log2(r_K))
+        res = maximal_value_detailed(StepProfile(((r_K, 1.0),)), cfg, R)
+        assert res.converged
+        assert res.value == maximal_value(StepProfile(((r_K / unit, 1.0),)), cfg, R / unit)
+        assert res.value == pytest.approx(maximal_value(UNIT_BALL, cfg, R / r_K), rel=1e-14, abs=0.0)
+
+
 def test_search_rejects_radii_whose_candidate_betas_overflow():
-    # r_K / R and the candidate betas, such as (r_K / R - 1) / (1 - lam),
-    # overflowed at these radii; the message names the least radius, where
-    # the search runs
-    cases = [(1.0, 1e-320, (0.0, 0.5, 1.0)), (1.0, 9e-309, (0.5,)),
-             (1e10, 1e-299, (0.0, 0.5, 1.0)), (1e10, 1e-298, (0.5,))]
-    for r_K, R, lams in cases:
+    # Where r_K / R overflows a double, every knot does, and the search
+    # rejects the radius as below its least radius.
+    for r_K, R in ((1.0, 1e-320), (1e10, 1e-299)):
         g = StepProfile(((r_K, 1.0),))
         for d in (1, 2, 30):
-            for lam in lams:
-                cfg = OperatorConfig(d, lam)
-                with pytest.raises(UsageError, match="least radius") as exc:
-                    maximal_value_detailed(g, cfg, R)
-                least = float(re.search(r"lies below (\S+),", str(exc.value)).group(1))
-                assert maximal_value_detailed(g, cfg, least).value == 1.0
-                with pytest.raises(UsageError, match="least radius"):
-                    maximal_value_detailed(g, cfg, math.nextafter(least, 0.0))
+            for lam in (0.0, 0.5, 1.0):
+                with pytest.raises(UsageError, match="least radius .*r_K / R overflows a double"):
+                    maximal_value_detailed(g, OperatorConfig(d, lam), R)
+
+
+def test_radii_whose_inside_knots_overflow_are_answered():
+    # Here only the inside knot (r_K / R - 1) / (1 - lam) overflows; the
+    # search rejected these radii as below a least radius at which every knot
+    # stays finite.  It now clips that knot to the covering ball, and the
+    # value is the unit ball's at R / r_K, the level 1.
+    for r_K, R in ((1.0, 9e-309), (1e10, 1e-298)):
+        g = StepProfile(((r_K, 1.0),))
+        for d in (1, 2, 30):
+            cfg = OperatorConfig(d, 0.5)
+            res = maximal_value_detailed(g, cfg, R)
+            assert res.converged and res.value == maximal_value(UNIT_BALL, cfg, R / r_K) == 1.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 30])
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0 - 1e-12])
 def test_radii_from_2_to_the_minus_1070_to_2_to_the_60_warn_never(d, lam):
-    # Every radius is rejected or searched without a RuntimeWarning, and a
-    # searched value is at least the average of the least-offset ball that
-    # holds the unit ball, of radius max(1, (R + 1) / (1 + lam)).
-    cfg, searched = OperatorConfig(d, lam), []
-    for k in range(-1070, 61):
-        R = math.ldexp(1.0, k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            try:
-                value = maximal_value(UNIT_BALL, cfg, R)
-            except UsageError:
-                continue
-        searched.append(k)
-        cover = max(1.0, (R + 1.0) / (1.0 + lam))
-        assert value >= cover ** -d * (1.0 - 1e-14), R
-    # both ends are rejected, and every radius between them is searched
-    assert -1070 < searched[0] and searched[-1] < 60
-    assert searched == list(range(searched[0], searched[-1] + 1))
+    # Every radius R = 2^k r_K is rejected or searched without a
+    # RuntimeWarning, and a searched value is at least the average of the
+    # least-offset ball that holds the support, of radius
+    # max(1, (2^k + 1) / (1 + lam)) r_K, to 1e-14 at r_K = 1.  Off powers of
+    # two the covering ball is not tangent to the support in floats, and far
+    # outside the support its lens cancels: at d = 1 the value already falls
+    # more than 1e-14 short at R = 2^10 r_K, so there r_K is a power of two;
+    # at d = 2 it falls 3.1e-13 short (lam = 1 - 1e-12, R = 2^30 r_K,
+    # r_K = 1e-10), so there the bound is 1e-12.
+    scales = ((2.0**-33, 1e-14), (1.0, 1e-14), (2.0**33, 1e-14))
+    if d > 1:
+        scales = ((1e-10, 1e-12), (1.0, 1e-14), (1e10, 1e-12))
+    cfg = OperatorConfig(d, lam)
+    for r_K, tol in scales:
+        g, searched = StepProfile(((r_K, 1.0),)), []
+        for k in range(-1070, 61):
+            R = math.ldexp(r_K, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    value = maximal_value(g, cfg, R)
+                except UsageError:
+                    continue
+            searched.append(k)
+            cover = max(1.0, (math.ldexp(1.0, k) + 1.0) / (1.0 + lam))
+            assert value >= cover ** -d * (1.0 - tol), (r_K, k)
+        # both ends are rejected, and every radius between them is searched
+        assert -1070 < searched[0] and searched[-1] < 60, r_K
+        assert searched == list(range(searched[0], searched[-1] + 1)), r_K
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 30])
+def test_power_of_two_dilations_keep_every_bit(d):
+    # M[g(./s)](s R) = M g(R).  The search forms every ball average in units
+    # of the power of two nearest r_K, so a dilation by s = 2^k keeps every
+    # value's bits, however far s is from 1.  (In absolute units d = 30 read
+    # about 0 at 27 radii for k = -40 and overflowed the mass for k = 40.)
+    g = random_profile(9100, 6, d)
+    R = np.geomspace(0.02, 60.0, 40) * g.support_radius
+    for lam in (0.0, 0.5, 1.0):
+        cfg = OperatorConfig(d, lam)
+        want = maximal_value_batch(g, cfg, R).view(np.int64)
+        for k in (-40, -20, 20, 40):
+            gs = StepProfile(tuple((math.ldexp(r, k), v) for r, v in g.breakpoints))
+            got = maximal_value_batch(gs, cfg, np.ldexp(R, k)).view(np.int64)
+            assert np.array_equal(got, want), (lam, k, np.flatnonzero(got != want))
 
 
 def test_maximal_value_rejects_bad_radius():

@@ -876,11 +876,37 @@ def test_domination_bound_holds_every_computed_average(d):
             rng.choice(radii, 1000) * (1.0 - 1e-15),
         ])
         z = np.concatenate([near + rho[:3000], rng.random(1000) * rho[3000:]])
-        avg = verify._ball_averages(g, d, omega, z, rho)
+        avg = verify._ball_averages(g.arrays.step_radii, g.arrays.step_coeffs, d, omega, z, rho)
         nearest = np.maximum(z - rho, 0.0).tolist()
         level = np.array([levels[np.count_nonzero(radii < x)] for x in nearest])
         bound = np.minimum(level, l1_norm(g, d) / (omega * rho ** d))
         assert np.all(avg <= bound * (1.0 + verify._PRUNE_MARGIN))
+
+
+def test_domination_report_does_not_depend_on_the_scale():
+    # Every ball is averaged in units of the power of two nearest r_K.  With
+    # absolute radii floored at 1e-9, three times the support of the indicator
+    # of radius 1e-10, this audit passed at d = 30 on sample averages of 1e-30
+    # (7.3e-9 at unit scale) against a search value 2e7 too low.
+    cfg, mc = OperatorConfig(30, 0.5), McConfig(1, 20_000)
+    tiny = check_random_ball_domination(StepProfile(((1e-10, 1.0),)), cfg, 2e-10, mc)
+    unit = check_random_ball_domination(UNIT_BALL, cfg, 2.0, mc)
+    assert abs(tiny.worst_violation - unit.worst_violation) <= 1e-12
+    for key in ("supremum", "max_sample_average"):
+        assert tiny.extra[key] == pytest.approx(unit.extra[key], rel=1e-12, abs=0.0)
+    g = random_profile(9100, 6, 30)
+    R = 2.0 * g.support_radius
+    for k in (-40, 40):
+        gs = StepProfile(tuple((math.ldexp(r, k), v) for r, v in g.breakpoints))
+        a = check_random_ball_domination(g, cfg, R, mc)
+        b = check_random_ball_domination(gs, cfg, math.ldexp(R, k), mc)
+        assert abs(a.worst_violation - b.worst_violation) <= 1e-12
+        for key in ("supremum", "max_sample_average"):
+            assert a.extra[key] == pytest.approx(b.extra[key], rel=1e-12, abs=0.0)
+    # the radii are drawn in the caller's units, where 1e-4 (R + r_K) can
+    # underflow to 0 before any draw
+    with pytest.raises(UsageError, match="underflows to 0"):
+        check_random_ball_domination(StepProfile(((1e-321, 1.0),)), cfg, 1e-321, mc)
 
 
 @pytest.mark.parametrize(
