@@ -361,20 +361,10 @@ def superlevel_measure(
     t: float,
     opt: OptimizerSettings | None = None,
 ) -> float:
-    """Lebesgue measure of the superlevel set { operator value > t }.
-
-    The operator is radially nonincreasing on radial nonincreasing profiles,
-    so the set is a centered ball and its measure is omega_d R_t^d.  R_t is
-    bracketed between a radius inside the set (just inside a breakpoint, or
-    where the ball covering the support still averages above t) and the
-    mass-bound radius, shrunk by the first operator call to the tightest
-    pair of that call's points, which include a few radii just past the
-    breakpoint, and narrowed by regula falsi with Anderson-Bjorck steps to
-    relative width 1e-6; R_t is the root of the line through the
-    final bracket's ends in (log R, log m), or its midpoint where that root
-    is not finite or leaves the bracket.  A value above t at the mass-bound
-    radius is warned about and the measure taken to that radius.
-    """
+    """Lebesgue measure of the superlevel set { operator value > t }: the
+    centered ball of radius R_t that the level-set solver finds (module
+    docstring, _level_set_radii).  A value above t at the mass-bound radius
+    is warned about and the measure taken to that radius."""
     if not (t > 0.0 and math.isfinite(t)):
         raise UsageError(f"threshold must be positive, got {t}")
     opt = opt or OptimizerSettings()
@@ -411,23 +401,33 @@ def sharpness_experiment(
     opt: OptimizerSettings | None = None,
 ) -> list[dict]:
     """Weak-type ratios for the normalized ball indicators of radii r_seq at
-    thresholds t_seq.  Rows keep the caller's ordering."""
+    thresholds t_seq, in the caller's order.  By dilation the indicator of
+    radius r has at t the unit indicator's ratio at s = t r^d, so one solve
+    at the distinct s gives every row: 0 where s overflows (t lies above the
+    indicator's level); an s that underflows to 0 is a UsageError."""
     opt = opt or OptimizerSettings()
     rs = [float(r) for r in r_seq]
     ts = [float(t) for t in t_seq]
     if not rs:
         raise UsageError("no indicator radius given")
-    if any(r <= 0.0 for r in rs) or not all(0.0 < t < math.inf for t in ts):
-        raise UsageError("radii must be positive, thresholds positive and finite")
+    if not all(0.0 < x < math.inf for x in rs + ts):
+        raise UsageError("radii and thresholds must be positive and finite")
+    d, g = cfg.d, normalized_indicator(1.0, cfg.d)
+    # s from the mantissas and exponents of r and t, so r^d alone cannot
+    # overflow; from the unit indicator's level on, every ratio is 0
+    (mr, er), (mt, et) = np.frexp(rs), np.frexp(ts)
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.minimum(np.ldexp(np.outer(mr ** d, mt), np.add.outer(er * d, et)), g.top_level)
+    if not s.all():
+        raise UsageError(f"t r^d underflows to 0 in d = {d}: r = {min(rs)!r}, t = {min(ts)!r}")
+    est = weak_constant_estimate(g, cfg, np.unique(s).tolist(), opt)
+    ratio_at = {x: ratio for x, _, ratio in est.per_t}
     bound = weak_bound(cfg)
-    rows = []
-    for r in rs:
-        g = normalized_indicator(r, cfg.d)
-        est = weak_constant_estimate(g, cfg, sorted(set(ts)), opt)
-        ratio_at = {t: ratio for t, _, ratio in est.per_t}
-        for t in ts:
-            rows.append({"r": r, "t": t, "ratio": ratio_at[t], "bound": bound})
-    return rows
+    return [
+        {"r": r, "t": t, "ratio": ratio_at[x], "bound": bound}
+        for r, row in zip(rs, s.tolist())
+        for t, x in zip(ts, row)
+    ]
 
 
 def sweep(

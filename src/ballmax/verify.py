@@ -72,11 +72,10 @@ from .maximal import (
     RegionKind,
     UsageError,
     _ball_averages,
-    _units,
     maximal_value_batch,
     maximal_value_detailed,
 )
-from .profiles import OperatorConfig, StepProfile
+from .profiles import OperatorConfig, StepProfile, _mass
 
 __all__ = [
     "McConfig",
@@ -612,26 +611,25 @@ def check_random_ball_domination(
     the axis give |z| directly; at lam = 0 nothing but rho is drawn.
 
     Only the balls whose bound can reach the largest average are averaged
-    (see the module docstring), in the search's units (maximal._units), so
-    the report is the one that averaging every ball gives at any scale.  A
-    radius R whose largest sampled ball, of radius 10 (R + r_K), has a
-    volume that overflows a double in those units raises UsageError."""
+    (see the module docstring), in units of the power of two nearest
+    sqrt(r_K (R + r_K)): there the support's and every sampled ball's volume
+    is a normal double wherever the search answers R.  Every other R, and
+    one whose sampled radii, 1e-4 to 10 (R + r_K), reach 0 or overflow, is a
+    UsageError."""
     opt = opt or OptimizerSettings()
     if not (R > 0.0 and math.isfinite(R)):
         raise UsageError(f"R must be positive, got {R}")
     d, lam = cfg.d, cfg.lam
     scale = R + g.support_radius
-    omega, unit, step_radii, mass, _, greatest = _units(g, d)
-    # in units, rho^d and omega_d rho^d stay finite up to twice the volume of
-    # the search's greatest ball, which leaves room for the draws' rounding
-    if not 10.0 * scale / unit <= greatest * 2.0 ** (1.0 / d):
-        raise UsageError(
-            f"R = {R!r} at d = {d}: the largest sampled ball, of radius 10 (R + r_K) = "
-            f"{10.0 * scale!r}, has a volume that overflows a double"
-        )
+    if not math.isfinite(10.0 * scale):
+        raise UsageError(f"R = {R!r}: the greatest sampled radius, 10 (R + r_K), overflows a double")
     if 1e-4 * scale == 0.0:
         raise UsageError(f"R = {R!r}: the least sampled radius, 1e-4 (R + r_K), underflows to 0")
     m_star = maximal_value_detailed(g, cfg, R, RegionKind.FULL, opt).value
+    steps = g.arrays
+    unit = 2.0 ** min(round(math.log2(math.sqrt(g.support_radius) * math.sqrt(scale))), 1023)
+    omega, step_radii = unit_ball_volume(d), steps.step_radii / unit
+    mass = _mass((steps.radii / unit).tolist(), g.levels, d)
     rng = np.random.default_rng(mc.seed)
     n = mc.n_samples
     rho = np.exp(rng.uniform(math.log(1e-4 * scale), math.log(10.0 * scale), n))
@@ -651,7 +649,6 @@ def check_random_ball_domination(
     # that rounds onto a breakpoint r_k keeps step k (side="left"), as the
     # lens kernel's c < r_k + rho does; and the mass bound, in units, where
     # every ball is averaged from here on.
-    steps = g.arrays
     bound = steps.levels[np.searchsorted(steps.radii, np.maximum(z_norm - rho, 0.0), side="left")]
     rho_u, z_u = rho / unit, z_norm / unit
     np.minimum(bound, mass / (omega * rho_u ** d), out=bound)

@@ -19,7 +19,14 @@ from ballmax.analysis import (
 )
 from ballmax.geometry import unit_ball_volume
 from ballmax.maximal import OptimizerSettings, RegionKind, UsageError, maximal_value_batch
-from ballmax.profiles import OperatorConfig, StepProfile, l1_norm, profile_digest, random_profile
+from ballmax.profiles import (
+    OperatorConfig,
+    StepProfile,
+    l1_norm,
+    normalized_indicator,
+    profile_digest,
+    random_profile,
+)
 
 UNIT_BALL = StepProfile(((1.0, 1.0),))
 BASE_SEED = 20240817
@@ -388,6 +395,48 @@ def test_sharpness_respects_bound():
 def test_sharpness_keeps_caller_order():
     rows = sharpness_experiment(OperatorConfig(1, 1.0), [1.0], [0.2, 0.1, 0.05])
     assert [row["t"] for row in rows] == [0.2, 0.1, 0.05]
+
+
+@pytest.mark.parametrize("d, lam", [(1, 1.0), (2, 0.5), (3, 0.0)])
+def test_sharpness_rows_are_the_unit_indicator_ratios_at_t_r_to_the_d(d, lam):
+    # the indicator of radius r has at t the unit indicator's ratio at
+    # s = t r^d; these r make r^d exact, so s is one rounding of t r^d
+    cfg = OperatorConfig(d, lam)
+    rs, ts = [3.0, 0.25, 1.5, 40.0], [0.1, 1e-3, 0.02]
+    rows = sharpness_experiment(cfg, rs, ts)
+    s = [t * r ** d for r in rs for t in ts]
+    est = weak_constant_estimate(normalized_indicator(1.0, d), cfg, sorted(set(s)))
+    ratio_at = {t: ratio for t, _, ratio in est.per_t}
+    assert [(row["r"], row["t"]) for row in rows] == [(r, t) for r in rs for t in ts]
+    assert [row["ratio"] for row in rows] == [ratio_at[x] for x in s]
+    # and within 1e-9 of a solve of its own indicator at t alone
+    for row in rows:
+        own = weak_constant_estimate(normalized_indicator(row["r"], d), cfg, [row["t"]])
+        assert row["ratio"] == pytest.approx(own.per_t[0][2], rel=1e-9, abs=0.0)
+
+
+def test_sharpness_past_the_double_range():
+    # t r^d = 0.5e600 overflows: t lies above that indicator's level, 1e-600
+    # / omega_30; the radius alone would also overflow the ball volume
+    cfg = OperatorConfig(30, 1.0)
+    assert sharpness_experiment(cfg, [1e20, 1.0], [0.5]) == [
+        {"r": 1e20, "t": 0.5, "ratio": 0.0, "bound": 2.0 ** 30},
+        sharpness_experiment(cfg, [1.0], [0.5])[0],
+    ]
+    # r^d = 2^1068 overflows while t r^d = 2^-1070 r^d = 0.25 does not: a
+    # ratio, not 0
+    cfg = OperatorConfig(2, 1.0)
+    row = sharpness_experiment(cfg, [2.0 ** 534], [2.0 ** -1070])[0]
+    assert row["ratio"] == sharpness_experiment(cfg, [1.0], [0.25])[0]["ratio"]
+    assert row["ratio"] > 1.0
+    with pytest.raises(UsageError, match="t r\\^d underflows to 0 in d = 2: r = 1e-200, t = 0.5"):
+        sharpness_experiment(OperatorConfig(2, 1.0), [1e-200], [0.5])
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+def test_sharpness_radius_must_be_positive_and_finite(r):
+    with pytest.raises(UsageError, match="positive and finite"):
+        sharpness_experiment(OperatorConfig(2, 1.0), [1.0, r], [0.5])
 
 
 # ---------------------------------------------------------------------------

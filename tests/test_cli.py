@@ -375,8 +375,23 @@ def test_verify_nonpositive_R_is_usage_error(capsys, R):
 @pytest.mark.parametrize("d, R", [("2", "1e308"), ("30", "1e12")])
 def test_verify_domination_volume_overflow_is_usage_error(capsys, d, R):
     # before: a numpy OverflowError traceback (d = 2), or overflow warnings
-    # and a pass on underflowed averages (d = 30)
+    # and a pass on underflowed averages (d = 30).  The greatest sampled
+    # radius 10 (R + r_K) overflows (d = 2); the search does not answer R,
+    # whose support-covering ball lies past its greatest radius (d = 30)
+    message = {"2": "10 (R + r_K), overflows a double", "30": "the greatest radius"}[d]
     assert main(["verify", "domination", "--d", d, "--R", R, "--n-samples", "1000"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+@pytest.mark.parametrize("r_K, R", [("1e308", "1e308"), ("1.7e308", "2")])
+def test_verify_domination_at_the_largest_support_is_usage_error(tmp_path, capsys, r_K, R):
+    # the greatest sampled radius overflows; the unit, the power of two
+    # nearest sqrt(r_K (R + r_K)), would pass 2^1023 at r_K = 1.7e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"levels": [{"r": float(r_K), "v": 1.0}]}))
+    args = ["verify", "domination", "--d", "2", "--profile", str(path), "--R", R]
+    assert main(args + ["--n-samples", "1000"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "overflows a double" in err[0]
 
@@ -386,14 +401,24 @@ def test_verify_domination_just_inside_the_volume_limit_runs_quietly(capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("d, r", [("2", "1e-200"), ("30", "1e20")])
+@pytest.mark.parametrize("d, r", [("2", "1e-200")])
 def test_sharpness_indicator_volume_out_of_range_is_usage_error(capsys, d, r):
-    # before: a ZeroDivisionError (d = 2) or OverflowError (d = 30) traceback
+    # before: a ZeroDivisionError traceback; the threshold of the unit
+    # indicator with the same ratio, t r^d, underflows to 0
     code = main(["sharpness", "--d", d, "--lambda", "1", "--r", r, "--t-grid", "0.5"])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: indicator radius r = ")
-    assert f"in d = {d}" in err[0]
+    assert err == ["error: t r^d underflows to 0 in d = 2: r = 1e-200, t = 0.5"]
+
+
+def test_sharpness_indicator_beyond_the_volume_range_has_ratio_0(tmp_path, capsys):
+    # before: an OverflowError traceback, then a profile error; t r^d
+    # overflows, so t lies above the indicator's level and mu(t) = 0
+    out = tmp_path / "rows.json"
+    args = ["sharpness", "--d", "30", "--lambda", "1", "--r", "1e20", "--t-grid", "0.5"]
+    assert main(args + ["--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text()) == [{"r": 1e20, "t": 0.5, "ratio": 0.0, "bound": 2.0 ** 30}]
 
 
 @pytest.mark.parametrize(

@@ -911,13 +911,32 @@ def test_domination_report_does_not_depend_on_the_scale():
 
 @pytest.mark.parametrize(
     "d, R, message",
-    [(2, 1e308, "overflows a double"), (30, 1e12, "overflows a double"), (30, 1.85e9, "overflows")],
+    [
+        (2, 1e308, "overflows a double"),
+        pytest.param(30, 1e12, "the greatest radius", id="30-1e12-search-limit"),
+    ],
 )
 def test_domination_rejects_balls_whose_volume_overflows(d, R, message):
-    # before any draw: otherwise numpy raises on the radius range (d = 2) or
-    # both sides underflow and the audit passes on nothing (d = 30)
+    # before any draw: the greatest sampled radius 10 (R + r_K) overflows
+    # (d = 2), or the search does not answer R, since the ball that holds
+    # the support lies past its greatest radius (d = 30)
     with pytest.raises(UsageError, match=message):
         check_random_ball_domination(UNIT_BALL, OperatorConfig(d, 1.0), R, McConfig(1, 1000))
+
+
+def test_domination_answers_every_radius_the_search_answers():
+    # R = 1.85e9 at d = 30 was rejected by a ball-volume rule of the audit's
+    # own; in units of the power of two nearest sqrt(r_K (R + r_K)) every
+    # sampled ball volume is a normal double, and the report is its
+    # dilation's
+    cfg, mc = OperatorConfig(30, 1.0), McConfig(1, 1000)
+    rep = check_random_ball_domination(UNIT_BALL, cfg, 1.85e9, mc)
+    assert rep.passed and math.isfinite(rep.worst_violation)
+    small = StepProfile(((2.0 ** -40, 1.0),))
+    dil = check_random_ball_domination(small, cfg, math.ldexp(1.85e9, -40), mc)
+    assert abs(rep.worst_violation - dil.worst_violation) <= 1e-12
+    for key in ("supremum", "max_sample_average"):
+        assert rep.extra[key] == pytest.approx(dil.extra[key], rel=1e-12, abs=0.0)
 
 
 def test_domination_runs_just_inside_the_volume_limit():
